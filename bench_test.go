@@ -8,6 +8,7 @@ package rldecide_test
 
 import (
 	"io"
+	"math"
 	"sync"
 	"testing"
 
@@ -19,6 +20,7 @@ import (
 	"rldecide/internal/nn"
 	"rldecide/internal/obs"
 	"rldecide/internal/param"
+	"rldecide/internal/pareto"
 	"rldecide/internal/report"
 	"rldecide/internal/search"
 	"rldecide/internal/tensor"
@@ -274,4 +276,46 @@ func BenchmarkStudyOverhead(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchRank ranks 2000 finished trials through core.ParetoRanker, the call
+// behind every studyd /front request and every study finish.
+func benchRank(b *testing.B, names []string, values func(x0, x1, x2 float64) []float64) {
+	metrics := make([]core.Metric, len(names))
+	for i, n := range names {
+		metrics[i] = core.Metric{Name: n, Direction: pareto.Minimize}
+	}
+	rng := mathx.NewRand(1)
+	trials := make([]core.Trial, 2000)
+	for i := range trials {
+		trials[i].ID = i
+		vals := values(rng.Float64()*10-5, rng.Float64()*10-5, rng.Float64()*10-5)
+		for j, n := range names {
+			trials[i].Values.Set(n, vals[j])
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r := (core.ParetoRanker{}).Rank(trials, metrics); len(r.Fronts) == 0 {
+			b.Fatal("empty ranking")
+		}
+	}
+}
+
+// BenchmarkRank2000 has the shape of studyd's two-metric sphere studies
+// (x0²+x1² against |x0|+|x1|, both minimized): correlated objectives, so a
+// small front 0 over a deep stack of fronts.
+func BenchmarkRank2000(b *testing.B) {
+	benchRank(b, []string{"f", "cost"}, func(x0, x1, _ float64) []float64 {
+		return []float64{x0*x0 + x1*x1, math.Abs(x0) + math.Abs(x1)}
+	})
+}
+
+// BenchmarkRank2000x3 ranks three independent uniform objectives: wide
+// fronts, and past two objectives every front member may need a look.
+func BenchmarkRank2000x3(b *testing.B) {
+	benchRank(b, []string{"a", "b", "c"}, func(x0, x1, x2 float64) []float64 {
+		return []float64{x0, x1, x2}
+	})
 }

@@ -356,6 +356,56 @@ func TestParetoRankerEps(t *testing.T) {
 	}
 }
 
+// TestParetoRankerCoversEachTrialOnce: the fronts partition the ranked
+// trials with and without the ε-widening of front 0 (which once left the
+// promoted trials in their strict fronts too), each front ascending, and a
+// diverged trial's NaN metric keeps it off front 0.
+func TestParetoRankerCoversEachTrialOnce(t *testing.T) {
+	ms := []Metric{
+		{Name: "q", Direction: pareto.Maximize},
+		{Name: "c", Direction: pareto.Minimize},
+	}
+	rng := mathx.NewRand(3)
+	trials := make([]Trial, 200)
+	for i := range trials {
+		// Correlated metrics with a little noise: many near-ties, so the
+		// ε-front promotes trials out of several strict fronts.
+		x := rng.Float64()
+		trials[i] = Trial{ID: i, Values: ValuesFromMap(map[string]float64{"q": x + 0.02*rng.Float64(), "c": 100 * (x + 0.02*rng.Float64())})}
+	}
+	const diverged = 17
+	trials[diverged].Values = ValuesFromMap(map[string]float64{"q": math.NaN(), "c": 1000})
+	for _, eps := range []float64{0, 0.05} {
+		fronts := ParetoRanker{Eps: eps}.Rank(trials, ms).Fronts
+		seen := make([]int, len(trials))
+		for k, front := range fronts {
+			if len(front) == 0 {
+				t.Fatalf("eps %v: front %d is empty", eps, k)
+			}
+			for j, i := range front {
+				seen[i]++
+				if j > 0 && front[j-1] >= i {
+					t.Fatalf("eps %v: front %d not ascending: %v", eps, k, front)
+				}
+				if k == 0 && i == diverged {
+					t.Fatalf("eps %v: the NaN trial is on front 0", eps)
+				}
+			}
+		}
+		for i, c := range seen {
+			if c != 1 {
+				t.Fatalf("eps %v: trial %d appears in %d fronts", eps, i, c)
+			}
+		}
+		if eps > 0 {
+			strict := ParetoRanker{}.Rank(trials, ms).Fronts
+			if len(fronts[0]) <= len(strict[0]) {
+				t.Fatalf("eps %v promoted nothing: front 0 has %d trials, strict %d", eps, len(fronts[0]), len(strict[0]))
+			}
+		}
+	}
+}
+
 func TestIntermediateWithoutPruner(t *testing.T) {
 	s := newStudy()
 	s.Objective = func(a param.Assignment, seed uint64, rec *Recorder) error {

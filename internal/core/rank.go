@@ -132,39 +132,66 @@ type ParetoRanker struct {
 // Name implements Ranker.
 func (p ParetoRanker) Name() string { return "pareto" }
 
-// Rank implements Ranker.
+// Rank implements Ranker. Every trial index appears in exactly one front,
+// and each front lists indices in ascending order.
 func (p ParetoRanker) Rank(trials []Trial, metrics []Metric) Ranking {
-	names := p.Objectives
-	if len(names) == 0 {
-		for _, m := range metrics {
-			names = append(names, m.Name)
-		}
-	}
-	dirs := make([]pareto.Direction, len(names))
-	for i, n := range names {
-		for _, m := range metrics {
-			if m.Name == n {
-				dirs[i] = m.Direction
+	objectives := metrics
+	if len(p.Objectives) > 0 {
+		objectives = make([]Metric, len(p.Objectives))
+		for i, n := range p.Objectives {
+			objectives[i].Name = n
+			for _, m := range metrics {
+				if m.Name == n {
+					objectives[i] = m
+				}
 			}
 		}
+	}
+	dirs := make([]pareto.Direction, len(objectives))
+	for i, m := range objectives {
+		dirs[i] = m.Direction
 	}
 	// One flat backing array for every point's values: the per-trial
 	// sub-slices share it, so projecting n trials costs two allocations
 	// instead of n+1.
 	pts := make([]pareto.Point, len(trials))
-	flat := make([]float64, len(trials)*len(names))
+	flat := make([]float64, len(trials)*len(objectives))
 	for i, t := range trials {
-		vals := flat[i*len(names) : (i+1)*len(names) : (i+1)*len(names)]
-		for j, n := range names {
-			vals[j] = t.Values.At(n)
+		vals := flat[i*len(objectives) : (i+1)*len(objectives) : (i+1)*len(objectives)]
+		for j, m := range objectives {
+			vals[j] = t.Values.At(m.Name)
 		}
 		pts[i] = pareto.Point{ID: t.ID, Values: vals}
 	}
 	fronts := pareto.NonDominatedSort(pts, dirs)
 	if p.Eps > 0 && len(fronts) > 0 {
-		fronts[0] = pareto.EpsilonFront(pts, dirs, p.Eps)
+		fronts = widenFirstFront(fronts, pareto.EpsilonFront(pts, dirs, p.Eps), len(pts))
 	}
 	return Ranking{Method: "pareto", Fronts: fronts}
+}
+
+// widenFirstFront replaces fronts[0] with the ε-front (a superset of it,
+// ascending) and takes the promoted indices out of the later fronts they
+// came from, dropping any front left empty, so the result still covers
+// each of the n indices once.
+func widenFirstFront(fronts [][]int, epsFront []int, n int) [][]int {
+	promoted := make([]bool, n)
+	for _, i := range epsFront {
+		promoted[i] = true
+	}
+	out := append(fronts[:0], epsFront)
+	for _, front := range fronts[1:] {
+		kept := front[:0]
+		for _, i := range front {
+			if !promoted[i] {
+				kept = append(kept, i)
+			}
+		}
+		if len(kept) > 0 {
+			out = append(out, kept)
+		}
+	}
+	return out
 }
 
 // SortedRanker ranks trials best-first by one metric — the paper's

@@ -1,13 +1,22 @@
 // Package pareto implements the multi-objective ranking machinery behind
 // step (e) of the paper's methodology: dominance tests, Pareto-front
-// extraction (strict and ε-tolerant), fast non-dominated sorting into
+// extraction (strict and ε-tolerant), non-dominated sorting into
 // successive fronts, crowding distance, 2-D hypervolume and knee-point
 // selection.
+//
+// Two contracts hold across the package. Order: Front, EpsilonFront and
+// every front of NonDominatedSort list indices into the input in
+// ascending order, so a result depends on the set of points and not on
+// how it was computed. NaN: a NaN value is the worst value of its
+// objective (see normalize): a diverged run loses that objective to every
+// other value instead of tying with all of them, and dominance remains a
+// strict partial order.
 package pareto
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -34,8 +43,15 @@ type Point struct {
 	Values []float64
 }
 
-// normalize maps a value so that smaller is always better.
+// normalize maps a value so that smaller is always better. NaN (a
+// diverged run's metric) becomes +Inf, the worst value of its objective
+// whatever the direction: every comparison in this package goes through
+// here, so dominance stays a strict partial order and the sort in
+// NonDominatedSort a strict weak one. ±Inf keep their usual order.
 func normalize(v float64, d Direction) float64 {
+	if math.IsNaN(v) {
+		return math.Inf(1)
+	}
 	if d == Maximize {
 		return -v
 	}
@@ -114,12 +130,16 @@ func EpsilonFront(points []Point, dirs []Direction, eps float64) []int {
 // epsDominates reports whether a beats b by more than the relative margin
 // eps·max(|a_i|,|b_i|) in every objective ("clearly dominates"). A point
 // therefore survives an ε-front whenever it is within the noise margin of
-// its dominator in at least one objective.
+// its dominator in at least one objective. An infinite (or NaN) value has
+// no meaningful relative margin and is compared strictly.
 func epsDominates(a, b []float64, dirs []Direction, eps float64) bool {
 	for i := range a {
 		av := normalize(a[i], dirs[i])
 		bv := normalize(b[i], dirs[i])
 		margin := eps * math.Max(math.Abs(av), math.Abs(bv))
+		if math.IsInf(margin, 1) {
+			margin = 0
+		}
 		if !(av < bv-margin) {
 			return false
 		}
@@ -129,79 +149,133 @@ func epsDominates(a, b []float64, dirs []Direction, eps float64) bool {
 
 // NonDominatedSort partitions points into successive fronts: front 0 is
 // the Pareto front, front 1 the front after removing front 0, and so on
-// (the fast non-dominated sort of NSGA-II).
+// (the ranking NSGA-II calls non-dominated sorting). Every front lists
+// input indices in ascending order, and NaN values rank as normalize
+// defines them.
 //
-// The dominance graph is stored as a flat CSR-style adjacency (a count
-// pass sizes one shared edge buffer, a fill pass populates it) and every
-// front is a cap-limited sub-slice of one shared n-entry order buffer, so
-// the sort costs a fixed handful of allocations regardless of n — this
-// runs once per study report, but studyd re-ranks on every snapshot
-// request, which made the append-grown edge lists the hottest allocation
-// site of a campaign.
+// The method is sort-and-place (ENS-BS, Zhang et al. 2015). Points are
+// visited in lexicographic order of their normalized values, so a point
+// can only be dominated by one visited before it, and a front that holds
+// no dominator of a point rules out every later front too (each member of
+// front k+1 has a dominator in front k, and dominance is transitive). The
+// first such front is therefore found by binary search over the fronts
+// built so far. With at most two objectives the most recently placed
+// member of a front decides alone: the members are mutually non-dominated
+// and were placed in lexicographic order, so the last one holds the
+// front's best second objective — if it does not dominate the point, no
+// member does. That bounds two objectives at O(n log n); from three on a
+// front is walked member by member, O(m·n²) when all points share one
+// front.
+//
+// Memory is four allocations whatever n: the normalized values, one
+// integer scratch block, and the result (fronts are windows into one
+// n-entry index buffer).
 func NonDominatedSort(points []Point, dirs []Direction) [][]int {
-	n := len(points)
+	n, m := len(points), len(dirs)
 	if n == 0 {
 		return nil
 	}
-	domCount := make([]int, n)
-	edgeCount := make([]int, n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if Dominates(points[i].Values, points[j].Values, dirs) {
-				edgeCount[i]++
-				domCount[j]++
-			} else if Dominates(points[j].Values, points[i].Values, dirs) {
-				edgeCount[j]++
-				domCount[i]++
+	vals := make([]float64, n*m)
+	for i, p := range points {
+		if len(p.Values) != m {
+			panic(fmt.Sprintf("pareto: dimension mismatch %d/%d", len(p.Values), m))
+		}
+		for j, v := range p.Values {
+			vals[i*m+j] = normalize(v, dirs[j])
+		}
+	}
+	row := func(i int) []float64 { return vals[i*m : (i+1)*m] }
+
+	scratch := make([]int, 4*n)
+	order := scratch[:n]       // visiting order
+	rank := scratch[n : 2*n]   // front of each point
+	prev := scratch[2*n : 3*n] // member placed before it in the same front, or -1
+	tail := scratch[3*n:]      // last member placed in each front
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		ra, rb := row(a), row(b)
+		for j := range ra {
+			if ra[j] < rb[j] {
+				return -1
+			}
+			if ra[j] > rb[j] {
+				return 1
 			}
 		}
-	}
-	offsets := make([]int, n+1)
-	for i := 0; i < n; i++ {
-		offsets[i+1] = offsets[i] + edgeCount[i]
-	}
-	// Reuse edgeCount as the per-node fill cursor.
-	edges := make([]int, offsets[n])
-	copy(edgeCount, offsets[:n])
-	fill := edgeCount
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if Dominates(points[i].Values, points[j].Values, dirs) {
-				edges[fill[i]] = j
-				fill[i]++
-			} else if Dominates(points[j].Values, points[i].Values, dirs) {
-				edges[fill[j]] = i
-				fill[j]++
+		return a - b
+	})
+
+	// holdsDominator reports whether front k holds a dominator of p.
+	holdsDominator := func(k int, p []float64) bool {
+		q := tail[k]
+		if m <= 2 {
+			return dominatesMin(row(q), p)
+		}
+		for ; q >= 0; q = prev[q] {
+			if dominatesMin(row(q), p) {
+				return true
 			}
 		}
+		return false
 	}
-	// Every point lands in exactly one front, so the fronts are windows
-	// into a single order buffer.
-	order := make([]int, n)
-	hi := 0
-	for i := 0; i < n; i++ {
-		if domCount[i] == 0 {
-			order[hi] = i
-			hi++
-		}
-	}
-	var fronts [][]int
-	lo := 0
-	for lo < hi {
-		fronts = append(fronts, order[lo:hi:hi])
-		next := hi
-		for _, i := range order[lo:hi] {
-			for _, j := range edges[offsets[i]:offsets[i+1]] {
-				domCount[j]--
-				if domCount[j] == 0 {
-					order[next] = j
-					next++
-				}
+	nFronts := 0
+	for _, i := range order {
+		p := row(i)
+		lo, hi := 0, nFronts
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if holdsDominator(mid, p) {
+				lo = mid + 1
+			} else {
+				hi = mid
 			}
 		}
-		lo, hi = hi, next
+		if lo == nFronts {
+			tail[lo] = -1
+			nFronts++
+		}
+		rank[i], prev[i], tail[lo] = lo, tail[lo], i
+	}
+
+	// Counting sort by rank: walking the points in input order leaves each
+	// front ascending. order and tail are free again and hold the fill
+	// cursor and the end of each front.
+	start, stop := order[:nFronts], tail[:nFronts]
+	clear(stop)
+	for _, k := range rank {
+		stop[k]++
+	}
+	for k, at := 0, 0; k < nFronts; k++ {
+		start[k] = at
+		at += stop[k]
+		stop[k] = at
+	}
+	indices := make([]int, n)
+	fronts := make([][]int, nFronts)
+	for k := range fronts {
+		fronts[k] = indices[start[k]:stop[k]:stop[k]]
+	}
+	for i, k := range rank {
+		indices[start[k]] = i
+		start[k]++
 	}
 	return fronts
+}
+
+// dominatesMin is Dominates over two rows of already normalized values.
+func dominatesMin(a, b []float64) bool {
+	strictly := false
+	for j, av := range a {
+		if av > b[j] {
+			return false
+		}
+		if av < b[j] {
+			strictly = true
+		}
+	}
+	return strictly
 }
 
 // CrowdingDistance returns NSGA-II crowding distances for the points of

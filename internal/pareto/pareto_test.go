@@ -1,7 +1,10 @@
 package pareto
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -326,4 +329,218 @@ func TestEpsilonFrontNegativePanics(t *testing.T) {
 		}
 	}()
 	EpsilonFront(pts([2]float64{1, 1}), minmin, -0.1)
+}
+
+// peelFronts is the reference for NonDominatedSort: repeated Front on what
+// is left, O(n²) per front. Fronts come out ascending by input index
+// because Front keeps input order.
+func peelFronts(points []Point, dirs []Direction) [][]int {
+	left := make([]int, len(points))
+	for i := range left {
+		left[i] = i
+	}
+	var fronts [][]int
+	for len(left) > 0 {
+		sub := make([]Point, len(left))
+		for k, i := range left {
+			sub[k] = points[i]
+		}
+		onFront := make([]bool, len(left))
+		front := Front(sub, dirs)
+		for k, j := range front {
+			onFront[j] = true
+			front[k] = left[j]
+		}
+		fronts = append(fronts, front)
+		rest := left[:0]
+		for k, i := range left {
+			if !onFront[k] {
+				rest = append(rest, i)
+			}
+		}
+		left = rest
+	}
+	return fronts
+}
+
+// checkAgainstPeel requires the exact partition of the oracle: the same
+// fronts in the same order, each ascending by input index.
+func checkAgainstPeel(t *testing.T, name string, points []Point, dirs []Direction) {
+	t.Helper()
+	got, want := NonDominatedSort(points, dirs), peelFronts(points, dirs)
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d fronts, oracle has %d\n got %v\nwant %v", name, len(got), len(want), got, want)
+	}
+	for k := range want {
+		if !slices.Equal(got[k], want[k]) {
+			t.Fatalf("%s: front %d = %v, oracle %v", name, k, got[k], want[k])
+		}
+	}
+}
+
+// mkPoints builds n points of m objectives from gen(i, j).
+func mkPoints(n, m int, gen func(i, j int) float64) []Point {
+	out := make([]Point, n)
+	for i := range out {
+		out[i] = Point{ID: i, Values: make([]float64, m)}
+		for j := range out[i].Values {
+			out[i].Values[j] = gen(i, j)
+		}
+	}
+	return out
+}
+
+func TestNonDominatedSortMatchesPeeling(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 40; round++ {
+		m := 1 + round%4
+		n := 1 + rng.Intn(120)
+		dirs := make([]Direction, m)
+		for j := range dirs {
+			dirs[j] = Direction(rng.Intn(2))
+		}
+		tag := fmt.Sprintf("round %d (n=%d m=%d)", round, n, m)
+		checkAgainstPeel(t, tag+" uniform", mkPoints(n, m, func(int, int) float64 { return rng.Float64() }), dirs)
+		// Integer grid: most pairs tie in at least one objective.
+		grid := mkPoints(n, m, func(int, int) float64 { return float64(rng.Intn(4)) })
+		checkAgainstPeel(t, tag+" grid", grid, dirs)
+		// Exact duplicates of whole points, which never dominate each other.
+		checkAgainstPeel(t, tag+" duplicates", append(grid, grid[:n/2+1]...), dirs)
+		// Non-finite values: NaN is the worst of its objective, ±Inf order.
+		special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, 1}
+		checkAgainstPeel(t, tag+" non-finite", mkPoints(n, m, func(int, int) float64 { return special[rng.Intn(len(special))] }), dirs)
+	}
+	for m := 1; m <= 4; m++ {
+		dirs := make([]Direction, m)
+		// A chain: every point dominates the next, n fronts of one.
+		chain := mkPoints(60, m, func(i, _ int) float64 { return float64(i) })
+		checkAgainstPeel(t, fmt.Sprintf("chain m=%d", m), chain, dirs)
+		if got := len(NonDominatedSort(chain, dirs)); got != 60 {
+			t.Fatalf("chain m=%d: %d fronts, want 60", m, got)
+		}
+	}
+	// One front holding everything: the line x+y = c and the plane
+	// x+y+z = c, in both visiting orders.
+	for _, flip := range []bool{false, true} {
+		at := func(i int) float64 {
+			if flip {
+				return float64(199 - i)
+			}
+			return float64(i)
+		}
+		line := mkPoints(200, 2, func(i, j int) float64 { return []float64{at(i), -at(i)}[j] })
+		plane := mkPoints(200, 3, func(i, j int) float64 {
+			x, y := at(i), float64((i*7)%13)
+			return []float64{x, y, -x - y}[j]
+		})
+		for name, pts := range map[string][]Point{"line": line, "plane": plane} {
+			dirs := make([]Direction, len(pts[0].Values))
+			checkAgainstPeel(t, name, pts, dirs)
+			if got := NonDominatedSort(pts, dirs); len(got) != 1 || len(got[0]) != 200 {
+				t.Fatalf("%s (flip=%v): want one front of 200, got %d fronts", name, flip, len(got))
+			}
+		}
+	}
+	if got := NonDominatedSort(nil, minmin); got != nil {
+		t.Fatalf("empty input: %v", got)
+	}
+}
+
+// fuzzPoints decodes bytes into a sort input: the first byte picks 1–4
+// objectives, the second their directions, and every further byte is one
+// value on a coarse grid (so ties, duplicates and non-finite values are
+// common), row by row.
+func fuzzPoints(data []byte) ([]Point, []Direction) {
+	if len(data) < 2 {
+		return nil, nil
+	}
+	m := 1 + int(data[0])%4
+	dirs := make([]Direction, m)
+	for j := range dirs {
+		dirs[j] = Direction(data[1] >> j & 1)
+	}
+	body := data[2:]
+	n := min(len(body)/m, 96)
+	return mkPoints(n, m, func(i, j int) float64 {
+		switch b := body[i*m+j]; b {
+		case 255:
+			return math.NaN()
+		case 254:
+			return math.Inf(1)
+		case 253:
+			return math.Inf(-1)
+		default:
+			return float64(b%16) - 8
+		}
+	}), dirs
+}
+
+func FuzzNonDominatedSort(f *testing.F) {
+	f.Add([]byte{1, 0, 1, 1, 2, 2, 3, 3})                     // 2-D chain
+	f.Add([]byte{1, 0, 0, 9, 1, 8, 2, 7, 3, 6})               // 2-D line, one front
+	f.Add([]byte{1, 1, 4, 4, 4, 4, 4, 4})                     // duplicates, first objective maximized
+	f.Add([]byte{2, 5, 1, 2, 3, 3, 2, 1, 2, 2, 2, 255, 0, 0}) // 3-D with a NaN
+	f.Add([]byte{3, 10, 254, 0, 253, 1, 1, 253, 0, 254})      // 4-D with ±Inf
+	f.Add([]byte{0, 0, 5, 3, 5, 255, 1})                      // 1-D ties and a NaN
+	f.Fuzz(func(t *testing.T, data []byte) {
+		points, dirs := fuzzPoints(data)
+		checkAgainstPeel(t, "fuzz", points, dirs)
+	})
+}
+
+// TestNaNRanksWorst pins the NaN contract of normalize for every entry
+// point: a trial with a NaN metric is dominated by any NaN-free trial that
+// is no worse on the remaining objectives, so it leaves front 0.
+func TestNaNRanksWorst(t *testing.T) {
+	nan := math.NaN()
+	for _, dirs := range [][]Direction{{Minimize, Minimize}, {Maximize, Minimize}, {Maximize, Maximize}} {
+		// better(j, v) is a value v steps from the best of objective j.
+		better := func(j int, v float64) float64 {
+			if dirs[j] == Maximize {
+				return -v
+			}
+			return v
+		}
+		p := []Point{
+			{ID: 0, Values: []float64{nan, better(1, 2)}},
+			{ID: 1, Values: []float64{better(0, 5), better(1, 1)}},
+			{ID: 2, Values: []float64{nan, nan}},
+		}
+		if !Dominates(p[1].Values, p[0].Values, dirs) || Dominates(p[0].Values, p[1].Values, dirs) {
+			t.Fatalf("%v: a finite value must beat NaN", dirs)
+		}
+		if Dominates(p[0].Values, p[0].Values, dirs) {
+			t.Fatalf("%v: NaN must tie with NaN", dirs)
+		}
+		for name, front := range map[string][]int{
+			"Front":            Front(p, dirs),
+			"EpsilonFront":     EpsilonFront(p, dirs, 0.05),
+			"NonDominatedSort": NonDominatedSort(p, dirs)[0],
+		} {
+			if !slices.Equal(front, []int{1}) {
+				t.Fatalf("%v: %s = %v, want only the NaN-free point", dirs, name, front)
+			}
+		}
+	}
+	// ±Inf keep their order: -Inf is the best value to minimize, +Inf the
+	// best to maximize.
+	inf := math.Inf(1)
+	p := []Point{{ID: 0, Values: []float64{-inf, inf}}, {ID: 1, Values: []float64{0, 0}}, {ID: 2, Values: []float64{inf, -inf}}}
+	fronts := NonDominatedSort(p, []Direction{Minimize, Maximize})
+	if len(fronts) != 3 || fronts[0][0] != 0 || fronts[1][0] != 1 || fronts[2][0] != 2 {
+		t.Fatalf("±Inf ordering: %v", fronts)
+	}
+	if got := EpsilonFront(p, []Direction{Minimize, Maximize}, 0.05); !slices.Equal(got, []int{0}) {
+		t.Fatalf("ε-front over ±Inf: %v", got)
+	}
+}
+
+// TestNonDominatedSortAllocs keeps the sort at a fixed handful of
+// allocations whatever the input size.
+func TestNonDominatedSortAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	points := mkPoints(2000, 2, func(int, int) float64 { return rng.Float64() })
+	if got := testing.AllocsPerRun(5, func() { NonDominatedSort(points, minmin) }); got > 8 {
+		t.Fatalf("NonDominatedSort allocates %v times per call at n=2000, want <= 8", got)
+	}
 }

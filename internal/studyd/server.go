@@ -169,9 +169,13 @@ func (d *Daemon) serveEvents(w http.ResponseWriter, r *http.Request, m *ManagedS
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	writeSSE(w, "summary", m.Summary())
+	// Decide from the summary that is sent: a status read after the flush
+	// can already be terminal while the client was told "running", and the
+	// stream would close without the study_done and final summary frames.
+	opening := m.Summary()
+	writeSSE(w, "summary", opening)
 	flush(fl)
-	if terminalStatus(m.Status()) {
+	if terminalStatus(opening.Status) {
 		// Nothing further will happen this daemon lifetime; close rather
 		// than hold an idle stream open.
 		return

@@ -170,8 +170,12 @@ func (m *ManagedStudy) Front() (Front, error) {
 	if err != nil {
 		return Front{}, err
 	}
-	rep := &core.Report{Metrics: metrics, Trials: m.Trials()}
-	completed := rep.Completed()
+	// The partition does not depend on input order and each front's IDs
+	// are sorted below, so the completed subset is filtered straight out of
+	// m.trials (completion order): one copy, no per-request sort.
+	m.mu.Lock()
+	completed := (&core.Report{Metrics: metrics, Trials: m.trials}).Completed()
+	m.mu.Unlock()
 	ranking := core.ParetoRanker{Eps: m.Spec.Eps}.Rank(completed, metrics)
 	fr := Front{Metrics: m.Spec.Metrics, Completed: len(completed), Fronts: make([][]int, len(ranking.Fronts))}
 	for i, front := range ranking.Fronts {

@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -208,6 +210,61 @@ func TestSubmitRunServeHTTP(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown field: %d", resp.StatusCode)
+	}
+}
+
+// TestFrontPartitionsCompleted: Front ranks m.trials as they completed
+// (unsorted under parallelism), which must give what ranking the ID-sorted
+// Trials() gives, and — with the ε-widened first front too — list every
+// completed trial in exactly one front, IDs ascending.
+func TestFrontPartitionsCompleted(t *testing.T) {
+	d, err := New(Config{Dir: t.TempDir(), Workers: 4, Logf: testLogf(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Start()
+	defer d.Shutdown(context.Background())
+	for _, eps := range []float64{0, 0.05} {
+		sp := baseSpec("sphere")
+		sp.Budget, sp.Parallelism, sp.Eps = 120, 4, eps
+		m, err := d.Submit(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitStatus(t, m, StatusDone)
+		front, err := m.Front()
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[int]bool{}
+		for k, ids := range front.Fronts {
+			if len(ids) == 0 || !sort.IntsAreSorted(ids) {
+				t.Fatalf("eps %v: front %d = %v", eps, k, ids)
+			}
+			for _, id := range ids {
+				if seen[id] {
+					t.Fatalf("eps %v: trial %d is in two fronts", eps, id)
+				}
+				seen[id] = true
+			}
+		}
+		if len(seen) != front.Completed || front.Completed != sp.Budget {
+			t.Fatalf("eps %v: fronts cover %d trials, completed %d of %d", eps, len(seen), front.Completed, sp.Budget)
+		}
+		metrics, err := sp.metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sorted := m.Trials()
+		for k, idx := range (core.ParetoRanker{Eps: eps}).Rank(sorted, metrics).Fronts {
+			want := make([]int, len(idx))
+			for j, i := range idx {
+				want[j] = sorted[i].ID
+			}
+			if !slices.Equal(front.Fronts[k], want) {
+				t.Fatalf("eps %v: front %d = %v, ranking the sorted trials gives %v", eps, k, front.Fronts[k], want)
+			}
+		}
 	}
 }
 
