@@ -7,8 +7,11 @@
 package rldecide_test
 
 import (
+	"bytes"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -16,6 +19,7 @@ import (
 	"rldecide/internal/core"
 	"rldecide/internal/distrib"
 	"rldecide/internal/experiments"
+	"rldecide/internal/journal"
 	"rldecide/internal/mathx"
 	"rldecide/internal/nn"
 	"rldecide/internal/obs"
@@ -318,4 +322,54 @@ func BenchmarkRank2000x3(b *testing.B) {
 	benchRank(b, []string{"a", "b", "c"}, func(x0, x1, x2 float64) []float64 {
 		return []float64{x0, x1, x2}
 	})
+}
+
+// BenchmarkJournalRecover2000 is what studyd.New does per study on a
+// crashed state directory: a journal of 2000 sphere-shaped records with
+// half a record after them is repaired, read back and converted to trials.
+// Each iteration first puts the torn file back (repair mends it in place),
+// so the file write is inside the timing on both sides of any comparison.
+func BenchmarkJournalRecover2000(b *testing.B) {
+	const n = 2000
+	space := param.MustSpace(param.NewFloatRange("x0", -5, 5), param.NewFloatRange("x1", -5, 5))
+	path := filepath.Join(b.TempDir(), "s0001.trials.jsonl")
+	w, err := journal.OpenSegmented(path, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := mathx.NewRand(1)
+	for id := 1; id <= n+1; id++ {
+		a := space.Sample(rng)
+		x0, x1 := a.Value("x0").Float(), a.Value("x1").Float()
+		tr := core.Trial{ID: id, Params: a, Seed: rng.Uint64(), WallMs: rng.Float64()}
+		tr.Values.Set("f", x0*x0+x1*x1)
+		tr.Values.Set("cost", math.Abs(x0)+math.Abs(x1))
+		if err := w.Append(tr); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	torn, err := os.ReadFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	last := bytes.LastIndexByte(torn[:len(torn)-1], '\n') + 1
+	torn = torn[:last+(len(torn)-last)/2]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := os.WriteFile(path, torn, 0o644); err != nil {
+			b.Fatal(err)
+		}
+		records, err := journal.RepairSegmented(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		trials, err := journal.Trials(records, space)
+		if err != nil || len(trials) != n {
+			b.Fatalf("recovered %d trials, %v", len(trials), err)
+		}
+	}
 }

@@ -17,7 +17,8 @@ import (
 // not cosmetic: shard re-homing and resume proofs compare journals
 // byte-for-byte, so the encoder must reproduce encoding/json's exact
 // string escaping (HTML-safe mode), float formatting, and map key order.
-// TestAppendRecordMatchesJSON pins all three against encoding/json itself.
+// TestAppendRecordMatchesJSON and FuzzAppendRecord pin all three against
+// encoding/json itself.
 //
 // Key order falls out of the representation: param.Assignment and
 // core.Values are name-sorted slices, and encoding/json sorts map keys

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -90,32 +91,112 @@ func randomTrial(rng *rand.Rand) core.Trial {
 	return t
 }
 
-// TestAppendRecordMatchesJSON pins the arena encoder's whole contract:
-// for randomized trials covering every field combination and the string
-// and float encoder corner cases, appendRecord must produce exactly the
-// bytes json.Encoder.Encode(FromTrial(t)) produces. Shard re-homing and
-// resume proofs compare journals byte-for-byte, so this is a correctness
-// gate, not a style preference.
+// checkAppendRecord is the arena encoder's whole contract on one trial:
+// appendRecord produces exactly the bytes json.Encoder.Encode(FromTrial(t))
+// produces, or refuses exactly when it refuses. It returns the line,
+// rendered into dst's storage.
+func checkAppendRecord(t *testing.T, dst []byte, tr core.Trial) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	jsonErr := json.NewEncoder(&buf).Encode(FromTrial(tr))
+	line, err := appendRecord(dst[:0], tr)
+	if (err != nil) != (jsonErr != nil) {
+		t.Fatalf("appendRecord err %v, json err %v\ntrial: %+v", err, jsonErr, tr)
+	}
+	if err != nil {
+		return nil
+	}
+	if !bytes.Equal(line, buf.Bytes()) {
+		t.Fatalf("byte mismatch\n json: %q\narena: %q\ntrial: %+v", buf.Bytes(), line, tr)
+	}
+	return line
+}
+
+// TestAppendRecordMatchesJSON runs that contract over randomized trials
+// covering every field combination and the string and float encoder corner
+// cases. Shard re-homing and resume proofs compare journals byte-for-byte,
+// so this is a correctness gate, not a style preference.
 func TestAppendRecordMatchesJSON(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2026, 0x9))
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
 	var scratch []byte
 	for i := 0; i < 2000; i++ {
-		tr := randomTrial(rng)
-		buf.Reset()
-		if err := enc.Encode(FromTrial(tr)); err != nil {
-			t.Fatalf("trial %d: json encode: %v", i, err)
+		scratch = checkAppendRecord(t, scratch, randomTrial(rng))
+	}
+}
+
+// fuzzTrial spends data on a trial, field by field: any byte string is
+// some trial, and every field — names and categorical values of arbitrary
+// bytes (invalid UTF-8, control characters, quotes), every float64 bit
+// pattern including NaN and ±Inf, either sign of int — is reachable.
+func fuzzTrial(data []byte) core.Trial {
+	next := func(n int) []byte {
+		n = min(n, len(data))
+		out := data[:n]
+		data = data[n:]
+		return out
+	}
+	b := func() byte {
+		if x := next(1); len(x) == 1 {
+			return x[0]
 		}
-		var err error
-		scratch, err = appendRecord(scratch[:0], tr)
-		if err != nil {
-			t.Fatalf("trial %d: appendRecord: %v", i, err)
-		}
-		if !bytes.Equal(scratch, buf.Bytes()) {
-			t.Fatalf("trial %d: byte mismatch\n json: %q\narena: %q\ntrial: %+v", i, buf.Bytes(), scratch, tr)
+		return 0
+	}
+	u64 := func() uint64 {
+		var x [8]byte
+		copy(x[:], next(8))
+		return binary.LittleEndian.Uint64(x[:])
+	}
+	str := func() string { return string(next(int(b() % 24))) }
+	f64 := func() float64 { return math.Float64frombits(u64()) }
+
+	tr := core.Trial{ID: int(int64(u64())), Seed: u64()}
+	for n := b() % 5; n > 0; n-- {
+		name := str()
+		switch b() % 3 {
+		case 0:
+			tr.Params.Set(name, param.Int(int(int64(u64()))))
+		case 1:
+			tr.Params.Set(name, param.Float(f64()))
+		default:
+			tr.Params.Set(name, param.Str(str()))
 		}
 	}
+	for n := b() % 4; n > 0; n-- {
+		tr.Values.Set(str(), f64())
+	}
+	flags := b()
+	tr.Pruned = flags&1 != 0
+	if flags&2 != 0 {
+		tr.Err = errors.New(str())
+	}
+	if flags&4 != 0 {
+		tr.Worker = str()
+	}
+	if flags&8 != 0 {
+		tr.WallMs = f64()
+	}
+	return tr
+}
+
+// FuzzAppendRecord is TestAppendRecordMatchesJSON with the fuzzer choosing
+// the trials — the standing condition for keeping a hand-written encoder
+// beside encoding/json — and every line it writes is also put to the
+// decoder's oracle, which gives that one structured input.
+func FuzzAppendRecord(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\x01\x00\x00\x00\x00\x00\x00\x00\x2a\x00\x00\x00\x00\x00\x00\x00" + // id 1, seed 42
+		"\x02\x02lr\x01\x00\x00\x00\x00\x00\x00\xa0\x3f\x02fw\x02\x01a" + // lr=0.03125, fw="a"
+		"\x01\x06reward\x00\x00\x00\x00\x00\x00\xf8\x3f" + // reward 1.5
+		"\x0c\x02w1\x00\x00\x00\x00\x00\x00\x29\x40")) // worker w1, wall_ms 12.5
+	f.Add([]byte("\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff" + // id -1, seed max
+		"\x01\x03<&>\x02\x05\"\\\n\xff\xe2" + // one categorical of escapes and broken UTF-8
+		"\x01\x01m\x00\x00\x00\x00\x00\x00\xf8\x7f" + // NaN metric: both refuse
+		"\x03\x04boom"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if line := checkAppendRecord(t, nil, fuzzTrial(data)); line != nil {
+			checkDecodeRecord(t, bytes.TrimSuffix(line, []byte("\n")))
+		}
+	})
 }
 
 // TestAppendRecordRejectsNonFinite mirrors encoding/json: NaN or infinite

@@ -1,19 +1,57 @@
 package journal
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"rldecide/internal/core"
 )
 
+// readJSON is Read with no fast path — every line through json.Unmarshal —
+// the reference FuzzRead holds Read to.
+func readJSON(data []byte) ([]Record, error) {
+	var out []Record
+	sc := bufio.NewScanner(bytes.NewReader(data))
+	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	line, badLine := 0, 0
+	var badErr error
+	for sc.Scan() {
+		line++
+		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
+			continue
+		}
+		if badErr != nil {
+			return nil, fmt.Errorf("journal: line %d: %w", badLine, badErr)
+		}
+		var rec Record
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			badErr, badLine = err, line
+			continue
+		}
+		out = append(out, rec)
+	}
+	if err := sc.Err(); err != nil {
+		return out, err
+	}
+	if badErr != nil {
+		return out, fmt.Errorf("journal: line %d: %v: %w", badLine, badErr, ErrTruncated)
+	}
+	return out, nil
+}
+
 // FuzzRead feeds arbitrary bytes to the journal line parser. Invariants:
-// Read never panics, a nil/ErrTruncated result yields records that
-// round-trip through re-encoding, and a truncated read is a prefix of
-// what a strict re-read of the re-encoded records returns.
+// Read never panics, returns the records and the error — message and line
+// number included — that reading every line with json.Unmarshal returns, a
+// nil/ErrTruncated result yields records that round-trip through
+// re-encoding, and a truncated read is a prefix of what a strict re-read
+// of the re-encoded records returns.
 func FuzzRead(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("\n\n\n"))
@@ -28,6 +66,14 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte(`{"id":11,"seed":15,"wall_ms":0.25}` + "\n" + `{"id":12,"seed":16,"wall_`)) // torn tail on the wall_ms field
 	f.Fuzz(func(t *testing.T, data []byte) {
 		records, err := Read(bytes.NewReader(data))
+		wantRecords, wantErr := readJSON(data)
+		if !reflect.DeepEqual(records, wantRecords) {
+			t.Fatalf("records differ from the json.Unmarshal read:\n  %+v\n  %+v", records, wantRecords)
+		}
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() ||
+			errors.Is(err, ErrTruncated) != errors.Is(wantErr, ErrTruncated) {
+			t.Fatalf("error differs from the json.Unmarshal read:\n  %v\n  %v", err, wantErr)
+		}
 		if err != nil && !errors.Is(err, ErrTruncated) {
 			// Corrupt input is rejected; nothing more to check.
 			return
@@ -69,9 +115,11 @@ func normalize(r Record) Record {
 }
 
 // FuzzRepairFile writes arbitrary bytes as a journal file and repairs it.
-// Invariants: RepairFile never panics, a successful repair leaves a file
-// that strict ReadFile accepts with no truncation, and repair is
-// idempotent.
+// Invariants: RepairFile never panics, a failed repair leaves the file as
+// it was, a successful one leaves a prefix of it (or all of it plus the
+// missing final newline) that strict ReadFile accepts with no truncation,
+// repair is idempotent, and the repaired file ends on a record boundary:
+// after one Append a strict read returns the same records and one more.
 func FuzzRepairFile(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte(`{"id":1,"seed":1}` + "\n"))
@@ -97,6 +145,14 @@ func FuzzRepairFile(f *testing.F) {
 			}
 			return
 		}
+		// Nothing before the cut is rewritten.
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, after) && !bytes.Equal(after, append(bytes.Clone(data), '\n')) {
+			t.Fatalf("repair rewrote the file:\n  %q\n  %q", data, after)
+		}
 		// A successful repair leaves a strict-readable file.
 		again, err2 := ReadFile(path)
 		if err2 != nil {
@@ -109,6 +165,30 @@ func FuzzRepairFile(f *testing.F) {
 		again2, err3 := RepairFile(path)
 		if err3 != nil || !reflect.DeepEqual(records, again2) {
 			t.Fatalf("repair not idempotent: %v\n  %+v\n  %+v", err3, records, again2)
+		}
+		// The resumed run's first append starts its own line.
+		f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := core.Trial{ID: 1 << 40, Seed: 7}
+		if err := NewWriter(f).Append(next); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		grown, err := ReadFile(path)
+		if err != nil {
+			t.Fatalf("strict read after one append to the repaired file: %v", err)
+		}
+		if len(grown) != len(records)+1 || grown[len(records)].ID != next.ID {
+			t.Fatalf("append to the repaired file: %d records, then\n  %+v", len(records), grown)
+		}
+		for i := range records {
+			if !reflect.DeepEqual(grown[i], records[i]) {
+				t.Fatalf("append to the repaired file changed record %d:\n  %+v\n  %+v", i, records[i], grown[i])
+			}
 		}
 	})
 }

@@ -2,6 +2,15 @@
 // survive interruption and results can be re-ranked or re-plotted without
 // re-running the training. A journal file is append-only: one record per
 // finished trial.
+//
+// Both directions of the codec are specialised to the Record schema and
+// pinned to encoding/json, which stays the definition of the format:
+// appendRecord (encode.go) writes exactly json.Encoder's bytes, and
+// decodeRecord (decode.go) reads back exactly those bytes, leaving any
+// other line to json.Unmarshal. Recovery is Read → []Record → Trials, the
+// one route from disk to core.Trial; RepairFile mends a crashed file in
+// place, by truncating or terminating its last line, without rewriting
+// the records before it.
 package journal
 
 import (
@@ -12,7 +21,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
+	"strconv"
 	"sync"
 
 	"rldecide/internal/core"
@@ -73,6 +82,28 @@ func FromTrial(t core.Trial) Record {
 // ToTrial converts a record back, resolving parameter values against the
 // space (so ints stay ints and categoricals stay strings).
 func (r Record) ToTrial(space *param.Space) (core.Trial, error) {
+	return newResolver(space).trial(r)
+}
+
+// resolver turns raw parameter renderings back into values of one space.
+// A parameter's grid — the rendering of each enumerated value — is built
+// the first time a record names the parameter, so converting a journal
+// costs one Enumerate per parameter, not one per record.
+type resolver struct {
+	space *param.Space
+	grids map[string]grid
+}
+
+type grid struct {
+	p      param.Param
+	byText map[string]param.Value
+}
+
+func newResolver(space *param.Space) *resolver {
+	return &resolver{space: space, grids: map[string]grid{}}
+}
+
+func (rs *resolver) trial(r Record) (core.Trial, error) {
 	t := core.Trial{
 		ID:     r.ID,
 		Params: make(param.Assignment, 0, len(r.Params)),
@@ -86,11 +117,7 @@ func (r Record) ToTrial(space *param.Space) (core.Trial, error) {
 		t.Err = fmt.Errorf("%s", r.Error)
 	}
 	for name, raw := range r.Params {
-		p, ok := space.Get(name)
-		if !ok {
-			return t, fmt.Errorf("journal: unknown parameter %q", name)
-		}
-		v, err := parseValue(p, raw)
+		v, err := rs.value(name, raw)
 		if err != nil {
 			return t, err
 		}
@@ -99,17 +126,39 @@ func (r Record) ToTrial(space *param.Space) (core.Trial, error) {
 	return t, nil
 }
 
-// parseValue resolves raw against p's enumeration first (exact match of
-// the canonical rendering), falling back to numeric parsing for continuous
-// parameters.
-func parseValue(p param.Param, raw string) (param.Value, error) {
-	for _, v := range p.Enumerate() {
-		if v.String() == raw {
-			return v, nil
+// value resolves raw against the named parameter's enumeration first: a
+// raw equal to a grid point's canonical rendering yields that exact grid
+// value (the earliest, where several render alike), which a 4-digit
+// rendering parsed back would not. Everything else is parsed.
+func (rs *resolver) value(name, raw string) (param.Value, error) {
+	g, ok := rs.grids[name]
+	if !ok {
+		p, ok := rs.space.Get(name)
+		if !ok {
+			return param.Value{}, fmt.Errorf("journal: unknown parameter %q", name)
 		}
+		points := p.Enumerate()
+		g = grid{p: p, byText: make(map[string]param.Value, len(points))}
+		for _, v := range points {
+			text := v.String()
+			if _, dup := g.byText[text]; !dup {
+				g.byText[text] = v
+			}
+		}
+		rs.grids[name] = g
 	}
-	var f float64
-	if _, err := fmt.Sscanf(raw, "%g", &f); err == nil {
+	if v, ok := g.byText[raw]; ok {
+		return v, nil
+	}
+	return parseValue(g.p, raw)
+}
+
+// parseValue resolves a raw that is none of p's grid renderings: a number
+// — the whole string, so a damaged "0.5abc" fails like any other corruption
+// instead of resuming as 0.5 — is a float or, truncated, an int if p
+// contains it; anything p contains as a string is that string.
+func parseValue(p param.Param, raw string) (param.Value, error) {
+	if f, err := strconv.ParseFloat(raw, 64); err == nil {
 		v := param.Float(f)
 		if p.Contains(v) {
 			return v, nil
@@ -131,8 +180,9 @@ func parseValue(p param.Param, raw string) (param.Value, error) {
 // writer-owned scratch buffer by the arena encoder (appendRecord —
 // byte-identical to what encoding/json produced for FromTrial, see
 // encode.go) and handed to the underlying writer as one whole line, so a
-// crash can tear at most the final record's tail mid-flush; RepairFile
-// trims exactly that on resume. Steady-state appends allocate nothing:
+// crash can tear at most the final record's tail mid-flush — down to
+// losing only its newline; RepairFile truncates the torn line away, or
+// supplies the newline, on resume. Steady-state appends allocate nothing:
 // the scratch buffer is reused across records.
 type Writer struct {
 	mu      sync.Mutex
@@ -206,38 +256,59 @@ var ErrTruncated = errors.New("journal: truncated final record")
 
 // Read loads all records from r. A malformed final line yields the valid
 // prefix plus an error wrapping ErrTruncated; malformed lines followed by
-// further records are corruption and fail the whole read.
+// further records are corruption and fail the whole read. Lines in the
+// writer's own byte form are decoded directly (decodeRecord); every other
+// line, and so every verdict on a malformed one, is json.Unmarshal's.
 func Read(r io.Reader) ([]Record, error) {
-	var out []Record
+	records, _, _, err := scan(r)
+	return records, err
+}
+
+// scan is Read, and tells RepairFile what it needs to mend the input
+// without rewriting it: end is the length of the longest prefix holding
+// only whole records and blank lines — the offset of the torn line under
+// ErrTruncated, everything read otherwise — and open reports that this
+// prefix is not empty and does not end in a newline.
+func scan(r io.Reader) (records []Record, end int64, open bool, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		advance, token, err := bufio.ScanLines(data, atEOF)
+		if advance > 0 {
+			end += int64(advance)
+			open = data[advance-1] != '\n'
+		}
+		return advance, token, err
+	})
 	line := 0
 	var badErr error
-	badLine := 0
-	for sc.Scan() {
+	var badLine int
+	var badStart int64
+	for start := end; sc.Scan(); start = end {
 		line++
 		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
 			continue
 		}
 		if badErr != nil {
 			// The malformed line was not the last one: mid-file corruption.
-			return nil, fmt.Errorf("journal: line %d: %w", badLine, badErr)
+			return nil, 0, false, fmt.Errorf("journal: line %d: %w", badLine, badErr)
 		}
 		var rec Record
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			badErr = err
-			badLine = line
-			continue
+		if !decodeRecord(sc.Bytes(), &rec) {
+			if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+				badErr, badLine, badStart = err, line, start
+				continue
+			}
 		}
-		out = append(out, rec)
+		records = append(records, rec)
 	}
 	if err := sc.Err(); err != nil {
-		return out, err
+		return records, 0, false, err
 	}
 	if badErr != nil {
-		return out, fmt.Errorf("journal: line %d: %v: %w", badLine, badErr, ErrTruncated)
+		return records, badStart, false, fmt.Errorf("journal: line %d: %v: %w", badLine, badErr, ErrTruncated)
 	}
-	return out, nil
+	return records, end, open, nil
 }
 
 // ReadFile loads all records from path.
@@ -250,53 +321,53 @@ func ReadFile(path string) ([]Record, error) {
 	return Read(f)
 }
 
-// WriteFile atomically replaces path with the given records (write to a
-// temporary file in the same directory, then rename).
-func WriteFile(path string, records []Record) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".journal-*")
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(tmp)
-	for _, rec := range records {
-		if err := enc.Encode(rec); err != nil {
-			_ = tmp.Close()
-			_ = os.Remove(tmp.Name())
-			return err
-		}
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// RepairFile reads path tolerating a truncated final record and, when one
-// is found, rewrites the file to exactly the valid prefix so that later
-// appends start on a fresh line instead of extending the torn record. A
+// RepairFile reads path tolerating a truncated final record and leaves the
+// file ending on a record boundary, so that later appends start on a fresh
+// line instead of extending the last one: a torn final line is cut off by
+// truncating the file where it starts, and a final record that is whole
+// but lost its newline (the crash persisted all of `{...}\n` but the last
+// byte) gets the newline. The intact records are never rewritten. A
 // missing file is an empty journal. Any other read error is returned as
-// is.
+// is, with the file untouched.
 func RepairFile(path string) ([]Record, error) {
-	records, err := ReadFile(path)
-	switch {
-	case errors.Is(err, os.ErrNotExist):
+	f, err := os.Open(path)
+	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	records, end, open, err := scan(f)
+	_ = f.Close() // only read
+	switch {
 	case errors.Is(err, ErrTruncated):
-		if werr := WriteFile(path, records); werr != nil {
-			return records, werr
-		}
-		return records, nil
+		return records, os.Truncate(path, end)
+	case err == nil && open:
+		return records, terminate(path)
 	default:
 		return records, err
 	}
 }
 
+// terminate appends the newline a whole but unterminated final record lacks.
+func terminate(path string) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return err
+	}
+	if _, err := f.WriteString("\n"); err != nil {
+		_ = f.Close() // the write error is the one to report
+		return err
+	}
+	return f.Close()
+}
+
 // Trials converts records back into trials against space.
 func Trials(records []Record, space *param.Space) ([]core.Trial, error) {
+	rs := newResolver(space)
 	out := make([]core.Trial, 0, len(records))
 	for _, r := range records {
-		t, err := r.ToTrial(space)
+		t, err := rs.trial(r)
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"strings"
@@ -26,7 +28,7 @@ func testSpace() *param.Space {
 func TestRecordRoundTrip(t *testing.T) {
 	space := testSpace()
 	orig := core.Trial{
-		ID: 7,
+		ID:     7,
 		Params: param.Assign(param.Bind("order", param.Int(5)), param.Bind("fw", param.Str("b")), param.Bind("lr", param.Float(0.25))),
 		Values: core.ValuesFromMap(map[string]float64{"reward": -0.5, "time": 46}),
 		Seed:   1234,
@@ -224,6 +226,118 @@ func TestParseValueFallbacks(t *testing.T) {
 	if _, err := bad.ToTrial(space); err == nil {
 		t.Fatal("out-of-space value should error")
 	}
+	// A number is the whole string: Sscanf("%g") used to stop at the first
+	// byte it could not use (and skip leading space) and report success, so
+	// these damaged renderings resumed as 0.5, 0.5, 100 and 0.5.
+	wide := param.MustSpace(param.NewFloatRange("lr", 0, 1000), param.NewIntRange("n", 0, 1000))
+	for _, raw := range []string{"0.5abc", "0.5 7", "1e2x", " 0.5", "0.5 ", "0.5\n"} {
+		for _, name := range []string{"lr", "n"} {
+			if tr, err := (Record{Params: map[string]string{name: raw}}).ToTrial(wide); err == nil {
+				t.Errorf("%s=%q resumed as %v, want an error", name, raw, tr.Params.Value(name))
+			}
+		}
+	}
+	// A categorical option that merely starts like a number is still itself.
+	odd := param.MustSpace(param.NewCategorical("tag", "0.5abc", "x"))
+	tr, err = Record{Params: map[string]string{"tag": "0.5abc"}}.ToTrial(odd)
+	if err != nil || tr.Params.Value("tag") != param.Str("0.5abc") {
+		t.Fatalf("categorical fallback: %v, %v", tr.Params, err)
+	}
+}
+
+// parseValueSscanf is parseValue as it was before the grid table and the
+// whole-string parse: the reference for TestValueMatchesSscanfParse.
+func parseValueSscanf(p param.Param, raw string) (param.Value, error) {
+	for _, v := range p.Enumerate() {
+		if v.String() == raw {
+			return v, nil
+		}
+	}
+	var f float64
+	if _, err := fmt.Sscanf(raw, "%g", &f); err == nil {
+		v := param.Float(f)
+		if p.Contains(v) {
+			return v, nil
+		}
+		iv := param.Int(int(f))
+		if p.Contains(iv) {
+			return iv, nil
+		}
+	}
+	sv := param.Str(raw)
+	if p.Contains(sv) {
+		return sv, nil
+	}
+	return param.Value{}, fmt.Errorf("journal: cannot parse %q for parameter %q", raw, p.Name())
+}
+
+// TestValueMatchesSscanfParse: for every kind of parameter and every
+// well-formed raw — a rendering the writer can produce, or a number in
+// another spelling — the resolver returns exactly what the per-record
+// enumerate-and-Sscanf function returned, the grid points bit for bit, and
+// fails where it failed. Through Trials and through ToTrial alike.
+func TestValueMatchesSscanfParse(t *testing.T) {
+	grid7 := param.NewFloatRange("third", 0, 1)
+	grid7.GridPoints = 7                                  // 1/6, 1/3, ...: grid values that 4 digits do not round-trip
+	flat := param.NewFloatRange("flat", 1.00001, 1.00002) // every grid point renders "1"
+	params := []param.Param{
+		param.NewCategorical("fw", "a", "b", "1.5", "<odd name&>", "NaN"),
+		param.NewIntSet("order", 3, 5, 8, -2),
+		param.NewIntRange("n", -3, 40),
+		param.NewFloatRange("lr", -1, 1),
+		param.NewLogFloatRange("eps", 1e-8, 1e3),
+		grid7, flat,
+	}
+	space := param.MustSpace(params...)
+	raws := []string{"", "a", "b", "c", "<odd name&>", "NaN", "nan", "Inf", "+Inf", "-Inf", "inf",
+		"0", "-0", "1", "-1", "3", "5", "8", "-2", "40", "41", "-3", "-4", "7.9", "1.5", "05", "+5", "5.0",
+		"0.5", "-0.25", "1e-08", "1e+03", "1e3", "1E3", "0.001", ".5", "5.", "1e999", "-1e999", "1e-999",
+		"0.3333", "0.1667", "1.00001", "1.000015", "9007199254740993", "0x10", "0x1p-2", "1_0"}
+	rng := rand.New(rand.NewPCG(15, 0xd))
+	for _, p := range params {
+		for _, v := range p.Enumerate() {
+			raws = append(raws, v.String())
+		}
+		for i := 0; i < 50; i++ {
+			raws = append(raws, p.Sample(rng).String())
+		}
+	}
+	same := func(a, b param.Value) bool {
+		return a.Kind() == b.Kind() && a.Str() == b.Str() && a.Int() == b.Int() &&
+			math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	}
+	var records []Record
+	var want []param.Value
+	for _, p := range params {
+		for _, raw := range raws {
+			wantV, wantErr := parseValueSscanf(p, raw)
+			rec := Record{Params: map[string]string{p.Name(): raw}}
+			tr, err := rec.ToTrial(space)
+			if (err != nil) != (wantErr != nil) {
+				t.Fatalf("%s=%q: err %v, Sscanf parse err %v", p.Name(), raw, err, wantErr)
+			}
+			if err != nil {
+				if err.Error() != wantErr.Error() {
+					t.Fatalf("%s=%q: error %q, was %q", p.Name(), raw, err, wantErr)
+				}
+				continue
+			}
+			if got := tr.Params.Value(p.Name()); !same(got, wantV) {
+				t.Fatalf("%s=%q: resolved %#v, Sscanf parse %#v", p.Name(), raw, got, wantV)
+			}
+			records = append(records, rec)
+			want = append(want, wantV)
+		}
+	}
+	trials, err := Trials(records, space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tr := range trials {
+		if len(tr.Params) != 1 || !same(tr.Params[0].Value, want[i]) {
+			t.Fatalf("Trials record %d %v: resolved %#v, want %#v", i, records[i].Params, tr.Params, want[i])
+		}
+	}
 }
 
 func TestReadTruncatedFinalLine(t *testing.T) {
@@ -370,19 +484,73 @@ func TestCrashMidFlushRepair(t *testing.T) {
 	}
 }
 
-func TestWriteFileRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "out.jsonl")
-	in := []Record{{ID: 1, Seed: 4}, {ID: 2, Seed: 5, Values: map[string]float64{"m": 1}}}
-	if err := WriteFile(path, in); err != nil {
+// TestRepairTerminatesUnterminatedRecord: a crash can persist all of a
+// record's `{...}\n` but the newline. The record reads back whole, so
+// nothing is truncated — but the resumed run's first append must not land
+// on its line, or the next restart finds `{...}{...}` and fails (or, on
+// the last line, silently drops two finished trials).
+func TestRepairTerminatesUnterminatedRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s0001.trials.jsonl")
+	intact := `{"id":1,"params":{},"seed":1}` + "\n" + `{"id":2,"params":{},"seed":2}`
+	if err := os.WriteFile(path, []byte(intact), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadFile(path)
+	recs, err := RepairSegmented(path)
+	if err != nil || len(recs) != 2 {
+		t.Fatalf("first restart: %d records, %v", len(recs), err)
+	}
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 2 || out[1].Values["m"] != 1 {
-		t.Fatalf("round trip lost data: %+v", out)
+	if string(raw) != intact+"\n" {
+		t.Fatalf("repair must only add the newline:\n got %q\nwant %q", raw, intact+"\n")
+	}
+	w, err := OpenSegmented(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := 3; id <= 4; id++ {
+		if err := w.Append(core.Trial{ID: id, Seed: uint64(id)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err = RepairSegmented(path)
+	if err != nil {
+		t.Fatalf("second restart: %v", err)
+	}
+	if len(recs) != 4 {
+		t.Fatalf("second restart kept %d records, want 4", len(recs))
+	}
+	for i, r := range recs {
+		if r.ID != i+1 {
+			t.Fatalf("record %d has id %d", i, r.ID)
+		}
+	}
+}
+
+// TestRepairKeepsPrefixBytes: repair cuts the torn line off and touches
+// nothing before it — no record is re-encoded, even one that encoding/json
+// would write differently (key order, spacing, a blank line).
+func TestRepairKeepsPrefixBytes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trials.jsonl")
+	prefix := `{"seed":9, "id":1}` + "\n\n" + `{"id":2,"params":{"lr":"0.5"},"seed":3}` + "\r\n"
+	if err := os.WriteFile(path, []byte(prefix+`{"id":3,"par`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := RepairFile(path)
+	if err != nil || len(recs) != 2 {
+		t.Fatalf("repair: %d records, %v", len(recs), err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(raw) != prefix {
+		t.Fatalf("repaired file:\n got %q\nwant %q", raw, prefix)
 	}
 }
 

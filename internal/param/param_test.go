@@ -1,8 +1,8 @@
 package param
 
 import (
-	"slices"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
