@@ -5,16 +5,12 @@ import (
 )
 
 // GoSpawn forbids `go` statements inside the numeric hot-path packages
-// (internal/tensor, internal/nn). Per-call goroutine spawning allocates on
-// every kernel invocation and leaves the work split to the scheduler;
-// kernel parallelism must instead route through the tensor package's
-// persistent worker pool (parallelRows), which dispatches fixed,
-// deterministic row chunks so results are bit-identical at any pool width.
-// Chunk stealing is no exception: participants claim whole chunks off the
-// run's atomic cursor and execute them inline — spawning a goroutine per
-// stolen chunk reintroduces exactly the per-call cost the pool removes.
-// The pool's own worker spawn carries a //lint:ignore go-spawn directive —
-// the one sanctioned spawn site.
+// (internal/tensor, internal/nn). The kernels are serial: the policy
+// shapes are too small for a fan-out to pay for its goroutines, and the
+// cores are already taken by the layers that run trials and actors side by
+// side — core.Study.Parallelism, executor slots, internal/distrib. A go
+// statement here allocates on every kernel invocation and fights those
+// layers for the same cores (docs/perf.md "Kernel structure" has the A/B).
 type GoSpawn struct{}
 
 // Name implements Rule.
@@ -22,7 +18,7 @@ func (GoSpawn) Name() string { return "go-spawn" }
 
 // Doc implements Rule.
 func (GoSpawn) Doc() string {
-	return "no ad-hoc goroutine spawning in hot-path kernel packages; use the tensor worker pool"
+	return "no goroutine spawning in hot-path kernel packages; kernels are serial, concurrency belongs to core.Study.Parallelism and executor slots"
 }
 
 // goSpawnScopes are the hot-path packages the rule applies to.
@@ -50,7 +46,7 @@ func (g GoSpawn) Check(pkg *Package, report ReportFunc) {
 				return true
 			}
 			report(g.Name(), st.Pos(),
-				"go statement in a hot-path kernel package allocates per call and splits work nondeterministically; dispatch through the tensor worker pool (parallelRows) instead")
+				"go statement in a hot-path kernel package allocates per call and competes for the cores trials already run on; kernels are serial, concurrency belongs to core.Study.Parallelism and executor slots")
 			return true
 		})
 	}

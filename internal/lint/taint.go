@@ -19,9 +19,10 @@ import (
 // seeded from the clock). internal/power is exempt — it IS the sanctioned
 // clock seam, and values produced by its API are considered clean. Live
 // metric reads (Value() on internal/obs Counter/Gauge) are also sources:
-// counters like the tensor pool's stolen-chunks total depend on goroutine
-// scheduling, so a journaled metric read differs run to run even when the
-// arithmetic is bit-identical. Recorded-span reads (ID() on an active
+// the instruments are process-wide, shared by every trial running side by
+// side, so what a read returns depends on how those trials interleave and
+// a journaled metric read differs run to run even when the arithmetic is
+// bit-identical. Recorded-span reads (ID() on an active
 // span, Spans() on a collector in internal/obs/span) taint the same way:
 // a recorded span carries stopwatch timings and retry-attempt IDs, so
 // journaling one would leak wall-clock state into the replay surface.
@@ -469,10 +470,10 @@ func isTimeSource(fn *types.Func) bool {
 }
 
 // isObsMetricRead reports whether fn reads a live metric value: a Value
-// method on an internal/obs instrument. Counters fed from scheduling
-// (chunk stealing, pool dispatch) make these reads nondeterministic even
-// under the bit-identical kernel contract, so outside internal/obs they
-// taint like a clock read.
+// method on an internal/obs instrument. The instruments are shared by
+// every trial running side by side, which makes these reads
+// nondeterministic even under the bit-identical kernel contract, so
+// outside internal/obs they taint like a clock read.
 func isObsMetricRead(fn *types.Func) bool {
 	if fn.Name() != "Value" || fn.Pkg() == nil || !pathHasSegments(fn.Pkg().Path(), "internal/obs") {
 		return false

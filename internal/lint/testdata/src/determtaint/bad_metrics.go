@@ -1,5 +1,5 @@
 // Metric-read true positives: live counter reads are schedule-dependent
-// (the tensor pool's chunk stealing changes them run to run), so
+// (the instruments are shared by every trial running side by side), so
 // journaling one breaks replay even when the kernel arithmetic is
 // bit-identical.
 package determtaint
@@ -9,12 +9,12 @@ import (
 	"src/determtaint/internal/obs"
 )
 
-// stolenChunks mirrors the tensor pool's work-stealing counter.
-var stolenChunks obs.Counter
+// envSteps mirrors a process-wide counter that concurrent trials all bump.
+var envSteps obs.Counter
 
 // JournalMetric stores a live counter read in a trial record.
 func JournalMetric(path string) error {
-	v := float64(stolenChunks.Value())
+	v := float64(envSteps.Value())
 	return journal.Append(path, journal.Record{Value: v}) // want finding: determinism-taint
 }
 

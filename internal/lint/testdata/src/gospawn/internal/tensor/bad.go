@@ -2,7 +2,7 @@ package tensor
 
 import "sync"
 
-// mulParallel fans out per call — the pattern the worker pool replaced.
+// mulParallel fans a product's rows out per call.
 func mulParallel(rows int, fn func(lo, hi int)) {
 	var wg sync.WaitGroup
 	chunk := (rows + 3) / 4

@@ -1,7 +1,6 @@
 package tensor
 
-// workers is a persistent pool: the spawn happens once at startup and is
-// explicitly sanctioned, exactly like the real tensor pool.
+// A spawn that carries a go-spawn suppression with a reason stays silent.
 var tasks = make(chan func(), 16)
 
 func startPool(n int) {

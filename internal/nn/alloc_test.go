@@ -11,10 +11,6 @@ import (
 // training kernels at the policy-network shapes the campaign trains
 // (batch 32, obs 7 -> 64 -> 64 -> 3 actions).
 func TestForwardBackwardAllocsZero(t *testing.T) {
-	// Pin the serial kernel path: the zero-allocation guarantee is for
-	// single-threaded execution (fan-out dispatch allocates its closure).
-	tensor.SetParallelism(1)
-	defer tensor.SetParallelism(0)
 	rng := mathx.NewRand(1)
 	m := NewMLP(rng, []int{7, 64, 64, 3}, Tanh{}, 0.01)
 	x := tensor.New(32, 7)

@@ -180,7 +180,7 @@ func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram 
 
 // NewGaugeFunc registers a gauge family whose labeled samples are
 // produced by collect at exposition time. Use it for state that already
-// lives elsewhere (worker tables, pool widths) so scraping never
+// lives elsewhere (worker tables, slot counts) so scraping never
 // duplicates bookkeeping on the hot path.
 func (r *Registry) NewGaugeFunc(name, help string, collect func() []Sample) {
 	r.add(&instrument{name: name, help: help, kind: kindGaugeFunc, collect: collect})

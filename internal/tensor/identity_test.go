@@ -3,7 +3,6 @@ package tensor
 import (
 	"math"
 	"math/rand/v2"
-	"runtime"
 	"testing"
 )
 
@@ -42,150 +41,95 @@ func bitsEqual(t *testing.T, label string, want, got *Mat) {
 	}
 }
 
-// stealSchedule runs fn over the exact chunk grid parallelRows would build
-// for the given rows and width, but executes the chunks serially in an
-// adversarial claim order. Chunk disjointness makes execution order
-// irrelevant to the result, so this is equivalent to any steal
-// interleaving — including every chunk being stolen.
-func stealSchedule(rows, width int, order func(n int) []int, fn func(lo, hi int)) {
-	workers := width
-	if workers > rows {
-		workers = rows
-	}
-	if workers < 2 {
-		fn(0, rows)
-		return
-	}
-	chunk := (rows + workers - 1) / workers
-	nchunks := (rows + chunk - 1) / chunk
-	for _, c := range order(nchunks) {
-		lo := c * chunk
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
-		fn(lo, hi)
-	}
-}
+// The three reference products: one scalar accumulator per output element,
+// ascending k, and the zero-skip set that is part of each product's bit
+// contract (s + 0·x is not always s) — a zero left operand is skipped by
+// Mul and TransA, never by TransB. None of them shares code with a kernel.
 
-func reversed(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = n - 1 - i
+func refMul(a, b *Mat) *Mat {
+	out := New(a.R, b.C)
+	for i := 0; i < a.R; i++ {
+		for j := 0; j < b.C; j++ {
+			s := 0.0
+			for k := 0; k < a.C; k++ {
+				if av := a.At(i, k); av != 0 {
+					s += av * b.At(k, j)
+				}
+			}
+			out.Set(i, j, s)
+		}
 	}
 	return out
 }
 
-// TestKernelBitIdentitySweep is the determinism proof for kernel v2: over
-// randomized shapes (including ones that cross the parallel and blocking
-// thresholds), the serial kernels, the pool at several widths, the packed
-// transposed-B kernel, and adversarial stolen-chunk schedules must all
-// produce bit-identical outputs for MulInto, MulTransAInto and
-// MulTransBInto.
+func refMulTransA(a, b *Mat) *Mat {
+	out := New(a.C, b.C)
+	for i := 0; i < a.C; i++ {
+		for j := 0; j < b.C; j++ {
+			s := 0.0
+			for k := 0; k < a.R; k++ {
+				if av := a.At(k, i); av != 0 {
+					s += av * b.At(k, j)
+				}
+			}
+			out.Set(i, j, s)
+		}
+	}
+	return out
+}
+
+func refMulTransB(a, b *Mat) *Mat {
+	out := New(a.R, b.R)
+	for i := 0; i < a.R; i++ {
+		for j := 0; j < b.R; j++ {
+			s := 0.0
+			for k := 0; k < a.C; k++ {
+				s += a.At(i, k) * b.At(j, k)
+			}
+			out.Set(i, j, s)
+		}
+	}
+	return out
+}
+
+// TestKernelBitIdentitySweep is the determinism proof for the kernels: over
+// randomized sparse shapes plus ones chosen to land on each side of the
+// pack gates, MulInto, MulIntoPacked, MulTransAInto and MulTransBInto must
+// reproduce the scalar references bit for bit.
 func TestKernelBitIdentitySweep(t *testing.T) {
-	defer SetParallelism(0)
 	rng := rand.New(rand.NewPCG(7, 2026))
-	widths := []int{2, 3, 4, runtime.GOMAXPROCS(0)}
 
 	shapes := make([][3]int, 0, 64)
 	for len(shapes) < 56 {
 		shapes = append(shapes, [3]int{1 + rng.IntN(40), 1 + rng.IntN(40), 1 + rng.IntN(40)})
 	}
-	// Shapes that cross parallelThreshold (r·n·p ≥ 1<<16) and, for the
-	// last one, blockThreshold (n·p ≥ 1<<16).
-	shapes = append(shapes, [3]int{48, 40, 40}, [3]int{130, 33, 31}, [3]int{24, 300, 260})
+	shapes = append(shapes,
+		[3]int{48, 40, 40}, [3]int{130, 33, 31},
+		[3]int{24, 300, 260},        // packed, with b far larger than the policy shapes
+		[3]int{9, packMaxK + 1, 11}, // inner dim past packMaxK: plain fallback
+	)
 
-	for si, sh := range shapes {
+	for _, sh := range shapes {
 		r, n, p := sh[0], sh[1], sh[2]
 		a := randMatSparse(rng, r, n)
 		b := randMatSparse(rng, n, p)
 		at := randMatSparse(rng, n, r) // for MulTransAInto: dst is r×p
 		bt := randMatSparse(rng, p, n) // for MulTransBInto: dst is r×p
 
-		SetParallelism(1)
-		wantMul := New(r, p)
-		MulInto(wantMul, a, b)
-		wantTA := New(r, p)
-		MulTransAInto(wantTA, at, b)
-		wantTB := New(r, p)
-		MulTransBInto(wantTB, a, bt)
-
+		wantMul := refMul(a, b)
 		got := New(r, p)
-		for _, w := range widths {
-			SetParallelism(w)
-			MulInto(got, a, b)
-			bitsEqual(t, "MulInto width", wantMul, got)
-			MulTransAInto(got, at, b)
-			bitsEqual(t, "MulTransAInto width", wantTA, got)
-			MulTransBInto(got, a, bt)
-			bitsEqual(t, "MulTransBInto width", wantTB, got)
-		}
-
-		SetParallelism(1)
+		MulInto(got, a, b)
+		bitsEqual(t, "MulInto", wantMul, got)
+		got.Zero()
 		scratch := MulIntoPacked(got, a, b, nil)
-		bitsEqual(t, "MulIntoPacked serial", wantMul, got)
-		SetParallelism(runtime.GOMAXPROCS(0))
-		scratch = MulIntoPacked(got, a, b, scratch)
-		bitsEqual(t, "MulIntoPacked parallel", wantMul, got)
-
-		// Stolen-chunk schedules: same chunk grid, reverse claim order.
-		for _, w := range widths {
-			got.Zero()
-			stealSchedule(r, w, reversed, func(lo, hi int) { mulRows(got, a, b, lo, hi) })
-			bitsEqual(t, "MulInto stolen", wantMul, got)
-			got.Zero()
-			stealSchedule(r, w, reversed, func(lo, hi int) { mulTransARows(got, at, b, lo, hi) })
-			bitsEqual(t, "MulTransAInto stolen", wantTA, got)
-			got.Zero()
-			stealSchedule(r, w, reversed, func(lo, hi int) { mulTransBRows(got, a, bt, lo, hi) })
-			bitsEqual(t, "MulTransBInto stolen", wantTB, got)
-			if r >= packRowThreshold && n*p < blockThreshold {
-				pk := Ensure(nil, p, n)
-				TransposeInto(pk, b)
-				got.Zero()
-				stealSchedule(r, w, reversed, func(lo, hi int) { mulRowsPacked(got, a, pk, lo, hi) })
-				bitsEqual(t, "MulIntoPacked stolen", wantMul, got)
-			}
+		bitsEqual(t, "MulIntoPacked", wantMul, got)
+		// MulIntoPacked leaves the scratch alone exactly when it fell back.
+		if packed := r >= packRowThreshold && n >= packMinK && n <= packMaxK; (scratch != nil) != packed {
+			t.Fatalf("MulIntoPacked %dx%dx%d: packed kernel taken = %v, want %v", r, n, p, scratch != nil, packed)
 		}
-		_ = si
-	}
-}
-
-// TestStealRunClaimsEveryChunkOnce drives a stealRun from several
-// concurrent participants and checks the ownership-transfer invariant
-// directly: every chunk executes exactly once, whole, over its fixed
-// bounds.
-func TestStealRunClaimsEveryChunkOnce(t *testing.T) {
-	const rows, chunk = 103, 7
-	nchunks := (rows + chunk - 1) / chunk
-	hits := make([]int32, rows)
-	run := &stealRun{
-		rows:    rows,
-		chunk:   chunk,
-		nchunks: int64(nchunks),
-	}
-	var starts []int
-	run.fn = func(lo, hi int) {
-		if lo%chunk != 0 || (hi != lo+chunk && hi != rows) {
-			t.Errorf("re-partitioned chunk [%d,%d)", lo, hi)
-		}
-		for i := lo; i < hi; i++ {
-			hits[i]++
-		}
-		starts = append(starts, lo)
-	}
-	run.wg.Add(nchunks)
-	// Serial participants: the second and third find the cursor exhausted.
-	run.participate()
-	run.participate()
-	run.participate()
-	run.wg.Wait()
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("row %d executed %d times", i, h)
-		}
-	}
-	if len(starts) != nchunks {
-		t.Fatalf("claimed %d chunks, want %d", len(starts), nchunks)
+		MulTransAInto(got, at, b)
+		bitsEqual(t, "MulTransAInto", refMulTransA(at, b), got)
+		MulTransBInto(got, a, bt)
+		bitsEqual(t, "MulTransBInto", refMulTransB(a, bt), got)
 	}
 }

@@ -1,9 +1,10 @@
 // Package tensor implements the dense linear-algebra kernels used by the
-// neural-network stack: row-major matrices, matrix products (optionally
-// parallelized across goroutines for large shapes), and elementwise vector
-// kernels. It is deliberately small — just what the MLP policies and value
-// functions need — but written to be cache-friendly and allocation-free in
-// steady state.
+// neural-network stack: row-major matrices, matrix products, and elementwise
+// vector kernels. It is deliberately small — just what the MLP policies and
+// value functions need — but written to be cache-friendly and allocation-free
+// in steady state. Every kernel is serial: the cores belong to the layers
+// that run trials and actors side by side (core.Study.Parallelism, executor
+// slots, internal/distrib), not to a single product.
 package tensor
 
 import (
@@ -88,18 +89,6 @@ func (m *Mat) Orthogonalish(rng *rand.Rand, gain float64) {
 	}
 }
 
-// parallelThreshold is the number of multiply-adds above which the matrix
-// products fan out across the worker pool (pool.go). Small policy networks
-// stay single-threaded, large batched products use all cores.
-const parallelThreshold = 1 << 16
-
-// blockThreshold is the size of the streamed operand (elements) above which
-// mulRows switches to the cache-blocked kernel: once one pass over b no
-// longer fits in L2, revisiting it in k×j tiles beats streaming it whole
-// per output row. Both kernels accumulate each output element in ascending
-// k order, so the switch never changes the floating-point result.
-const blockThreshold = 1 << 16
-
 // MulInto computes dst = a @ b. dst must be a.R×b.C and must not alias a or b.
 func MulInto(dst, a, b *Mat) {
 	if a.C != b.R {
@@ -111,36 +100,19 @@ func MulInto(dst, a, b *Mat) {
 	if dst == a || dst == b {
 		panic("tensor: MulInto dst aliases input")
 	}
-	// The Parallelism() > 1 guard keeps the single-threaded hot path
-	// allocation-free: the fan-out closure escapes to the heap, which only
-	// pays for itself when there are workers to feed.
-	if a.R*a.C*b.C >= parallelThreshold && Parallelism() > 1 {
-		parallelRows(a.R, func(lo, hi int) { mulRows(dst, a, b, lo, hi) })
-		return
-	}
-	mulRows(dst, a, b, 0, a.R)
+	mulRowsPlain(dst, a, b)
 }
 
-// mulRows computes rows [lo,hi) of dst = a @ b, dispatching to the plain or
-// cache-blocked kernel by the size of b.
-func mulRows(dst, a, b *Mat, lo, hi int) {
-	if a.C*b.C >= blockThreshold {
-		mulRowsBlocked(dst, a, b, lo, hi)
-		return
-	}
-	mulRowsPlain(dst, a, b, lo, hi)
-}
-
-// mulRowsPlain computes rows [lo,hi) of dst = a @ b using an ikj loop order
-// that streams b rows through cache. Adjacent k rows are applied in pairs —
+// mulRowsPlain computes dst = a @ b using an ikj loop order that streams b
+// rows through cache. Adjacent k rows are applied in pairs —
 // each output element still receives its updates one at a time in ascending
 // k order (two sequential adds, never a re-grouped sum), so the result is
 // bit-identical to the unpaired loop while halving the dst row traffic. The
 // zero-skip of the scalar loop is preserved by falling back to axpyRow when
 // either coefficient of a pair is zero.
-func mulRowsPlain(dst, a, b *Mat, lo, hi int) {
+func mulRowsPlain(dst, a, b *Mat) {
 	n, p := a.C, b.C
-	for i := lo; i < hi; i++ {
+	for i := 0; i < a.R; i++ {
 		drow := dst.Data[i*p : (i+1)*p]
 		for x := range drow {
 			drow[x] = 0
@@ -178,54 +150,6 @@ func axpyRow(drow []float64, a float64, brow []float64) {
 	brow = brow[:len(drow)]
 	for j := range drow {
 		drow[j] += a * brow[j]
-	}
-}
-
-// Tile sizes of the blocked kernel: mulKC rows of b (k direction) by mulJC
-// columns (j direction) — a working set of mulKC*mulJC*8 bytes ≈ 256 KiB
-// that stays L2-resident while every output row in the chunk revisits it.
-const (
-	mulKC = 128
-	mulJC = 256
-)
-
-// mulRowsBlocked computes rows [lo,hi) of dst = a @ b with k×j tiling over
-// b. For every output element the k loop still runs in ascending order
-// (tiles are visited k-ascending, rows within a tile likewise), so the
-// result is bit-identical to mulRowsPlain.
-func mulRowsBlocked(dst, a, b *Mat, lo, hi int) {
-	n, p := a.C, b.C
-	for i := lo; i < hi; i++ {
-		drow := dst.Data[i*p : (i+1)*p]
-		for x := range drow {
-			drow[x] = 0
-		}
-	}
-	for k0 := 0; k0 < n; k0 += mulKC {
-		k1 := k0 + mulKC
-		if k1 > n {
-			k1 = n
-		}
-		for j0 := 0; j0 < p; j0 += mulJC {
-			j1 := j0 + mulJC
-			if j1 > p {
-				j1 = p
-			}
-			for i := lo; i < hi; i++ {
-				arow := a.Data[i*n : (i+1)*n]
-				drow := dst.Data[i*p+j0 : i*p+j1]
-				for k := k0; k < k1; k++ {
-					aik := arow[k]
-					if aik == 0 {
-						continue
-					}
-					brow := b.Data[k*p+j0 : k*p+j1]
-					for j, bv := range brow {
-						drow[j] += aik * bv
-					}
-				}
-			}
-		}
 	}
 }
 
@@ -283,10 +207,10 @@ const packMaxK = 1024
 // independent accumulator chains. Each element's chain applies the same
 // ascending-k additions with the same zero-skips as mulRowsPlain, so the
 // result is bit-identical to MulInto — the packing changes memory layout,
-// never arithmetic. Small batches (a.R < packRowThreshold) and shapes past
-// the cache-blocking threshold fall back to MulInto untouched.
+// never arithmetic. Shapes outside the three pack gates fall back to
+// MulInto untouched.
 func MulIntoPacked(dst, a, b, bt *Mat) *Mat {
-	if a.R < packRowThreshold || a.C < packMinK || a.C > packMaxK || a.C*b.C >= blockThreshold {
+	if a.R < packRowThreshold || a.C < packMinK || a.C > packMaxK {
 		MulInto(dst, a, b)
 		return bt
 	}
@@ -301,16 +225,12 @@ func MulIntoPacked(dst, a, b, bt *Mat) *Mat {
 	}
 	bt = Ensure(bt, b.C, b.R)
 	TransposeInto(bt, b)
-	if a.R*a.C*b.C >= parallelThreshold && Parallelism() > 1 {
-		parallelRows(a.R, func(lo, hi int) { mulRowsPacked(dst, a, bt, lo, hi) })
-		return bt
-	}
-	mulRowsPacked(dst, a, bt, 0, a.R)
+	mulRowsPacked(dst, a, bt)
 	return bt
 }
 
-// mulRowsPacked computes rows [lo,hi) of dst = a @ btᵀ where bt is the
-// packed transpose of b (bt row j = b column j). Eight output columns are
+// mulRowsPacked computes dst = a @ btᵀ where bt is the packed transpose
+// of b (bt row j = b column j). Eight output columns are
 // evaluated per pass: eight independent accumulator chains (one serial FP
 // chain per output element) hide the add latency a single chain is bound
 // by, and arow is read once per octet instead of once per column.
@@ -324,10 +244,10 @@ func MulIntoPacked(dst, a, b, bt *Mat) *Mat {
 // skipped, one strictly sequential chain per output element, with the
 // nonzero list walked pairwise (two loads per stream per iteration, two
 // sequential adds per chain).
-func mulRowsPacked(dst, a, bt *Mat, lo, hi int) {
+func mulRowsPacked(dst, a, bt *Mat) {
 	n, p := a.C, bt.R
 	var idxBuf [packMaxK]int32
-	for i := lo; i < hi; i++ {
+	for i := 0; i < a.R; i++ {
 		arow := a.Data[i*n : (i+1)*n]
 		drow := dst.Data[i*p : (i+1)*p]
 		nz := idxBuf[:0]
@@ -462,9 +382,8 @@ func MulTransAInto(dst, a, b *Mat) {
 	if dst.R != a.C || dst.C != b.C {
 		panic("tensor: MulTransAInto dst shape mismatch")
 	}
-	if a.R*a.C*b.C >= parallelThreshold && Parallelism() > 1 {
-		parallelRows(dst.R, func(lo, hi int) { mulTransARows(dst, a, b, lo, hi) })
-		return
+	if dst == a || dst == b {
+		panic("tensor: MulTransAInto dst aliases input")
 	}
 	dst.Zero()
 	// Adjacent k rows are applied in pairs per output row: element (i,j)
@@ -513,31 +432,6 @@ func MulTransAInto(dst, a, b *Mat) {
 	}
 }
 
-// mulTransARows computes rows [lo,hi) of dst = aᵀ @ b with the i loop
-// outermost so that disjoint row ranges can go to different workers. For a
-// fixed output element (i,j) the k loop still runs ascending with the same
-// zero-skip as the serial (k-outer) kernel above, so the accumulation order
-// — and therefore the floating-point result — is bit-identical.
-func mulTransARows(dst, a, b *Mat, lo, hi int) {
-	n, c := a.R, b.C
-	for i := lo; i < hi; i++ {
-		drow := dst.Data[i*c : (i+1)*c]
-		for x := range drow {
-			drow[x] = 0
-		}
-		for k := 0; k < n; k++ {
-			av := a.Data[k*a.C+i]
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*c : (k+1)*c]
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
-		}
-	}
-}
-
 // MulTransBInto computes dst = a @ bᵀ (a is n×c, b is m×c, dst is n×m).
 // Used for input gradients: dx = dy @ Wᵀ.
 func MulTransBInto(dst, a, b *Mat) {
@@ -547,28 +441,26 @@ func MulTransBInto(dst, a, b *Mat) {
 	if dst.R != a.R || dst.C != b.R {
 		panic("tensor: MulTransBInto dst shape mismatch")
 	}
-	if a.R*a.C*b.R >= parallelThreshold && Parallelism() > 1 {
-		parallelRows(a.R, func(lo, hi int) { mulTransBRows(dst, a, b, lo, hi) })
-		return
+	if dst == a || dst == b {
+		panic("tensor: MulTransBInto dst aliases input")
 	}
-	mulTransBRows(dst, a, b, 0, a.R)
+	mulTransBRows(dst, a, b)
 }
 
-// mulTransBRows computes rows [lo,hi) of dst = a @ bᵀ. Each output element
-// is one dot product evaluated in ascending-k order regardless of how rows
-// are partitioned, so parallel and serial results are bit-identical. Eight
-// output columns are computed per pass: the eight accumulator chains are
-// independent (one per output element, each a single serial ascending-k
-// chain as before), which hides the add latency a lone chain is bound by
+// mulTransBRows computes dst = a @ bᵀ. Each output element is one dot
+// product evaluated in ascending-k order. Eight output columns are computed
+// per pass: the eight accumulator chains are independent (one per output
+// element, each a single serial ascending-k chain), which hides the add
+// latency a lone chain is bound by
 // and reads arow once per octet instead of once per column. Within a
 // chain, k advances pairwise — two loads per b stream per iteration,
 // applied as two strictly sequential adds — which keeps the chain serial
 // (never a re-grouped sum) while halving loop overhead. Unlike the MulInto
-// family there is no zero-skip here: the serial kernel never had one, and
+// family there is no zero-skip here: this product never had one, and
 // adding one would change the bits (s + 0·x is not always s).
-func mulTransBRows(dst, a, b *Mat, lo, hi int) {
+func mulTransBRows(dst, a, b *Mat) {
 	m, c := b.R, b.C
-	for i := lo; i < hi; i++ {
+	for i := 0; i < a.R; i++ {
 		arow := a.Data[i*a.C : (i+1)*a.C]
 		drow := dst.Data[i*dst.C : (i+1)*dst.C]
 		n := len(arow)

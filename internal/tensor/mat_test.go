@@ -54,7 +54,6 @@ func naiveMul(a, b *Mat) *Mat {
 
 func TestMulParallelMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
-	// Big enough to cross parallelThreshold.
 	a := New(80, 64)
 	b := New(64, 48)
 	a.Randomize(rng, 1)
@@ -63,7 +62,7 @@ func TestMulParallelMatchesNaive(t *testing.T) {
 	want := naiveMul(a, b)
 	for i := range got.Data {
 		if !almostEq(got.Data[i], want.Data[i], 1e-9) {
-			t.Fatalf("parallel MatMul diverges from naive at %d: %v vs %v", i, got.Data[i], want.Data[i])
+			t.Fatalf("Mul diverges from naive at %d: %v vs %v", i, got.Data[i], want.Data[i])
 		}
 	}
 }
@@ -167,12 +166,19 @@ func TestDotNorm(t *testing.T) {
 }
 
 func TestShapePanics(t *testing.T) {
+	// Square operands make an aliased dst shape-legal, so only the alias
+	// guard can reject it.
+	sq := New(3, 3)
 	for name, fn := range map[string]func(){
-		"mul-inner":   func() { Mul(New(2, 3), New(4, 2)) },
-		"addbias-len": func() { New(2, 2).AddBias([]float64{1}) },
-		"add-shape":   func() { New(2, 2).Add(New(3, 2)) },
-		"dot-len":     func() { Dot([]float64{1}, []float64{1, 2}) },
-		"fromslice":   func() { FromSlice(2, 2, []float64{1}) },
+		"mul-inner":      func() { Mul(New(2, 3), New(4, 2)) },
+		"addbias-len":    func() { New(2, 2).AddBias([]float64{1}) },
+		"add-shape":      func() { New(2, 2).Add(New(3, 2)) },
+		"dot-len":        func() { Dot([]float64{1}, []float64{1, 2}) },
+		"fromslice":      func() { FromSlice(2, 2, []float64{1}) },
+		"transa-alias-a": func() { MulTransAInto(sq, sq, New(3, 3)) },
+		"transa-alias-b": func() { MulTransAInto(sq, New(3, 3), sq) },
+		"transb-alias-a": func() { MulTransBInto(sq, sq, New(3, 3)) },
+		"transb-alias-b": func() { MulTransBInto(sq, New(3, 3), sq) },
 	} {
 		func() {
 			defer func() {
@@ -215,7 +221,7 @@ func BenchmarkMatMul64(b *testing.B) {
 	}
 }
 
-func BenchmarkMatMul256Parallel(b *testing.B) {
+func BenchmarkMatMul256(b *testing.B) {
 	rng := rand.New(rand.NewPCG(1, 1))
 	x := New(256, 256)
 	y := New(256, 256)

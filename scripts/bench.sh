@@ -2,13 +2,13 @@
 # bench.sh — benchmark regression harness (see docs/perf.md).
 #
 # Full mode (the default) runs every benchmark with fixed -benchtime/-count
-# and records the folded results into BENCH_8.json via cmd/benchgate:
+# and records the folded results into BENCH_9.json via cmd/benchgate:
 #
 #   ./scripts/bench.sh                 # re-record the "current" block
 #   ./scripts/bench.sh --baseline pre.txt   # also record pre.txt as baseline
 #
 # Smoke mode runs a fast subset (skipping the multi-second campaign
-# benchmarks) and gates it against the committed BENCH_8.json. Time gates
+# benchmarks) and gates it against the committed BENCH_9.json. Time gates
 # are loose (tolerance factor, absorbs CI machine variance); allocs/op
 # gates are exact, because allocation counts are deterministic:
 #
@@ -19,7 +19,7 @@ cd "$(dirname "$0")/.."
 BENCHTIME="${BENCHTIME:-200ms}"
 COUNT="${COUNT:-3}"
 TOLERANCE="${TOLERANCE:-2.5}"
-OUT="${OUT:-BENCH_8.json}"
+OUT="${OUT:-BENCH_9.json}"
 
 # Fast subset for CI smoke: steady-state kernels and harness overhead, no
 # full-campaign benchmarks (those take tens of seconds per iteration).
@@ -46,5 +46,14 @@ fi
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 go test -run '^$' -bench . -benchmem -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$tmp"
+# The two training benchmarks again at one and at two Ps, recorded as
+# <name>/cpu=N rows (benchgate strips go test's own -N suffix). One go test
+# per width: with a -cpu list, the first sample of the first width is taken
+# at the last width's GOMAXPROCS.
+for procs in 1 2; do
+  go test -run '^$' -bench '^(BenchmarkTableI|BenchmarkNNForwardBackward)$' -benchmem \
+    -benchtime "$BENCHTIME" -count "$COUNT" -cpu "$procs" . |
+    sed -E "s|^(Benchmark[A-Za-z]+)(-[0-9]+)?([[:space:]])|\\1/cpu=$procs\\3|" | tee -a "$tmp"
+done
 go run ./cmd/benchgate record -out "$OUT" "${BASELINE_ARGS[@]}" \
   -note "go test -bench . -benchmem -benchtime $BENCHTIME -count $COUNT; ns/op folded by min, allocs/op by max" < "$tmp"
