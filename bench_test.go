@@ -8,6 +8,8 @@ package rldecide_test
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"io"
 	"math"
 	"os"
@@ -18,6 +20,7 @@ import (
 	"rldecide/internal/airdrop"
 	"rldecide/internal/core"
 	"rldecide/internal/distrib"
+	"rldecide/internal/executor"
 	"rldecide/internal/experiments"
 	"rldecide/internal/journal"
 	"rldecide/internal/mathx"
@@ -27,6 +30,7 @@ import (
 	"rldecide/internal/pareto"
 	"rldecide/internal/report"
 	"rldecide/internal/search"
+	"rldecide/internal/studyd"
 	"rldecide/internal/tensor"
 )
 
@@ -370,6 +374,69 @@ func BenchmarkJournalRecover2000(b *testing.B) {
 		trials, err := journal.Trials(records, space)
 		if err != nil || len(trials) != n {
 			b.Fatalf("recovered %d trials, %v", len(trials), err)
+		}
+	}
+}
+
+// benchSphereSpec is the two-float, two-metric sphere study the service
+// benchmark (bench/) writes: the objective is nanoseconds, so everything
+// measured around it is control plane.
+func benchSphereSpec(budget int) studyd.Spec {
+	return studyd.Spec{
+		Name: "bench",
+		Params: []studyd.ParamSpec{
+			{Name: "x0", Type: "floatrange", Lo: -5, Hi: 5},
+			{Name: "x1", Type: "floatrange", Lo: -5, Hi: 5},
+		},
+		Explorer:    studyd.ExplorerSpec{Type: "random"},
+		Metrics:     []studyd.MetricSpec{{Name: "f", Direction: "min"}, {Name: "cost", Direction: "min"}},
+		Objective:   "sphere",
+		Budget:      budget,
+		Parallelism: 2,
+		Seed:        1,
+	}
+}
+
+// BenchmarkEvaluateRequest is one trial through the evaluator every
+// execution mode shares, as the daemon's scheduler and a fleet worker call
+// it: full spec bytes plus their hash, parameters in journal rendering.
+func BenchmarkEvaluateRequest(b *testing.B) {
+	raw, err := json.Marshal(benchSphereSpec(300))
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := executor.TrialRequest{StudyID: "s0001", TrialID: 1, Spec: raw, SpecHash: executor.SpecHashOf(raw),
+		Params: map[string]string{"x0": "0.3142", "x1": "-2.718"}, Seed: 42}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := studyd.EvaluateRequest(context.Background(), req)
+		if err != nil || len(res.Values) != 2 {
+			b.Fatalf("%+v, %v", res, err)
+		}
+	}
+}
+
+// BenchmarkLocalStudy300 is read_mix's write side without the HTTP hop: a
+// 300-trial sphere study submitted to a local-executor daemon and run to
+// done (explorer, executor lease, evaluation, journal append, final rank).
+func BenchmarkLocalStudy300(b *testing.B) {
+	d, err := studyd.New(studyd.Config{Dir: b.TempDir(), Workers: 2, Logf: func(string, ...any) {}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	d.Start()
+	defer d.Shutdown(context.Background())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := d.Submit(benchSphereSpec(300))
+		if err != nil {
+			b.Fatal(err)
+		}
+		<-m.Done()
+		if m.Status() != studyd.StatusDone || len(m.Trials()) != 300 {
+			b.Fatalf("study %s: %s with %d trials", m.ID, m.Status(), len(m.Trials()))
 		}
 	}
 }

@@ -33,15 +33,18 @@ import (
 type TrialRequest struct {
 	StudyID string `json:"study_id"`
 	TrialID int    `json:"trial_id"`
-	// Spec is the submitting study's spec, verbatim as persisted by the
-	// daemon; the worker rebuilds the objective from it against its own
-	// objective registry. When SpecHash is set, the dispatcher may omit
-	// Spec on repeat sends to a worker that has already seen the hash;
-	// a worker missing the cached spec answers 428 and the dispatcher
-	// resends in full.
+	// Spec is the submitting study's spec as persisted by the daemon, in
+	// the compact form encoding/json gives a RawMessage on the wire; the
+	// worker builds the objective from it against its own objective
+	// registry. When SpecHash is set, the dispatcher may omit Spec on
+	// repeat sends to a worker that has already seen the hash; a worker
+	// missing the cached spec answers 428 and the dispatcher resends in
+	// full.
 	Spec json.RawMessage `json:"spec,omitempty"`
-	// SpecHash is the content hash of Spec (see SpecHashOf), keying the
-	// worker-side spec cache. Empty disables caching for this dispatch.
+	// SpecHash is the content hash of Spec as the receiver sees it (see
+	// SpecHashOf), keying the worker's spec cache and the evaluator's
+	// prepared-spec cache; both check it against the bytes before filing
+	// anything under it. Empty disables caching for this dispatch.
 	SpecHash string `json:"spec_hash,omitempty"`
 	// Params is the explorer's assignment in its canonical journal
 	// rendering (parameter name -> value string).

@@ -368,6 +368,23 @@ func TestWorkerSpecCache(t *testing.T) {
 	}
 }
 
+// TestWorkerRejectsWrongSpecHash: the worker files nothing under a hash
+// the spec bytes do not have. A forged pairing is a 400 and leaves the
+// cache empty — a hash-only dispatch of the real owner of that hash is
+// still a 428, not a run of the forger's spec.
+func TestWorkerRejectsWrongSpecHash(t *testing.T) {
+	spec, other := json.RawMessage(`{"objective":"paper"}`), json.RawMessage(`{"objective":"other"}`)
+	_, w := startWorker(t, "strict", 1, echoEval, "")
+	status, body := postJSON(t, w.URL+"/run", TrialRequest{StudyID: "s1", TrialID: 1, Spec: other, SpecHash: SpecHashOf(spec), Seed: 10})
+	if status != http.StatusBadRequest || body["error"] == nil {
+		t.Fatalf("spec under another spec's hash: status %d body %v, want 400", status, body)
+	}
+	status, _ = postJSON(t, w.URL+"/run", TrialRequest{StudyID: "s1", TrialID: 2, SpecHash: SpecHashOf(spec), Seed: 20})
+	if status != http.StatusPreconditionRequired {
+		t.Fatalf("hash-only dispatch after the refused one: status %d, want 428", status)
+	}
+}
+
 func TestFleetSpecCacheAndWorkerRestart(t *testing.T) {
 	spec := json.RawMessage(`{"objective":"paper"}`)
 	hash := SpecHashOf(spec)

@@ -62,14 +62,20 @@ const maxCachedSpecs = 64
 
 // cacheSpec stores the spec under hash, evicting the oldest entry when
 // full. The bytes are copied: the request buffer is reused by net/http.
-func (s *Server) cacheSpec(hash string, spec json.RawMessage) {
+// Nothing is filed under a hash the bytes do not have — later hash-only
+// dispatches of another study would run this spec — so a first sight of a
+// hash costs one SHA-256 of the spec and a repeat costs nothing.
+func (s *Server) cacheSpec(hash string, spec json.RawMessage) error {
 	s.specMu.Lock()
 	defer s.specMu.Unlock()
 	if s.specs == nil {
 		s.specs = make(map[string]json.RawMessage, maxCachedSpecs)
 	}
 	if _, ok := s.specs[hash]; ok {
-		return
+		return nil
+	}
+	if got := SpecHashOf(spec); got != hash {
+		return fmt.Errorf("spec hashes to %s, not to its spec_hash %s", got, hash)
 	}
 	for len(s.specs) >= maxCachedSpecs {
 		oldest := s.specOrder[0]
@@ -78,6 +84,7 @@ func (s *Server) cacheSpec(hash string, spec json.RawMessage) {
 	}
 	s.specs[hash] = append(json.RawMessage(nil), spec...)
 	s.specOrder = append(s.specOrder, hash)
+	return nil
 }
 
 // cachedSpec looks up a spec by hash.
@@ -128,7 +135,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.SpecHash != "" {
 		if len(req.Spec) > 0 {
-			s.cacheSpec(req.SpecHash, req.Spec)
+			if err := s.cacheSpec(req.SpecHash, req.Spec); err != nil {
+				writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
+				return
+			}
 		} else {
 			spec, ok := s.cachedSpec(req.SpecHash)
 			if !ok {

@@ -5,7 +5,7 @@ import (
 	"unicode/utf8"
 )
 
-// The record decoder is the inverse of appendRecord and nothing more: it
+// The record decoder is the inverse of AppendRecord and nothing more: it
 // recognises the one byte form the writer emits — keys in the fixed order
 // id, params, values?, pruned?, error?, seed, worker?, wall_ms?, no
 // whitespace, JSON-grammar numbers, strings that needed no escaping — and

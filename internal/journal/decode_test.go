@@ -56,7 +56,7 @@ func TestDecodeRecordMatchesJSON(t *testing.T) {
 	var line []byte
 	encode := func(tr core.Trial) []byte {
 		var err error
-		if line, err = appendRecord(line[:0], tr); err != nil {
+		if line, err = AppendRecord(line[:0], tr); err != nil {
 			t.Fatal(err)
 		}
 		return line[:len(line)-1] // Read's scanner drops the newline

@@ -10,7 +10,7 @@ import (
 	"rldecide/internal/param"
 )
 
-// The arena record encoder: appendRecord renders one trial as exactly the
+// The arena record encoder: AppendRecord renders one trial as exactly the
 // JSON line `json.Encoder.Encode(FromTrial(t))` used to produce, but into
 // a caller-owned buffer with zero intermediate allocation — no Record, no
 // params/values maps, no encoder state. Byte-compatibility is load-bearing,
@@ -27,10 +27,10 @@ import (
 
 const hexDigits = "0123456789abcdef"
 
-// appendRecord appends t's journal line (including the trailing newline)
+// AppendRecord appends t's journal line (including the trailing newline)
 // to dst. The returned error mirrors encoding/json's refusal to encode
 // NaN or infinite metric values; dst is unusable when err != nil.
-func appendRecord(dst []byte, t core.Trial) ([]byte, error) {
+func AppendRecord(dst []byte, t core.Trial) ([]byte, error) {
 	dst = append(dst, `{"id":`...)
 	dst = strconv.AppendInt(dst, int64(t.ID), 10)
 	dst = append(dst, `,"params":{`...)

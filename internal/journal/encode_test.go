@@ -92,16 +92,16 @@ func randomTrial(rng *rand.Rand) core.Trial {
 }
 
 // checkAppendRecord is the arena encoder's whole contract on one trial:
-// appendRecord produces exactly the bytes json.Encoder.Encode(FromTrial(t))
+// AppendRecord produces exactly the bytes json.Encoder.Encode(FromTrial(t))
 // produces, or refuses exactly when it refuses. It returns the line,
 // rendered into dst's storage.
 func checkAppendRecord(t *testing.T, dst []byte, tr core.Trial) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	jsonErr := json.NewEncoder(&buf).Encode(FromTrial(tr))
-	line, err := appendRecord(dst[:0], tr)
+	line, err := AppendRecord(dst[:0], tr)
 	if (err != nil) != (jsonErr != nil) {
-		t.Fatalf("appendRecord err %v, json err %v\ntrial: %+v", err, jsonErr, tr)
+		t.Fatalf("AppendRecord err %v, json err %v\ntrial: %+v", err, jsonErr, tr)
 	}
 	if err != nil {
 		return nil
@@ -206,8 +206,8 @@ func TestAppendRecordRejectsNonFinite(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		var tr core.Trial
 		tr.Values.Set("m", bad)
-		if _, err := appendRecord(nil, tr); err == nil {
-			t.Fatalf("appendRecord accepted %v", bad)
+		if _, err := AppendRecord(nil, tr); err == nil {
+			t.Fatalf("AppendRecord accepted %v", bad)
 		}
 		var sink bytes.Buffer
 		w := NewWriter(&sink)
@@ -222,7 +222,7 @@ func TestAppendRecordRejectsNonFinite(t *testing.T) {
 }
 
 // TestAppendRecordGolden replays the checked-in journal fixture through
-// ToTrial and back through the arena encoder: the concatenated re-encoding
+// Resolver.Trial and back through the arena encoder: the concatenated re-encoding
 // must reproduce the fixture file byte-for-byte. The fixture itself is
 // cross-checked against json.Encoder so the golden bytes stay anchored to
 // encoding/json, not to the encoder under test.
@@ -245,14 +245,14 @@ func TestAppendRecordGolden(t *testing.T) {
 	enc := json.NewEncoder(&jsonOut)
 	var arenaOut []byte
 	for _, rec := range records {
-		tr, err := rec.ToTrial(space)
+		tr, err := NewResolver(space).Trial(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := enc.Encode(FromTrial(tr)); err != nil {
 			t.Fatal(err)
 		}
-		arenaOut, err = appendRecord(arenaOut, tr)
+		arenaOut, err = AppendRecord(arenaOut, tr)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,7 @@
 //
 // Both directions of the codec are specialised to the Record schema and
 // pinned to encoding/json, which stays the definition of the format:
-// appendRecord (encode.go) writes exactly json.Encoder's bytes, and
+// AppendRecord (encode.go) writes exactly json.Encoder's bytes, and
 // decodeRecord (decode.go) reads back exactly those bytes, leaving any
 // other line to json.Unmarshal. Recovery is Read → []Record → Trials, the
 // one route from disk to core.Trial; RepairFile mends a crashed file in
@@ -79,31 +79,48 @@ func FromTrial(t core.Trial) Record {
 	return r
 }
 
-// ToTrial converts a record back, resolving parameter values against the
-// space (so ints stay ints and categoricals stay strings).
-func (r Record) ToTrial(space *param.Space) (core.Trial, error) {
-	return newResolver(space).trial(r)
+// Resolver turns journal records back into trials of one space, resolving
+// each raw parameter rendering to the value it came from (so ints stay
+// ints, categoricals stay strings and a grid point comes back bit for
+// bit). Everything it looks up is built by NewResolver; afterwards it is
+// only read, so one Resolver serves any number of goroutines.
+type Resolver struct {
+	params map[string]grid
 }
 
-// resolver turns raw parameter renderings back into values of one space.
-// A parameter's grid — the rendering of each enumerated value — is built
-// the first time a record names the parameter, so converting a journal
-// costs one Enumerate per parameter, not one per record.
-type resolver struct {
-	space *param.Space
-	grids map[string]grid
-}
-
+// grid is one parameter and, where its values' renderings are worth
+// tabulating, the rendering → value table of its enumeration.
 type grid struct {
 	p      param.Param
 	byText map[string]param.Value
 }
 
-func newResolver(space *param.Space) *resolver {
-	return &resolver{space: space, grids: map[string]grid{}}
+// NewResolver builds the resolver of space: one Enumerate per parameter,
+// each value filed under its canonical rendering (the earliest, where
+// several render alike). An IntRange gets no table — its enumeration is
+// every integer of the interval, and an integer's rendering parses back
+// exactly, which a float's 4-digit rendering does not.
+func NewResolver(space *param.Space) *Resolver {
+	rs := &Resolver{params: make(map[string]grid, len(space.Params()))}
+	for _, p := range space.Params() {
+		g := grid{p: p}
+		if _, ok := p.(param.IntRange); !ok {
+			points := p.Enumerate()
+			g.byText = make(map[string]param.Value, len(points))
+			for _, v := range points {
+				text := v.String()
+				if _, dup := g.byText[text]; !dup {
+					g.byText[text] = v
+				}
+			}
+		}
+		rs.params[p.Name()] = g
+	}
+	return rs
 }
 
-func (rs *resolver) trial(r Record) (core.Trial, error) {
+// Trial converts one record back into the trial it was written from.
+func (rs *Resolver) Trial(r Record) (core.Trial, error) {
 	t := core.Trial{
 		ID:     r.ID,
 		Params: make(param.Assignment, 0, len(r.Params)),
@@ -126,26 +143,14 @@ func (rs *resolver) trial(r Record) (core.Trial, error) {
 	return t, nil
 }
 
-// value resolves raw against the named parameter's enumeration first: a
-// raw equal to a grid point's canonical rendering yields that exact grid
-// value (the earliest, where several render alike), which a 4-digit
-// rendering parsed back would not. Everything else is parsed.
-func (rs *resolver) value(name, raw string) (param.Value, error) {
-	g, ok := rs.grids[name]
+// value resolves raw against the named parameter's table first: a raw
+// equal to a grid point's canonical rendering yields that exact grid
+// value, which a 4-digit rendering parsed back would not. Everything else
+// is parsed.
+func (rs *Resolver) value(name, raw string) (param.Value, error) {
+	g, ok := rs.params[name]
 	if !ok {
-		p, ok := rs.space.Get(name)
-		if !ok {
-			return param.Value{}, fmt.Errorf("journal: unknown parameter %q", name)
-		}
-		points := p.Enumerate()
-		g = grid{p: p, byText: make(map[string]param.Value, len(points))}
-		for _, v := range points {
-			text := v.String()
-			if _, dup := g.byText[text]; !dup {
-				g.byText[text] = v
-			}
-		}
-		rs.grids[name] = g
+		return param.Value{}, fmt.Errorf("journal: unknown parameter %q", name)
 	}
 	if v, ok := g.byText[raw]; ok {
 		return v, nil
@@ -164,6 +169,9 @@ func parseValue(p param.Param, raw string) (param.Value, error) {
 			return v, nil
 		}
 		iv := param.Int(int(f))
+		if i, err := strconv.Atoi(raw); err == nil {
+			iv = param.Int(i) // exact past 2^53, where f is not
+		}
 		if p.Contains(iv) {
 			return iv, nil
 		}
@@ -177,7 +185,7 @@ func parseValue(p param.Param, raw string) (param.Value, error) {
 
 // Writer appends trial records to an io.Writer (typically a file), safe
 // for concurrent use by parallel studies. Each record is rendered into a
-// writer-owned scratch buffer by the arena encoder (appendRecord —
+// writer-owned scratch buffer by the arena encoder (AppendRecord —
 // byte-identical to what encoding/json produced for FromTrial, see
 // encode.go) and handed to the underlying writer as one whole line, so a
 // crash can tear at most the final record's tail mid-flush — down to
@@ -199,7 +207,7 @@ func NewWriter(w io.Writer) *Writer {
 func (w *Writer) Append(t core.Trial) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	line, err := appendRecord(w.scratch[:0], t)
+	line, err := AppendRecord(w.scratch[:0], t)
 	if err != nil {
 		// Nothing was staged: like the JSON encoder, an unencodable trial
 		// (NaN/Inf metric) leaves the journal untouched.
@@ -364,10 +372,10 @@ func terminate(path string) error {
 
 // Trials converts records back into trials against space.
 func Trials(records []Record, space *param.Space) ([]core.Trial, error) {
-	rs := newResolver(space)
+	rs := NewResolver(space)
 	out := make([]core.Trial, 0, len(records))
 	for _, r := range records {
-		t, err := rs.trial(r)
+		t, err := rs.Trial(r)
 		if err != nil {
 			return nil, err
 		}

@@ -34,7 +34,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		Seed:   1234,
 	}
 	rec := FromTrial(orig)
-	back, err := rec.ToTrial(space)
+	back, err := NewResolver(space).Trial(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestWallMsDecodeCompat(t *testing.T) {
 		t.Fatalf("legacy record decoded wall_ms %v, want 0", recs[0].WallMs)
 	}
 
-	// A timed record carries the field through Read and ToTrial/FromTrial.
+	// A timed record carries the field through Read and Resolver.Trial/FromTrial.
 	timed := `{"id":2,"values":{"m":3},"seed":10,"worker":"w1","wall_ms":12.5}` + "\n"
 	recs, err = Read(strings.NewReader(timed))
 	if err != nil {
@@ -77,12 +77,12 @@ func TestWallMsDecodeCompat(t *testing.T) {
 	if recs[0].WallMs != 12.5 || recs[0].Worker != "w1" {
 		t.Fatalf("timed record lost informational fields: %+v", recs[0])
 	}
-	tr, err := recs[0].ToTrial(testSpace())
+	tr, err := NewResolver(testSpace()).Trial(recs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr.WallMs != 12.5 {
-		t.Fatalf("ToTrial dropped wall_ms: %+v", tr)
+		t.Fatalf("Resolver.Trial dropped wall_ms: %+v", tr)
 	}
 	if back := FromTrial(tr); back.WallMs != 12.5 {
 		t.Fatalf("FromTrial dropped wall_ms: %+v", back)
@@ -107,7 +107,7 @@ func TestErrorAndPrunedRoundTrip(t *testing.T) {
 		Err:    fmt.Errorf("boom"),
 		Pruned: true,
 	}
-	back, err := FromTrial(tr).ToTrial(space)
+	back, err := NewResolver(space).Trial(FromTrial(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestStudyJournaling(t *testing.T) {
 
 func TestToTrialRejectsUnknownParam(t *testing.T) {
 	rec := Record{ID: 1, Params: map[string]string{"nope": "1"}}
-	if _, err := rec.ToTrial(testSpace()); err == nil {
+	if _, err := NewResolver(testSpace()).Trial(rec); err == nil {
 		t.Fatal("unknown parameter should error")
 	}
 }
@@ -215,7 +215,7 @@ func TestParseValueFallbacks(t *testing.T) {
 		"fw":    "b",
 		"lr":    "0.125",
 	}}
-	tr, err := rec.ToTrial(space)
+	tr, err := NewResolver(space).Trial(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestParseValueFallbacks(t *testing.T) {
 		t.Fatalf("parsed wrong: %v", tr.Params)
 	}
 	bad := Record{ID: 2, Params: map[string]string{"order": "9", "fw": "a", "lr": "0.1"}}
-	if _, err := bad.ToTrial(space); err == nil {
+	if _, err := NewResolver(space).Trial(bad); err == nil {
 		t.Fatal("out-of-space value should error")
 	}
 	// A number is the whole string: Sscanf("%g") used to stop at the first
@@ -232,14 +232,14 @@ func TestParseValueFallbacks(t *testing.T) {
 	wide := param.MustSpace(param.NewFloatRange("lr", 0, 1000), param.NewIntRange("n", 0, 1000))
 	for _, raw := range []string{"0.5abc", "0.5 7", "1e2x", " 0.5", "0.5 ", "0.5\n"} {
 		for _, name := range []string{"lr", "n"} {
-			if tr, err := (Record{Params: map[string]string{name: raw}}).ToTrial(wide); err == nil {
+			if tr, err := NewResolver(wide).Trial(Record{Params: map[string]string{name: raw}}); err == nil {
 				t.Errorf("%s=%q resumed as %v, want an error", name, raw, tr.Params.Value(name))
 			}
 		}
 	}
 	// A categorical option that merely starts like a number is still itself.
 	odd := param.MustSpace(param.NewCategorical("tag", "0.5abc", "x"))
-	tr, err = Record{Params: map[string]string{"tag": "0.5abc"}}.ToTrial(odd)
+	tr, err = NewResolver(odd).Trial(Record{Params: map[string]string{"tag": "0.5abc"}})
 	if err != nil || tr.Params.Value("tag") != param.Str("0.5abc") {
 		t.Fatalf("categorical fallback: %v, %v", tr.Params, err)
 	}
@@ -275,7 +275,7 @@ func parseValueSscanf(p param.Param, raw string) (param.Value, error) {
 // well-formed raw — a rendering the writer can produce, or a number in
 // another spelling — the resolver returns exactly what the per-record
 // enumerate-and-Sscanf function returned, the grid points bit for bit, and
-// fails where it failed. Through Trials and through ToTrial alike.
+// fails where it failed. Through Trials and through one Resolver.Trial alike.
 func TestValueMatchesSscanfParse(t *testing.T) {
 	grid7 := param.NewFloatRange("third", 0, 1)
 	grid7.GridPoints = 7                                  // 1/6, 1/3, ...: grid values that 4 digits do not round-trip
@@ -308,11 +308,12 @@ func TestValueMatchesSscanfParse(t *testing.T) {
 	}
 	var records []Record
 	var want []param.Value
+	rs := NewResolver(space)
 	for _, p := range params {
 		for _, raw := range raws {
 			wantV, wantErr := parseValueSscanf(p, raw)
 			rec := Record{Params: map[string]string{p.Name(): raw}}
-			tr, err := rec.ToTrial(space)
+			tr, err := rs.Trial(rec)
 			if (err != nil) != (wantErr != nil) {
 				t.Fatalf("%s=%q: err %v, Sscanf parse err %v", p.Name(), raw, err, wantErr)
 			}
@@ -337,6 +338,52 @@ func TestValueMatchesSscanfParse(t *testing.T) {
 		if len(tr.Params) != 1 || !same(tr.Params[0].Value, want[i]) {
 			t.Fatalf("Trials record %d %v: resolved %#v, want %#v", i, records[i].Params, tr.Params, want[i])
 		}
+	}
+}
+
+// TestResolverIntRangeIsNotEnumerated: an IntRange has no table — building
+// one for [0, 2^40] cannot finish — and resolves through the parse alone
+// to what the table gave: the int itself, truncated where raw has a
+// fraction, and exact past 2^53 where a float64 is not.
+func TestResolverIntRangeIsNotEnumerated(t *testing.T) {
+	space := param.MustSpace(
+		param.NewIntRange("small", 0, 8192),
+		param.NewIntRange("huge", -5, 1<<40),
+		param.NewIntRange("all", 0, math.MaxInt64),
+	)
+	rs := NewResolver(space)
+	resolve := func(name, raw string) (param.Value, error) {
+		tr, err := rs.Trial(Record{Params: map[string]string{name: raw}})
+		return tr.Params.Value(name), err
+	}
+	for i := 0; i <= 8192; i++ {
+		if v, err := resolve("small", param.Int(i).String()); err != nil || v != param.Int(i) {
+			t.Fatalf("small=%d resolved to %#v, %v", i, v, err)
+		}
+	}
+	for raw, want := range map[string]int{
+		"-5": -5, "0": 0, "1099511627776": 1 << 40, "123456789012": 123456789012, "7.9": 7, "1e3": 1000, "+5": 5,
+	} {
+		if v, err := resolve("huge", raw); err != nil || v != param.Int(want) {
+			t.Fatalf("huge=%q resolved to %#v, %v; want %d", raw, v, err, want)
+		}
+	}
+	for _, raw := range []string{"-6", "1099511627777", "8193x", ""} {
+		if v, err := resolve("huge", raw); err == nil {
+			t.Fatalf("huge=%q resolved to %#v, want an error", raw, v)
+		}
+	}
+	if v, err := resolve("small", "8193"); err == nil {
+		t.Fatalf("small=8193 resolved to %#v, want an error", v)
+	}
+	const odd = 1<<53 + 1 // the first integer a float64 cannot hold
+	if v, err := resolve("all", param.Int(odd).String()); err != nil || v != param.Int(odd) {
+		t.Fatalf("all=%d resolved to %#v, %v", odd, v, err)
+	}
+	// Trials shares the resolver: recovery does not enumerate either.
+	trials, err := Trials([]Record{{ID: 1, Params: map[string]string{"huge": "1099511627775"}}}, space)
+	if err != nil || trials[0].Params.Value("huge") != param.Int(1<<40-1) {
+		t.Fatalf("Trials: %v, %v", trials, err)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 )
 
 // EvaluateRequest is the executor.EvalFunc every execution mode shares: it
-// rebuilds the study objective from the dispatched spec against the
+// takes the study objective built from the dispatched spec against the
 // process-local objective registry, resolves the trial's parameters
 // against the spec's space, and evaluates. Both the daemon's Local
 // executor and cmd/rldecide-worker call exactly this function, so a trial
@@ -23,33 +23,29 @@ import (
 // deterministic failover and the local-vs-distributed replay contract
 // rest on.
 //
-// A returned error is infrastructural (undecodable spec, unknown
-// objective, cancellation) and is never journaled; a deterministic
-// objective failure comes back as TrialResult.Error instead, which the
-// daemon journals exactly like a local failure.
+// Everything that depends on the spec alone is built once per
+// req.SpecHash and kept (see preparedFor); a request without a hash
+// builds it for itself.
+//
+// A returned error is infrastructural (undecodable spec, spec that does
+// not hash to req.SpecHash, unknown objective, cancellation) and is never
+// journaled; a deterministic objective failure comes back as
+// TrialResult.Error instead, which the daemon journals exactly like a
+// local failure.
 func EvaluateRequest(ctx context.Context, req executor.TrialRequest) (executor.TrialResult, error) {
 	res := executor.TrialResult{StudyID: req.StudyID, TrialID: req.TrialID}
-	var spec Spec
-	if err := json.Unmarshal(req.Spec, &spec); err != nil {
-		return res, fmt.Errorf("studyd: decoding dispatched spec: %w", err)
-	}
-	space, err := spec.Space()
+	p, err := preparedFor(req)
 	if err != nil {
 		return res, err
 	}
-	metrics, err := spec.metrics()
+	// The parameters arrive in their 4-significant-digit journal rendering
+	// and go through the journal's resolver, so a local trial, a fleet
+	// trial and a recovered one all see the same values.
+	trial, err := p.resolver.Trial(journal.Record{ID: req.TrialID, Params: req.Params, Seed: req.Seed})
 	if err != nil {
 		return res, err
 	}
-	objective, err := buildObjective(spec, metrics)
-	if err != nil {
-		return res, err
-	}
-	trial, err := (journal.Record{ID: req.TrialID, Params: req.Params, Seed: req.Seed}).ToTrial(space)
-	if err != nil {
-		return res, err
-	}
-	rec, out := core.NewRecorder(ctx, metrics)
+	rec, out := core.NewRecorder(ctx, p.metrics)
 	// Time the objective itself (not spec decoding) through the sanctioned
 	// wall-clock seam. The measurement is informational — it becomes the
 	// journal's wall_ms field and the trial-latency histogram, never an
@@ -58,7 +54,7 @@ func EvaluateRequest(ctx context.Context, req executor.TrialRequest) (executor.T
 	// worker), the same window is recorded as an "objective" span.
 	osp := span.FromContext(ctx).Start(span.NameObjective, 0)
 	sw := power.StartStopwatch()
-	err = runObjective(objective, trial.Params, req.Seed, rec)
+	err = runObjective(p.objective, trial.Params, req.Seed, rec)
 	res.WallMs = sw.ElapsedSeconds() * 1e3
 	if err != nil {
 		if ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -74,6 +70,72 @@ func EvaluateRequest(ctx context.Context, req executor.TrialRequest) (executor.T
 	}
 	res.Values = out.Values.Map()
 	return res, nil
+}
+
+// prepared is everything EvaluateRequest needs that depends on the spec
+// alone. All of it is read-only once built: concurrent trials share it.
+type prepared struct {
+	metrics   []core.Metric
+	objective core.Objective
+	resolver  *journal.Resolver
+}
+
+// prepare decodes a dispatched spec and builds what a trial of it needs.
+func prepare(raw []byte) (*prepared, error) {
+	var spec Spec
+	if err := json.Unmarshal(raw, &spec); err != nil {
+		return nil, fmt.Errorf("studyd: decoding dispatched spec: %w", err)
+	}
+	space, err := spec.Space()
+	if err != nil {
+		return nil, err
+	}
+	metrics, err := spec.metrics()
+	if err != nil {
+		return nil, err
+	}
+	objective, err := buildObjective(spec, metrics)
+	if err != nil {
+		return nil, err
+	}
+	return &prepared{metrics: metrics, objective: objective, resolver: journal.NewResolver(space)}, nil
+}
+
+// preparedFor returns the prepared form of req's spec: the cached one when
+// req.SpecHash names one, otherwise a fresh one, filed under the hash if
+// the request carries one. A hash is checked against the bytes before
+// anything is filed under it, so a sender cannot make later trials of
+// another spec run this one.
+func preparedFor(req executor.TrialRequest) (*prepared, error) {
+	if req.SpecHash == "" {
+		return prepare(req.Spec)
+	}
+	objMu.RLock()
+	p, ok := preparedSpecs[req.SpecHash]
+	gen := objGen
+	objMu.RUnlock()
+	if ok {
+		return p, nil
+	}
+	if got := executor.SpecHashOf(req.Spec); got != req.SpecHash {
+		return nil, fmt.Errorf("studyd: dispatched spec hashes to %s, not to its spec_hash %s", got, req.SpecHash)
+	}
+	p, err := prepare(req.Spec)
+	if err != nil {
+		return nil, err
+	}
+	objMu.Lock()
+	defer objMu.Unlock()
+	if _, raced := preparedSpecs[req.SpecHash]; gen != objGen || raced {
+		return p, nil
+	}
+	if len(preparedOrder) >= maxPreparedSpecs {
+		delete(preparedSpecs, preparedOrder[0])
+		preparedOrder = preparedOrder[1:]
+	}
+	preparedSpecs[req.SpecHash] = p
+	preparedOrder = append(preparedOrder, req.SpecHash)
+	return p, nil
 }
 
 // runObjective evaluates with the same panic barrier core.Study uses, so a

@@ -16,15 +16,37 @@ import (
 // daemon cannot execute arbitrary code from the network, so every
 // objective a spec may name must be registered in-process — the same
 // pattern RL serving systems use for environment registries.
+//
+// The returned objective is called repeatedly and from several goroutines
+// at once — by core.Study when Parallelism > 1, and by EvaluateRequest,
+// which builds it once per spec and keeps it for every later trial — so
+// whatever it closes over must be read-only or synchronized.
 type ObjectiveFactory func(spec Spec, metrics []core.Metric) (core.Objective, error)
 
+// maxPreparedSpecs bounds the prepared-spec cache, like the worker's raw
+// spec cache (executor.Server): past that many interleaved specs the
+// evaluator prepares per trial again, which is what it did before the
+// cache existed.
+const maxPreparedSpecs = 64
+
+// objMu guards the registry and, beside it, the prepared-spec cache.
 var (
 	objMu       sync.RWMutex
 	objRegistry = map[string]ObjectiveFactory{}
+	// preparedSpecs holds the prepared form of recently evaluated specs by
+	// content hash, oldest first in preparedOrder. It answers "which CPU
+	// may the evaluator skip"; the worker's raw cache answers "which bytes
+	// may the dispatcher omit", a question the local executor never has.
+	preparedSpecs = map[string]*prepared{}
+	preparedOrder []string
+	// objGen counts registrations, so that a spec prepared against a
+	// registry that changed meanwhile is not filed.
+	objGen int
 )
 
 // RegisterObjective makes an objective available to submitted specs under
-// the given name, replacing any previous registration.
+// the given name, replacing any previous registration. Prepared specs hold
+// the objective their factory built, so all of them are dropped.
 func RegisterObjective(name string, f ObjectiveFactory) {
 	if name == "" || f == nil {
 		panic("studyd: RegisterObjective needs a name and a factory")
@@ -32,6 +54,9 @@ func RegisterObjective(name string, f ObjectiveFactory) {
 	objMu.Lock()
 	defer objMu.Unlock()
 	objRegistry[name] = f
+	objGen++
+	clear(preparedSpecs)
+	preparedOrder = nil
 }
 
 // Objectives lists the registered objective names, sorted.

@@ -34,8 +34,9 @@ const (
 // wrapFor returns the Spec.build objective wrapper that routes each of m's
 // trials through the daemon's executor as a self-contained TrialRequest.
 // The in-process objective Spec.build constructed is deliberately ignored:
-// the executor's EvalFunc (EvaluateRequest here or on a worker) rebuilds
-// it from the dispatched spec, keeping one evaluation path for every mode.
+// the executor's EvalFunc (EvaluateRequest here or on a worker) builds it
+// from the dispatched spec, once per spec hash, keeping one evaluation
+// path for every mode.
 //
 // The wrapper is also the scheduler's observability point: it publishes
 // trial start/done events to the daemon's bus, observes trial latency
@@ -44,10 +45,11 @@ const (
 // it rides alongside the result — the values reported to the Recorder are
 // exactly the executor's, instrumented or not.
 func (d *Daemon) wrapFor(m *ManagedStudy) func(core.Objective) core.Objective {
-	// The spec is immutable for the study's lifetime, so hash it once;
-	// fleet dispatchers use it to ship hash-only requests to workers that
-	// already cached the spec.
-	specHash := executor.SpecHashOf(m.rawSpec)
+	// The spec is immutable for the study's lifetime, so hash it once:
+	// fleet dispatchers use the hash to ship hash-only requests to workers
+	// that already cached the spec, and the evaluator to prepare the spec
+	// once instead of once per trial.
+	specHash := executor.SpecHashOf(m.wireSpec)
 	// Span mode: every trial gets a "trial" span under the study root,
 	// and the executor call carries a scope parented to it so dispatch
 	// attempts (fleet) or the objective span (local) attach underneath.
@@ -70,7 +72,7 @@ func (d *Daemon) wrapFor(m *ManagedStudy) func(core.Objective) core.Objective {
 			req := executor.TrialRequest{
 				StudyID:  m.ID,
 				TrialID:  rec.TrialID(),
-				Spec:     m.rawSpec,
+				Spec:     m.wireSpec,
 				SpecHash: specHash,
 				Params:   params,
 				Seed:     seed,

@@ -130,13 +130,29 @@ func (d *Daemon) handleStudy(h func(http.ResponseWriter, *http.Request, *Managed
 	}
 }
 
+// serveTrials answers {"trials":[...]} with each trial as the journal
+// writes it (journal.AppendRecord, so the body decodes into
+// []journal.Record): the journal's lines joined by commas, with no
+// per-request Record and no reflection.
 func (d *Daemon) serveTrials(w http.ResponseWriter, r *http.Request, m *ManagedStudy) {
-	trials := m.Trials()
-	records := make([]journal.Record, len(trials))
-	for i, t := range trials {
-		records[i] = journal.FromTrial(t)
+	body := []byte(`{"trials":[`)
+	for i, t := range m.Trials() {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		var err error
+		if body, err = journal.AppendRecord(body, t); err != nil {
+			// A NaN or infinite metric: JSON has no spelling for it (the
+			// journal refused the trial too, see Summary.JournalErr).
+			writeErr(w, http.StatusInternalServerError, fmt.Errorf("trial %d: %w", t.ID, err))
+			return
+		}
+		body = body[:len(body)-1] // the record's newline
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"trials": records})
+	body = append(body, "]}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	// A gone client is the only way this write fails.
+	_, _ = w.Write(body)
 }
 
 // terminalStatus reports whether a study's run is over (nothing more will

@@ -51,9 +51,10 @@ type ManagedStudy struct {
 	journalPath string
 	// journalMax caps the active journal segment size (0 = unbounded).
 	journalMax int64
-	// rawSpec is the spec exactly as persisted on disk; trial dispatches
-	// carry it verbatim so every worker rebuilds the identical objective.
-	rawSpec []byte
+	// wireSpec is the persisted spec in the form every trial dispatch
+	// carries it (see wireForm), so every worker rebuilds the identical
+	// objective.
+	wireSpec []byte
 	// journalTimer, when set (by the daemon before run, in span mode),
 	// wraps each trial's journal append so its latency can be recorded as
 	// a causal span. Purely observational: do() runs exactly once either
@@ -371,6 +372,16 @@ func (st *Store) bumpNext(id string) {
 	}
 }
 
+// wireForm returns a persisted spec exactly as encoding/json sends it
+// inside a TrialRequest (a RawMessage is compacted and HTML-escaped on the
+// way out, and that form encodes to itself). Dispatching and hashing this
+// form — not the indented file — is what makes the bytes a worker receives
+// the bytes TrialRequest.SpecHash was taken over, which the worker and the
+// evaluator both check before caching anything under the hash.
+func wireForm(persisted []byte) ([]byte, error) {
+	return json.Marshal(json.RawMessage(persisted))
+}
+
 func (st *Store) load(id string) (*ManagedStudy, error) {
 	raw, err := os.ReadFile(filepath.Join(st.dir, id+".spec.json"))
 	if err != nil {
@@ -383,10 +394,14 @@ func (st *Store) load(id string) (*ManagedStudy, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	wire, err := wireForm(raw)
+	if err != nil {
+		return nil, err
+	}
 	m := &ManagedStudy{
 		ID:          id,
 		Spec:        spec,
-		rawSpec:     raw,
+		wireSpec:    wire,
 		journalPath: st.journalPath(id),
 		journalMax:  st.journalMax,
 		status:      StatusPending,
@@ -447,12 +462,16 @@ func (st *Store) Submit(spec Spec, tenant string) (*ManagedStudy, error) {
 	if err := os.WriteFile(filepath.Join(st.dir, id+".spec.json"), raw, 0o644); err != nil {
 		return nil, err
 	}
+	wire, err := wireForm(raw)
+	if err != nil {
+		return nil, err
+	}
 	m := &ManagedStudy{
 		ID:          id,
 		Spec:        spec,
 		Tenant:      tenant,
 		Daemon:      st.owner,
-		rawSpec:     raw,
+		wireSpec:    wire,
 		journalPath: st.journalPath(id),
 		journalMax:  st.journalMax,
 		status:      StatusPending,
