@@ -12,6 +12,8 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
@@ -30,6 +32,7 @@ import (
 	"rldecide/internal/pareto"
 	"rldecide/internal/report"
 	"rldecide/internal/search"
+	"rldecide/internal/shard"
 	"rldecide/internal/studyd"
 	"rldecide/internal/tensor"
 )
@@ -437,6 +440,59 @@ func BenchmarkLocalStudy300(b *testing.B) {
 		<-m.Done()
 		if m.Status() != studyd.StatusDone || len(m.Trials()) != 300 {
 			b.Fatalf("study %s: %s with %d trials", m.ID, m.Status(), len(m.Trials()))
+		}
+	}
+}
+
+// BenchmarkRouterList2000 is read_mix's GET /studies at the size the list
+// reaches a few seconds into a run: one local-executor daemon holding 2000
+// finished one-trial studies behind a router, both over loopback HTTP.
+func BenchmarkRouterList2000(b *testing.B) {
+	const n = 2000
+	quiet := func(string, ...any) {}
+	d, err := studyd.New(studyd.Config{Dir: b.TempDir(), Name: "d0", Workers: 2, Logf: quiet})
+	if err != nil {
+		b.Fatal(err)
+	}
+	d.Start()
+	defer d.Shutdown(context.Background())
+	for i := 0; i < n; i++ {
+		m, err := d.Submit(benchSphereSpec(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		<-m.Done()
+	}
+	backend := httptest.NewServer(d.Handler())
+	defer backend.Close()
+	rt, err := shard.New(shard.Config{Backends: []shard.Backend{{Name: "d0", URL: backend.URL}}, Logf: quiet})
+	if err != nil {
+		b.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	list := func() []byte {
+		resp, err := http.Get(front.URL + "/studies")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("status %d, %v", resp.StatusCode, err)
+		}
+		return body
+	}
+	want := len(list())
+	if got := bytes.Count(list(), []byte(`"status": "done"`)); got != n {
+		b.Fatalf("%d done studies listed, want %d", got, n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := len(list()); got != want {
+			b.Fatalf("body of %d bytes, want %d", got, want)
 		}
 	}
 }

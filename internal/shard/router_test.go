@@ -189,22 +189,31 @@ func canonicalRecords(t *testing.T, m *studyd.ManagedStudy) []byte {
 	return buf.Bytes()
 }
 
-// mustGet fetches url and returns the body, failing on non-200.
-func mustGet(t *testing.T, url string) []byte {
-	t.Helper()
+// get fetches url and returns the body of a 200 answer.
+func get(url string) ([]byte, error) {
 	resp, err := http.Get(url)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	defer resp.Body.Close()
 	var buf bytes.Buffer
 	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: %d\n%s", url, resp.StatusCode, buf.String())
+		return nil, fmt.Errorf("GET %s: %d\n%s", url, resp.StatusCode, buf.String())
 	}
-	return buf.Bytes()
+	return buf.Bytes(), nil
+}
+
+// mustGet is get on the test's own goroutine.
+func mustGet(t *testing.T, url string) []byte {
+	t.Helper()
+	body, err := get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
 }
 
 // ---- tests -------------------------------------------------------------

@@ -78,11 +78,11 @@ func (d *Daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (d *Daemon) handleList(w http.ResponseWriter, r *http.Request) {
 	studies := d.store.List()
-	out := make([]Summary, len(studies))
+	elems := make([][]byte, len(studies))
 	for i, m := range studies {
-		out[i] = m.Summary()
+		elems[i] = m.listElement()
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"studies": out})
+	daemon.WriteStudyList(w, elems)
 }
 
 func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request, tenant string) {

@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"rldecide/internal/core"
+	"rldecide/internal/daemon"
 	"rldecide/internal/journal"
 )
 
@@ -75,6 +76,18 @@ type ManagedStudy struct {
 	// guarded-by: mu
 	cancel context.CancelFunc
 	done   chan struct{}
+
+	// listed and listElem memoize the study's element of the GET /studies
+	// body: listElem is the indented encoding of listed, good for as long
+	// as the study's summary still equals it — for a finished study, for
+	// ever. The comparison is the whole invalidation; nothing on the trial,
+	// status or adopt paths knows the memo exists. listElem is never
+	// written in place, so a handler may keep reading one after the lock is
+	// released.
+	// guarded-by: mu
+	listed Summary
+	// guarded-by: mu
+	listElem []byte
 }
 
 // Status returns the study's current lifecycle state.
@@ -130,6 +143,24 @@ type Summary struct {
 func (m *ManagedStudy) Summary() Summary {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.summaryLocked()
+}
+
+// listElement returns the study's summary as GET /studies lists it
+// (daemon.StudyListElem), encoding it only if it changed since the last
+// listing. The result is shared and read-only.
+func (m *ManagedStudy) listElement() []byte {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if sum := m.summaryLocked(); m.listElem == nil || sum != m.listed {
+		// A struct of strings and integers always encodes.
+		m.listElem, _ = daemon.StudyListElem(sum)
+		m.listed = sum
+	}
+	return m.listElem
+}
+
+func (m *ManagedStudy) summaryLocked() Summary {
 	explorer := m.Spec.Explorer.Type
 	if explorer == "" {
 		explorer = "random"
