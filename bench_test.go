@@ -420,6 +420,39 @@ func BenchmarkEvaluateRequest(b *testing.B) {
 	}
 }
 
+// BenchmarkDispatch is fleet_sphere's per-trial round trip without the
+// daemon around it: one Fleet dispatching a hash-only sphere trial to one
+// executor.Server over loopback HTTP — request encode, POST /run, request
+// decode, evaluation, result encode and decode. The first dispatch (the one
+// that ships the spec) is before the timer.
+func BenchmarkDispatch(b *testing.B) {
+	raw, err := json.Marshal(benchSphereSpec(300))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ws := httptest.NewServer((&executor.Server{Name: "w1", Eval: studyd.EvaluateRequest}).Handler())
+	defer ws.Close()
+	f := executor.NewFleet(executor.FleetOptions{})
+	if _, err := f.Upsert(executor.WorkerInfo{Name: "w1", URL: ws.URL, Slots: 1}); err != nil {
+		b.Fatal(err)
+	}
+	req := executor.TrialRequest{StudyID: "s0001", TrialID: 1, Spec: raw, SpecHash: executor.SpecHashOf(raw),
+		Params: map[string]string{"x0": "0.3142", "x1": "-2.718"}, Seed: 42}
+	run := func() {
+		res, err := f.Run(context.Background(), req)
+		if err != nil || len(res.Values) != 2 || res.Worker != "w1" {
+			b.Fatalf("%+v, %v", res, err)
+		}
+	}
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req.TrialID = i + 2
+		run()
+	}
+}
+
 // BenchmarkLocalStudy300 is read_mix's write side without the HTTP hop: a
 // 300-trial sphere study submitted to a local-executor daemon and run to
 // done (explorer, executor lease, evaluation, journal append, final rank).

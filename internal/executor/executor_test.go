@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -540,5 +541,147 @@ func TestRegistrarLifecycle(t *testing.T) {
 	}
 	if events[len(events)-1] != "deregister" {
 		t.Fatalf("last event %q, want deregister", events[len(events)-1])
+	}
+}
+
+// TestWorkerAnswersUnencodableResult500: a result encoding/json would
+// refuse (a NaN metric) is a 500 whose error names the trial and the
+// value, and the dispatcher's error carries it — not a 200 with an empty
+// body that reads as a transport fault.
+func TestWorkerAnswersUnencodableResult500(t *testing.T) {
+	_, w := startWorker(t, "nan", 1, func(ctx context.Context, r TrialRequest) (TrialResult, error) {
+		return TrialResult{StudyID: r.StudyID, TrialID: r.TrialID, Values: map[string]float64{"f": math.NaN()}}, nil
+	}, "")
+	status, body := postJSON(t, w.URL+"/run", req(3))
+	msg, _ := body["error"].(string)
+	if status != http.StatusInternalServerError || !strings.Contains(msg, "trial s0001/3") || !strings.Contains(msg, "unsupported value: NaN") {
+		t.Fatalf("NaN result: status %d body %v, want 500 naming the trial and the value", status, body)
+	}
+
+	f := NewFleet(FleetOptions{MaxAttempts: 1, Logf: testLogf(t)})
+	if _, err := f.Upsert(w); err != nil {
+		t.Fatal(err)
+	}
+	_, err := f.Run(context.Background(), req(3))
+	if err == nil || !strings.Contains(err.Error(), "answered 500") || !strings.Contains(err.Error(), "unsupported value: NaN") {
+		t.Fatalf("dispatch of a NaN result: %v, want the worker's 500 and its reason", err)
+	}
+}
+
+// TestFleetSlotsSurviveReadmissionMidTrial: a worker dropped and re-admitted
+// while one of its trials is in flight is a fresh record; that trial's
+// settle must not release a slot of the fresh record, or the fleet
+// over-subscribes the worker from then on.
+func TestFleetSlotsSurviveReadmissionMidTrial(t *testing.T) {
+	started := make(chan int, 8)
+	gates := map[int]chan struct{}{1: make(chan struct{}), 3: make(chan struct{}), 4: make(chan struct{}), 5: make(chan struct{})}
+	_, w := startWorker(t, "w", 2, func(ctx context.Context, r TrialRequest) (TrialResult, error) {
+		if r.TrialID == 2 {
+			return TrialResult{}, fmt.Errorf("disk on fire")
+		}
+		started <- r.TrialID
+		select {
+		case <-gates[r.TrialID]:
+			return echoEval(ctx, r)
+		case <-ctx.Done():
+			return TrialResult{}, ctx.Err()
+		}
+	}, "")
+	f := NewFleet(FleetOptions{MaxAttempts: 1, Logf: testLogf(t)})
+	if _, err := f.Upsert(w); err != nil {
+		t.Fatal(err)
+	}
+	run := func(id int, errc chan<- error) {
+		_, err := f.Run(context.Background(), req(id))
+		errc <- err
+	}
+
+	errA := make(chan error, 1)
+	go run(1, errA)
+	<-started
+	if _, err := f.Run(context.Background(), req(2)); err == nil {
+		t.Fatal("trial 2 succeeded on a failing eval")
+	}
+	// Trial 2's failure dropped the worker; its heartbeat re-admits it.
+	if fresh, err := f.Upsert(w); err != nil || !fresh {
+		t.Fatalf("re-admission: fresh=%v err=%v", fresh, err)
+	}
+	close(gates[1])
+	if err := <-errA; err != nil {
+		t.Fatalf("trial 1: %v", err)
+	}
+	if s := f.Stats(); s.InUse != 0 || s.Cap != 2 {
+		t.Fatalf("stats after the old lease settled: %+v, want InUse 0 of Cap 2", s)
+	}
+	if ws := f.Workers(); len(ws) != 1 || ws[0].Completed != 0 || ws[0].Failed != 0 {
+		t.Fatalf("the old lease's outcome landed on the fresh record: %+v", ws)
+	}
+
+	// Three trials on two slots: two run, the third waits for a slot.
+	errs := make(chan error, 3)
+	for _, id := range []int{3, 4, 5} {
+		go run(id, errs)
+	}
+	running := map[int]bool{<-started: true, <-started: true}
+	if s := f.Stats(); s.InUse != 2 {
+		t.Fatalf("two trials running, stats %+v", s)
+	}
+	select {
+	case id := <-started:
+		t.Fatalf("trial %d ran beside %v on a 2-slot worker", id, running)
+	case <-time.After(50 * time.Millisecond):
+	}
+	for id := range running {
+		close(gates[id])
+	}
+	third := <-started
+	close(gates[third])
+	for range 3 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := f.Stats(); s.InUse != 0 {
+		t.Fatalf("stats after the last settle: %+v", s)
+	}
+}
+
+// TestWorkerBoundsRequestBody: a request past maxRunBody is a 413, and
+// nothing is evaluated.
+func TestWorkerBoundsRequestBody(t *testing.T) {
+	var calls atomic.Int32
+	_, w := startWorker(t, "bounded", 1, func(ctx context.Context, r TrialRequest) (TrialResult, error) {
+		calls.Add(1)
+		return echoEval(ctx, r)
+	}, "")
+	huge := req(1)
+	huge.Params = map[string]string{"pad": strings.Repeat("x", maxRunBody)}
+	status, body := postJSON(t, w.URL+"/run", huge)
+	if status != http.StatusRequestEntityTooLarge || body["error"] == nil {
+		t.Fatalf("oversized request: status %d body %v, want 413", status, body)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("oversized request was evaluated %d times", n)
+	}
+	if status, _ := postJSON(t, w.URL+"/run", req(2)); status != http.StatusOK {
+		t.Fatalf("request after the oversized one: status %d", status)
+	}
+}
+
+// TestFleetBoundsResultBody: a result past maxRunBody is an
+// infrastructure error, not a result.
+func TestFleetBoundsResultBody(t *testing.T) {
+	huge := `{"study_id":"s0001","trial_id":1,"worker":"` + strings.Repeat("x", maxRunBody) + `"}` + "\n"
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.WriteString(w, huge)
+	}))
+	t.Cleanup(ts.Close)
+	f := NewFleet(FleetOptions{MaxAttempts: 1, Logf: testLogf(t)})
+	if _, err := f.Upsert(WorkerInfo{Name: "chatty", URL: ts.URL, Slots: 1}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.Run(context.Background(), req(1))
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("more than %d bytes", maxRunBody)) {
+		t.Fatalf("oversized result: %+v, %v", res.StudyID, err)
 	}
 }

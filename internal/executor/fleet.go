@@ -240,12 +240,12 @@ func (f *Fleet) Run(ctx context.Context, req TrialRequest) (TrialResult, error) 
 	}
 	backoff := f.opts.Backoff
 	for attempt := 1; ; attempt++ {
-		w, err := f.lease(ctx)
+		rw, w, err := f.lease(ctx)
 		if err != nil {
 			return TrialResult{}, err
 		}
 		send := req
-		if req.SpecHash != "" && f.workerKnowsSpec(w.Name, req.SpecHash) {
+		if req.SpecHash != "" && f.workerKnowsSpec(rw, req.SpecHash) {
 			send.Spec = nil // worker has the spec cached; ship hash-only
 		}
 		f.events.Publish(obs.Event{Kind: obs.KindDispatch, Study: req.StudyID, Trial: req.TrialID, Attempt: attempt, Worker: w.Name})
@@ -259,7 +259,7 @@ func (f *Fleet) Run(ctx context.Context, req TrialRequest) (TrialResult, error) 
 			// forget our assumption and resend with the full spec. Not a
 			// worker fault, so no drop and no attempt consumed.
 			metricSpecCacheMisses.Inc()
-			f.forgetSpec(w.Name, req.SpecHash)
+			f.forgetSpec(rw, req.SpecHash)
 			res, err = f.dispatch(ctx, w, req, trace, parent)
 		}
 		metricDispatches.Inc()
@@ -274,10 +274,10 @@ func (f *Fleet) Run(ctx context.Context, req TrialRequest) (TrialResult, error) 
 			dsp.Finish("ok", "")
 		}
 		f.events.Publish(done)
-		f.settle(w.Name, err == nil)
+		f.settle(rw, err == nil)
 		if err == nil {
 			if req.SpecHash != "" {
-				f.rememberSpec(w.Name, req.SpecHash)
+				f.rememberSpec(rw, req.SpecHash)
 			}
 			// Fold the worker-side spans (run, objective) into our sink so
 			// the owning daemon holds the complete tree.
@@ -289,7 +289,7 @@ func (f *Fleet) Run(ctx context.Context, req TrialRequest) (TrialResult, error) 
 		if ctx.Err() != nil {
 			return TrialResult{}, ctx.Err()
 		}
-		f.drop(w.Name, err)
+		f.drop(rw, err)
 		f.logf("executor: trial %s/%d attempt %d on worker %s failed: %v",
 			req.StudyID, req.TrialID, attempt, w.Name, err)
 		if attempt >= f.opts.MaxAttempts {
@@ -306,8 +306,12 @@ func (f *Fleet) Run(ctx context.Context, req TrialRequest) (TrialResult, error) 
 	}
 }
 
-// lease blocks until a live worker has a free slot, then claims it.
-func (f *Fleet) lease(ctx context.Context) (WorkerInfo, error) {
+// lease blocks until a live worker has a free slot, then claims it. It
+// returns the record it claimed, which settle and drop act on only while
+// that record is still the registered one (a worker dropped and re-admitted
+// mid-trial is a fresh record that owes the old lease nothing), and a copy
+// of the worker's registration to dispatch with.
+func (f *Fleet) lease(ctx context.Context) (*remoteWorker, WorkerInfo, error) {
 	for {
 		f.mu.Lock()
 		f.expireLocked()
@@ -331,23 +335,29 @@ func (f *Fleet) lease(ctx context.Context) (WorkerInfo, error) {
 			pick.dispatched++
 			info := pick.info
 			f.mu.Unlock()
-			return info, nil
+			return pick, info, nil
 		}
 		wait := f.wait
 		f.mu.Unlock()
 		select {
 		case <-wait:
 		case <-ctx.Done():
-			return WorkerInfo{}, ctx.Err()
+			return nil, WorkerInfo{}, ctx.Err()
 		}
 	}
 }
 
+// registeredLocked reports whether w is still the fleet's record for its
+// worker. Callers hold f.mu.
+func (f *Fleet) registeredLocked(w *remoteWorker) bool {
+	return f.workers[w.info.Name] == w
+}
+
 // settle releases a lease and updates the worker's counters.
-func (f *Fleet) settle(name string, ok bool) {
+func (f *Fleet) settle(w *remoteWorker, ok bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if w, present := f.workers[name]; present {
+	if f.registeredLocked(w) {
 		w.inFlight--
 		if ok {
 			w.completed++
@@ -359,10 +369,11 @@ func (f *Fleet) settle(name string, ok bool) {
 }
 
 // drop removes a faulted worker until its next heartbeat re-admits it.
-func (f *Fleet) drop(name string, cause error) {
+func (f *Fleet) drop(w *remoteWorker, cause error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if _, ok := f.workers[name]; ok {
+	if f.registeredLocked(w) {
+		name := w.info.Name
 		delete(f.workers, name)
 		f.events.Publish(obs.Event{Kind: obs.KindWorkerDown, Worker: name, Status: "dropped", Err: cause.Error()})
 		f.logf("executor: dropping worker %s until its next heartbeat: %v", name, cause)
@@ -391,19 +402,18 @@ func (f *Fleet) wakeLocked() {
 }
 
 // workerKnowsSpec reports whether the worker has confirmed caching hash.
-func (f *Fleet) workerKnowsSpec(name, hash string) bool {
+func (f *Fleet) workerKnowsSpec(w *remoteWorker, hash string) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	w, ok := f.workers[name]
-	return ok && w.specs[hash]
+	return f.registeredLocked(w) && w.specs[hash]
 }
 
 // rememberSpec records that the worker has the spec cached (it accepted a
 // dispatch carrying it, or served a hash-only dispatch).
-func (f *Fleet) rememberSpec(name, hash string) {
+func (f *Fleet) rememberSpec(w *remoteWorker, hash string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if w, ok := f.workers[name]; ok {
+	if f.registeredLocked(w) {
 		if w.specs == nil {
 			w.specs = map[string]bool{}
 		}
@@ -412,12 +422,10 @@ func (f *Fleet) rememberSpec(name, hash string) {
 }
 
 // forgetSpec drops the cached-spec assumption after a worker-side miss.
-func (f *Fleet) forgetSpec(name, hash string) {
+func (f *Fleet) forgetSpec(w *remoteWorker, hash string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if w, ok := f.workers[name]; ok {
-		delete(w.specs, hash)
-	}
+	delete(w.specs, hash)
 }
 
 // errSpecNotCached reports a worker-side spec-cache miss (HTTP 428) on a
@@ -428,7 +436,7 @@ var errSpecNotCached = errors.New("executor: worker is missing the cached spec")
 // non-empty trace propagates the tracing context via the span headers so
 // the worker records (and returns) its side of the tree.
 func (f *Fleet) dispatch(ctx context.Context, w WorkerInfo, req TrialRequest, trace, parent string) (TrialResult, error) {
-	body, err := json.Marshal(req)
+	body, err := appendTrialRequest(make([]byte, 0, 256+len(req.Spec)), req)
 	if err != nil {
 		return TrialResult{}, fmt.Errorf("executor: encoding trial request: %w", err)
 	}
@@ -459,9 +467,18 @@ func (f *Fleet) dispatch(ctx context.Context, w WorkerInfo, req TrialRequest, tr
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return TrialResult{}, fmt.Errorf("executor: worker %s answered %d: %s", w.Name, resp.StatusCode, bytes.TrimSpace(msg))
 	}
+	raw, err := readRunBody(io.LimitReader(resp.Body, maxRunBody+1), resp.ContentLength)
+	if err != nil {
+		return TrialResult{}, fmt.Errorf("executor: reading worker %s result: %w", w.Name, err)
+	}
+	if len(raw) > maxRunBody {
+		return TrialResult{}, fmt.Errorf("executor: worker %s answered a result of more than %d bytes", w.Name, maxRunBody)
+	}
 	var res TrialResult
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		return TrialResult{}, fmt.Errorf("executor: decoding worker %s result: %w", w.Name, err)
+	if !decodeTrialResult(raw, &res) {
+		if err := json.NewDecoder(bytes.NewReader(raw)).Decode(&res); err != nil {
+			return TrialResult{}, fmt.Errorf("executor: decoding worker %s result: %w", w.Name, err)
+		}
 	}
 	if res.TrialID != req.TrialID || res.StudyID != req.StudyID {
 		return TrialResult{}, fmt.Errorf("executor: worker %s answered trial %s/%d for dispatch %s/%d",

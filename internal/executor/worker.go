@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -128,10 +129,22 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req TrialRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
+	body, err := readRunBody(http.MaxBytesReader(w, r.Body, maxRunBody), r.ContentLength)
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, map[string]any{"error": err.Error()})
 		return
+	}
+	var req TrialRequest
+	if !decodeTrialRequest(body, &req) {
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
+			return
+		}
 	}
 	if req.SpecHash != "" {
 		if len(req.Spec) > 0 {
@@ -198,7 +211,21 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	runSpan.Finish(status, res.Error)
 	res.Spans = col.Spans()
 	res.Worker = s.Name
-	writeJSON(w, http.StatusOK, res)
+	// Encode before the status line goes out, so a result encoding/json
+	// would refuse (a NaN or infinite metric) is a 500 that says why, not a
+	// 200 with an empty body.
+	out, err := appendTrialResult(make([]byte, 0, 256), res)
+	if err != nil {
+		err = fmt.Errorf("worker %s: trial %s/%d: encoding result: %w", s.Name, req.StudyID, req.TrialID, err)
+		s.logf("%v", err)
+		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()})
+		return
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(out)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(out) // a failed write is the dispatcher's transport fault
 }
 
 // stopwatch returns the worker's span clock, starting it on first use.
