@@ -9,7 +9,7 @@
 //	               [-exec local|fleet] [-name NAME]
 //	               [-token TOKEN] [-tokens tenant=token:slots,...]
 //	               [-journal-max-bytes N] [-trace-max-bytes N]
-//	               [-drain 30s] [-trace] [-spans] [-analysis]
+//	               [-drain 30s] [-trace] [-analysis]
 //	               [-debug-addr 127.0.0.1:6060]
 //
 // With -exec fleet the daemon executes no trials itself: it dispatches
@@ -25,19 +25,17 @@
 // a daemon="<name>" label (see docs/sharding.md). Leave it empty for the
 // single-daemon layout, which is unchanged.
 //
-// -trace writes a per-trial span stream (trace.jsonl in the state
-// directory) off the daemon's event bus. -spans records per-trial causal
-// span trees with deterministic IDs — propagated to workers via
-// X-Rldecide-Trace headers and served at GET /studies/{id}/spans — so a
-// trial's latency decomposes into queue wait, dispatch RTT, objective
-// wall time, and journal append (see docs/observability.md). -analysis
-// additionally journals
-// the trajectories of locally executed trials (one
-// <id>.trajectories.jsonl per study) for the decision-analysis endpoints
-// and rldecide-analyze; like tracing, it never changes trial results
-// (see docs/analysis.md). -journal-max-bytes and
-// -trace-max-bytes cap journal/trace file sizes, rotating into numbered
-// segments (0 = unbounded). -debug-addr serves the pprof suite and a
+// -trace records per-trial causal span trees with deterministic IDs —
+// propagated to workers via X-Rldecide-Trace headers, served at
+// GET /studies/{id}/spans, and streamed with the daemon's event
+// announcements to trace.jsonl in the state directory — so a trial's
+// latency decomposes into queue wait, dispatch RTT, objective wall time,
+// and journal append (see docs/observability.md). -analysis journals the
+// trajectories of locally executed trials (one <id>.trajectories.jsonl
+// per study) for the decision-analysis endpoints and rldecide-analyze;
+// like tracing, it never changes trial results (see docs/analysis.md).
+// -journal-max-bytes and -trace-max-bytes cap journal/trace file sizes,
+// rotating into numbered segments (0 = unbounded). -debug-addr serves the pprof suite and a
 // /metrics exposition on a second listener, kept separate so profiling
 // endpoints never share the public address (see docs/observability.md).
 //
@@ -58,7 +56,7 @@
 //	GET  /studies/{id}         one study's summary
 //	GET  /studies/{id}/trials  finished trials so far
 //	GET  /studies/{id}/front   current Pareto ranking
-//	GET  /studies/{id}/spans   per-trial causal span tree (see -spans)
+//	GET  /studies/{id}/spans   per-trial causal span tree (see -trace)
 //	GET  /studies/{id}/analysis/{kind}
 //	                           decision-analysis report (traces |
 //	                           attribution | counterfactuals)
@@ -92,8 +90,7 @@ func main() {
 		journalMax = flag.Int64("journal-max-bytes", 0, "rotate trial journals into segments past this size (0 = unbounded)")
 		traceMax   = flag.Int64("trace-max-bytes", 0, "rotate the trace stream past this size (0 = unbounded)")
 		drain      = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline")
-		trace      = flag.Bool("trace", false, "write a per-trial trace stream (trace.jsonl) to the state directory")
-		spans      = flag.Bool("spans", false, "record per-trial causal span trees (served at /studies/{id}/spans)")
+		trace      = flag.Bool("trace", false, "record per-trial causal span trees (served at /studies/{id}/spans, streamed to trace.jsonl)")
 		analyze    = flag.Bool("analysis", false, "journal trial trajectories for the decision-analysis endpoints")
 		debugAddr  = flag.String("debug-addr", "", "optional second listener for pprof + /metrics (e.g. 127.0.0.1:6060)")
 	)
@@ -112,7 +109,6 @@ func main() {
 		Token:           *token,
 		Auth:            daemon.NewAuth(*token, tenants),
 		Trace:           *trace,
-		Spans:           *spans,
 		Analysis:        *analyze,
 		JournalMaxBytes: *journalMax,
 		TraceMaxBytes:   *traceMax,

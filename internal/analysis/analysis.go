@@ -5,8 +5,9 @@
 // result path (they only ever read):
 //
 //   - Trace analysis (AnalyzeTrace): per-trial and per-worker span
-//     latency summaries (p50/p90/p99) from the observability trace
-//     stream, with straggler flagging (trials slower than k·p50).
+//     latency summaries (p50/p90/p99) and critical paths from the causal
+//     spans on the trace stream, with straggler flagging (trials slower
+//     than k·p50).
 //   - Trajectory attribution (AnalyzeAttribution): cluster-and-ablate
 //     scoring of which recorded trajectories most influenced the final
 //     policy, over fixed-dimension trajectory embeddings.
@@ -23,7 +24,10 @@
 // HTTP with the same replay guarantees as journals.
 package analysis
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // SpanSummary describes a population of span durations in milliseconds.
 type SpanSummary struct {
@@ -56,12 +60,13 @@ func summarize(durations []float64) SpanSummary {
 	}
 }
 
-// percentile returns the nearest-rank percentile of sorted values.
+// percentile returns the nearest-rank percentile of sorted values: the
+// ceil(q·n)-th smallest.
 func percentile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	idx := int(q*float64(len(sorted)) + 0.5)
+	idx := int(math.Ceil(q * float64(len(sorted))))
 	if idx < 1 {
 		idx = 1
 	}

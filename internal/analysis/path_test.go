@@ -22,26 +22,28 @@ func causal(study string, trial int, name, worker string, durMs float64) obs.Eve
 }
 
 func TestAnalyzeTraceCriticalPath(t *testing.T) {
+	// Spans arrive in publish order: a trial's components finish before
+	// its trial span, its journal append after.
 	var events []obs.Event
 	// Trial 1: fleet-dispatched, objective-dominant.
 	//   trial 100ms ⊃ dispatch 80ms ⊃ objective 60ms; journal 5ms after.
 	events = append(events,
-		causal("s1", 1, obspan.NameTrial, "w1", 100),
 		causal("s1", 1, obspan.NameDispatch, "w1", 80),
 		causal("s1", 1, obspan.NameObjective, "w1", 60),
+		causal("s1", 1, obspan.NameTrial, "w1", 100),
 		causal("s1", 1, obspan.NameJournal, "", 5),
 	)
 	// Trial 2: queue-dominant — long lease wait before a short dispatch.
 	events = append(events,
-		causal("s1", 2, obspan.NameTrial, "w2", 100),
 		causal("s1", 2, obspan.NameDispatch, "w2", 20),
 		causal("s1", 2, obspan.NameObjective, "w2", 10),
+		causal("s1", 2, obspan.NameTrial, "w2", 100),
 		causal("s1", 2, obspan.NameJournal, "", 1),
 	)
 	// Trial 3: local execution — no dispatch span at all.
 	events = append(events,
-		causal("s1", 3, obspan.NameTrial, "local", 50),
 		causal("s1", 3, obspan.NameObjective, "", 45),
+		causal("s1", 3, obspan.NameTrial, "local", 50),
 		causal("s1", 3, obspan.NameJournal, "", 2),
 	)
 	// Study/place/run spans must not create breakdown rows; nor must a
@@ -92,16 +94,14 @@ func TestAnalyzeTraceCriticalPath(t *testing.T) {
 // the straggler list: a flagged trial names its dominant component.
 func TestStragglerDominantAttribution(t *testing.T) {
 	var events []obs.Event
-	// Four trials via start/done pairs; trial 4 is the 10x straggler.
-	events = append(events, span("s1", 1, "a", 0, 10)...)
-	events = append(events, span("s1", 2, "a", 5, 10)...)
-	events = append(events, span("s1", 3, "b", 10, 12)...)
-	events = append(events, span("s1", 4, "b", 15, 100)...)
-	// Causal spans for the straggler: nearly all of it was queue wait.
+	events = append(events, trialSpans("s1", 1, "a", 10)...)
+	events = append(events, trialSpans("s1", 2, "a", 10)...)
+	events = append(events, trialSpans("s1", 3, "b", 12)...)
+	// Trial 4 is the 10x straggler, and nearly all of it was queue wait.
 	events = append(events,
-		causal("s1", 4, obspan.NameTrial, "b", 100),
 		causal("s1", 4, obspan.NameDispatch, "b", 15),
 		causal("s1", 4, obspan.NameObjective, "b", 12),
+		causal("s1", 4, obspan.NameTrial, "b", 100),
 		causal("s1", 4, obspan.NameJournal, "", 1),
 	)
 
@@ -112,10 +112,16 @@ func TestStragglerDominantAttribution(t *testing.T) {
 	if got := rep.Stragglers[0].Dominant; got != "queue" {
 		t.Fatalf("straggler dominant = %q, want queue", got)
 	}
-	// Without span events the field stays empty (old streams parse as
-	// before).
-	rep = AnalyzeTrace(events[:8], TraceOptions{})
-	if len(rep.Stragglers) != 1 || rep.Stragglers[0].Dominant != "" {
-		t.Fatalf("spanless straggler = %+v", rep.Stragglers)
+
+	// A stream of announcements alone (a trace recorded without spans)
+	// times nothing.
+	var announced []obs.Event
+	for i := 1; i <= 4; i++ {
+		announced = append(announced,
+			obs.Event{Kind: obs.KindTrialStart, Study: "s1", Trial: i},
+			obs.Event{TMs: float64(10 * i), Kind: obs.KindTrialDone, Study: "s1", Trial: i, Status: "ok"})
+	}
+	if rep := AnalyzeTrace(announced, TraceOptions{}); rep.Trials.Count != 0 || rep.Events != 8 {
+		t.Fatalf("spanless stream = %+v, want 8 events and no trials", rep)
 	}
 }

@@ -31,9 +31,8 @@ type Straggler struct {
 	// Ratio is DurationMs over the population p50.
 	Ratio float64 `json:"ratio"`
 	// Dominant names the critical-path component ("queue", "dispatch",
-	// "objective", "journal") that took the largest share of the trial —
-	// set when the stream carries causal span events (daemon -spans), so
-	// a straggler is attributed, not just flagged.
+	// "objective", "journal") that took the largest share of the trial,
+	// so a straggler is attributed, not just flagged.
 	Dominant string `json:"dominant,omitempty"`
 }
 
@@ -72,61 +71,47 @@ type TraceReport struct {
 	Workers    []WorkerSummary `json:"workers,omitempty"`
 	StragglerK float64         `json:"straggler_k"`
 	Stragglers []Straggler     `json:"stragglers,omitempty"`
-	// CriticalPath decomposes each trial's latency from causal span
-	// events (present only when the stream carries them), sorted by
-	// (study, trial).
+	// CriticalPath decomposes each trial's latency from its causal spans,
+	// sorted by (study, trial).
 	CriticalPath []PathBreakdown `json:"critical_path,omitempty"`
 }
 
-// trialKey identifies one trial span across studies.
+// trialKey identifies one trial across studies.
 type trialKey struct {
 	study string
 	trial int
 }
 
-// dispatchKey identifies one dispatch attempt.
-type dispatchKey struct {
-	study   string
-	trial   int
-	attempt int
+// trialRun is one execution of a trial: its trial span plus the component
+// spans under it. Durations are summed per component so a retried
+// dispatch counts every attempt.
+type trialRun struct {
+	worker      string
+	trialMs     float64
+	dispatchMs  float64
+	objectiveMs float64
+	journalMs   float64
 }
 
-// AnalyzeTrace summarizes a trace stream: trial spans (trial_start →
-// trial_done), dispatch spans (dispatch → dispatch_done), per-worker
-// latency distributions, and stragglers. Durations come from the bus's
-// monotonic t_ms stamps; unmatched starts (trials still running, or cut
-// off by a torn tail) are simply not counted.
+// AnalyzeTrace summarizes the causal span events (kind "span") of a trace
+// stream: trial durations from "trial" spans, one dispatch duration per
+// "dispatch" span (every attempt), per-worker latency distributions,
+// each trial's critical path, and stragglers. A span is emitted only once
+// it has finished, so a trial still running — or cut off by a torn tail —
+// is simply not counted. A trial executed more than once (dropped, then
+// re-run on resume) is reported by its latest run.
 func AnalyzeTrace(events []obs.Event, opts TraceOptions) TraceReport {
 	if opts.StragglerK <= 0 {
 		opts.StragglerK = 3
 	}
 	rep := TraceReport{Study: opts.Study, StragglerK: opts.StragglerK}
 
-	type span struct {
-		start  float64
-		end    float64
-		worker string
-		closed bool
-	}
-	trials := map[trialKey]*span{}
-	dispatches := map[dispatchKey]*span{}
 	studies := map[string]bool{}
-	var trialOrder []trialKey
-
-	// Causal span accumulation (present only when a daemon ran with
-	// -spans). Durations are summed per component so retried dispatches
-	// count every attempt.
-	type pathAcc struct {
-		worker      string
-		hasTrial    bool
-		trialMs     float64
-		dispatchMs  float64
-		objectiveMs float64
-		journalMs   float64
-	}
-	paths := map[trialKey]*pathAcc{}
-	var pathOrder []trialKey
-
+	// A trial's component spans finish before its trial span, which then
+	// claims them; its journal span follows and lands on the claimed run.
+	pending := map[trialKey]trialRun{}
+	runs := map[trialKey]*trialRun{}
+	var dispatchDur []float64
 	for _, ev := range events {
 		if opts.Study != "" && ev.Study != opts.Study {
 			continue
@@ -135,55 +120,32 @@ func AnalyzeTrace(events []obs.Event, opts TraceOptions) TraceReport {
 		if ev.Study != "" {
 			studies[ev.Study] = true
 		}
-		switch ev.Kind {
-		case obs.KindTrialStart:
-			k := trialKey{ev.Study, ev.Trial}
-			if _, ok := trials[k]; !ok {
-				trialOrder = append(trialOrder, k)
+		if ev.Kind != obs.KindSpan {
+			continue
+		}
+		k := trialKey{ev.Study, ev.Trial}
+		p := pending[k]
+		switch ev.Name {
+		case obspan.NameDispatch:
+			dispatchDur = append(dispatchDur, ev.DurMs)
+			p.dispatchMs += ev.DurMs
+			if p.worker == "" {
+				p.worker = ev.Worker
 			}
-			trials[k] = &span{start: ev.TMs}
-		case obs.KindTrialDone:
-			if s, ok := trials[trialKey{ev.Study, ev.Trial}]; ok && !s.closed {
-				s.end = ev.TMs
-				s.worker = ev.Worker
-				s.closed = true
+			pending[k] = p
+		case obspan.NameObjective:
+			p.objectiveMs += ev.DurMs
+			pending[k] = p
+		case obspan.NameTrial:
+			p.trialMs = ev.DurMs
+			if ev.Worker != "" {
+				p.worker = ev.Worker
 			}
-		case obs.KindDispatch:
-			dispatches[dispatchKey{ev.Study, ev.Trial, ev.Attempt}] = &span{start: ev.TMs}
-		case obs.KindDispatchEnd:
-			if s, ok := dispatches[dispatchKey{ev.Study, ev.Trial, ev.Attempt}]; ok && !s.closed {
-				s.end = ev.TMs
-				s.closed = true
-			}
-		case obs.KindSpan:
-			switch ev.Name {
-			case obspan.NameTrial, obspan.NameDispatch, obspan.NameObjective, obspan.NameJournal:
-			default:
-				continue // study/place/run spans are not per-trial components
-			}
-			k := trialKey{ev.Study, ev.Trial}
-			acc, ok := paths[k]
-			if !ok {
-				acc = &pathAcc{}
-				paths[k] = acc
-				pathOrder = append(pathOrder, k)
-			}
-			switch ev.Name {
-			case obspan.NameTrial:
-				acc.hasTrial = true
-				acc.trialMs += ev.DurMs
-				if ev.Worker != "" {
-					acc.worker = ev.Worker
-				}
-			case obspan.NameDispatch:
-				acc.dispatchMs += ev.DurMs
-				if acc.worker == "" {
-					acc.worker = ev.Worker
-				}
-			case obspan.NameObjective:
-				acc.objectiveMs += ev.DurMs
-			case obspan.NameJournal:
-				acc.journalMs += ev.DurMs
+			runs[k] = &p
+			delete(pending, k)
+		case obspan.NameJournal:
+			if r := runs[k]; r != nil {
+				r.journalMs += ev.DurMs
 			}
 		}
 	}
@@ -195,30 +157,12 @@ func AnalyzeTrace(events []obs.Event, opts TraceOptions) TraceReport {
 
 	var trialDur []float64
 	byWorker := map[string][]float64{}
-	type closedTrial struct {
-		key    trialKey
-		worker string
-		dur    float64
-	}
-	var closed []closedTrial
-	for _, k := range trialOrder {
-		s := trials[k]
-		if !s.closed {
-			continue
-		}
-		d := s.end - s.start
-		trialDur = append(trialDur, d)
-		byWorker[s.worker] = append(byWorker[s.worker], d)
-		closed = append(closed, closedTrial{key: k, worker: s.worker, dur: d})
+	for k, r := range runs {
+		trialDur = append(trialDur, r.trialMs)
+		byWorker[r.worker] = append(byWorker[r.worker], r.trialMs)
+		rep.CriticalPath = append(rep.CriticalPath, breakdown(k, r))
 	}
 	rep.Trials = summarize(trialDur)
-
-	var dispatchDur []float64
-	for _, s := range dispatches {
-		if s.closed {
-			dispatchDur = append(dispatchDur, s.end-s.start)
-		}
-	}
 	rep.Dispatches = summarize(dispatchDur)
 
 	workers := make([]string, 0, len(byWorker))
@@ -230,49 +174,6 @@ func AnalyzeTrace(events []obs.Event, opts TraceOptions) TraceReport {
 		rep.Workers = append(rep.Workers, WorkerSummary{Worker: w, Trials: summarize(byWorker[w])})
 	}
 
-	// Critical path: decompose each spanned trial. The trial span covers
-	// queue wait plus dispatch (or local objective) work; the journal
-	// append happens after the trial wrapper returns, so it adds on top.
-	dominant := map[trialKey]string{}
-	for _, k := range pathOrder {
-		acc := paths[k]
-		if !acc.hasTrial {
-			continue // incomplete tree (trial still running, torn tail)
-		}
-		clamp := func(v float64) float64 {
-			if v < 0 {
-				return 0
-			}
-			return v
-		}
-		pb := PathBreakdown{
-			Study:       k.study,
-			Trial:       k.trial,
-			Worker:      acc.worker,
-			TotalMs:     acc.trialMs + acc.journalMs,
-			ObjectiveMs: acc.objectiveMs,
-			JournalMs:   acc.journalMs,
-		}
-		if acc.dispatchMs > 0 {
-			pb.DispatchMs = clamp(acc.dispatchMs - acc.objectiveMs)
-			pb.QueueMs = clamp(acc.trialMs - acc.dispatchMs)
-		} else {
-			pb.QueueMs = clamp(acc.trialMs - acc.objectiveMs)
-		}
-		// Fixed evaluation order + strict-greater keeps ties deterministic.
-		pb.Dominant = "queue"
-		best := pb.QueueMs
-		for _, c := range []struct {
-			name string
-			ms   float64
-		}{{"dispatch", pb.DispatchMs}, {"objective", pb.ObjectiveMs}, {"journal", pb.JournalMs}} {
-			if c.ms > best {
-				pb.Dominant, best = c.name, c.ms
-			}
-		}
-		dominant[k] = pb.Dominant
-		rep.CriticalPath = append(rep.CriticalPath, pb)
-	}
 	sort.Slice(rep.CriticalPath, func(i, j int) bool {
 		a, b := rep.CriticalPath[i], rep.CriticalPath[j]
 		if a.Study != b.Study {
@@ -282,33 +183,63 @@ func AnalyzeTrace(events []obs.Event, opts TraceOptions) TraceReport {
 	})
 
 	// Straggler flagging needs a meaningful p50: require a few trials.
-	if len(closed) >= 4 && rep.Trials.P50Ms > 0 {
+	if len(runs) >= 4 && rep.Trials.P50Ms > 0 {
 		cut := opts.StragglerK * rep.Trials.P50Ms
-		for _, c := range closed {
-			if c.dur > cut {
+		for _, pb := range rep.CriticalPath {
+			d := runs[trialKey{pb.Study, pb.Trial}].trialMs
+			if d > cut {
 				rep.Stragglers = append(rep.Stragglers, Straggler{
-					Study:      c.key.study,
-					Trial:      c.key.trial,
-					Worker:     c.worker,
-					DurationMs: c.dur,
-					Ratio:      c.dur / rep.Trials.P50Ms,
-					Dominant:   dominant[c.key],
+					Study:      pb.Study,
+					Trial:      pb.Trial,
+					Worker:     pb.Worker,
+					DurationMs: d,
+					Ratio:      d / rep.Trials.P50Ms,
+					Dominant:   pb.Dominant,
 				})
 			}
 		}
-		sort.Slice(rep.Stragglers, func(i, j int) bool {
-			a, b := rep.Stragglers[i], rep.Stragglers[j]
-			if a.Ratio > b.Ratio {
-				return true
-			}
-			if a.Ratio < b.Ratio {
-				return false
-			}
-			if a.Study != b.Study {
-				return a.Study < b.Study
-			}
-			return a.Trial < b.Trial
+		// CriticalPath order already breaks ratio ties by (study, trial).
+		sort.SliceStable(rep.Stragglers, func(i, j int) bool {
+			return rep.Stragglers[i].Ratio > rep.Stragglers[j].Ratio
 		})
 	}
 	return rep
+}
+
+// breakdown decomposes one trial run. The trial span covers queue wait
+// plus dispatch (or local objective) work; the journal append happens
+// after the trial wrapper returns, so it adds on top.
+func breakdown(k trialKey, r *trialRun) PathBreakdown {
+	clamp := func(v float64) float64 {
+		if v < 0 {
+			return 0
+		}
+		return v
+	}
+	pb := PathBreakdown{
+		Study:       k.study,
+		Trial:       k.trial,
+		Worker:      r.worker,
+		TotalMs:     r.trialMs + r.journalMs,
+		ObjectiveMs: r.objectiveMs,
+		JournalMs:   r.journalMs,
+	}
+	if r.dispatchMs > 0 {
+		pb.DispatchMs = clamp(r.dispatchMs - r.objectiveMs)
+		pb.QueueMs = clamp(r.trialMs - r.dispatchMs)
+	} else {
+		pb.QueueMs = clamp(r.trialMs - r.objectiveMs)
+	}
+	// Fixed evaluation order + strict-greater keeps ties deterministic.
+	pb.Dominant = "queue"
+	best := pb.QueueMs
+	for _, c := range []struct {
+		name string
+		ms   float64
+	}{{"dispatch", pb.DispatchMs}, {"objective", pb.ObjectiveMs}, {"journal", pb.JournalMs}} {
+		if c.ms > best {
+			pb.Dominant, best = c.name, c.ms
+		}
+	}
+	return pb
 }

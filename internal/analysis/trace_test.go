@@ -10,50 +10,82 @@ import (
 
 	"rldecide/internal/journal"
 	"rldecide/internal/obs"
+	obspan "rldecide/internal/obs/span"
 )
 
-// span emits a trial_start/trial_done pair.
-func span(study string, trial int, worker string, start, dur float64) []obs.Event {
+// trialSpans emits one trial's spans as a span-recording daemon publishes
+// them: the dispatch span finishes before the trial span that encloses it.
+func trialSpans(study string, trial int, worker string, dur float64) []obs.Event {
 	return []obs.Event{
-		{TMs: start, Kind: obs.KindTrialStart, Study: study, Trial: trial},
-		{TMs: start + dur, Kind: obs.KindTrialDone, Study: study, Trial: trial, Worker: worker, Status: "ok"},
+		causal(study, trial, obspan.NameDispatch, worker, dur/2),
+		causal(study, trial, obspan.NameTrial, worker, dur),
 	}
 }
 
 func TestAnalyzeTrace(t *testing.T) {
 	var events []obs.Event
 	// Four normal trials and one straggler (10x the p50) on worker b.
-	events = append(events, span("s1", 1, "a", 0, 10)...)
-	events = append(events, span("s1", 2, "a", 5, 10)...)
-	events = append(events, span("s1", 3, "b", 10, 12)...)
-	events = append(events, span("s1", 4, "b", 15, 100)...)
-	events = append(events, span("s2", 1, "a", 0, 10)...) // other study
+	events = append(events, trialSpans("s1", 1, "a", 10)...)
+	events = append(events, trialSpans("s1", 2, "a", 10)...)
+	events = append(events, trialSpans("s1", 3, "b", 12)...)
+	events = append(events, trialSpans("s1", 4, "b", 100)...)
+	events = append(events, trialSpans("s2", 1, "a", 10)...) // other study
+	// A retried trial: the attempt on a fails, the one on b succeeds —
+	// one trial, two dispatches.
+	retried := causal("s1", 5, obspan.NameDispatch, "a", 3)
+	retried.Status, retried.Err = "error", "connection reset"
+	events = append(events, retried,
+		causal("s1", 5, obspan.NameDispatch, "b", 4),
+		causal("s1", 5, obspan.NameTrial, "b", 11),
+	)
+	// A trial dropped by a shutdown and re-run on resume: only the re-run
+	// counts, so the dropped run's 500ms neither skews the population nor
+	// raises a straggler.
+	dropped := causal("s1", 6, obspan.NameTrial, "", 500)
+	dropped.Status = "dropped"
 	events = append(events,
-		obs.Event{TMs: 0, Kind: obs.KindDispatch, Study: "s1", Trial: 1, Attempt: 1},
-		obs.Event{TMs: 4, Kind: obs.KindDispatchEnd, Study: "s1", Trial: 1, Attempt: 1},
-		// Unmatched start: a trial still running must not be counted.
-		obs.Event{TMs: 50, Kind: obs.KindTrialStart, Study: "s1", Trial: 5},
+		causal("s1", 6, obspan.NameDispatch, "a", 490),
+		dropped,
+		causal("s1", 6, obspan.NameDispatch, "b", 5),
+		causal("s1", 6, obspan.NameTrial, "b", 10),
+		causal("s1", 6, obspan.NameJournal, "", 1),
+	)
+	events = append(events,
+		// Still running: its dispatch finished, its trial span has not.
+		causal("s1", 7, obspan.NameDispatch, "a", 2),
+		// Announcements time nothing.
+		obs.Event{TMs: 0, Kind: obs.KindTrialStart, Study: "s1", Trial: 8},
+		obs.Event{TMs: 40, Kind: obs.KindTrialDone, Study: "s1", Trial: 8, Worker: "a", Status: "ok"},
 	)
 
 	rep := AnalyzeTrace(events, TraceOptions{Study: "s1"})
-	if rep.Trials.Count != 4 {
-		t.Fatalf("closed trials = %d, want 4", rep.Trials.Count)
+	if rep.Trials.Count != 6 {
+		t.Fatalf("trials = %d, want 6", rep.Trials.Count)
 	}
-	if rep.Dispatches.Count != 1 {
-		t.Fatalf("closed dispatches = %d, want 1", rep.Dispatches.Count)
+	if rep.Dispatches.Count != 9 {
+		t.Fatalf("dispatches = %d, want 9 (every attempt)", rep.Dispatches.Count)
 	}
 	if len(rep.Workers) != 2 || rep.Workers[0].Worker != "a" || rep.Workers[1].Worker != "b" {
 		t.Fatalf("workers = %+v, want sorted a, b", rep.Workers)
 	}
-	if rep.Workers[0].Trials.Count != 2 {
-		t.Fatalf("worker a trials = %d, want 2", rep.Workers[0].Trials.Count)
+	if rep.Workers[0].Trials.Count != 2 || rep.Workers[1].Trials.Count != 4 {
+		t.Fatalf("per-worker trials = %+v, want a:2 b:4", rep.Workers)
 	}
 	if len(rep.Stragglers) != 1 {
 		t.Fatalf("stragglers = %+v, want exactly trial 4", rep.Stragglers)
 	}
 	s := rep.Stragglers[0]
-	if s.Trial != 4 || s.Worker != "b" || s.Ratio < 9 {
+	if s.Trial != 4 || s.Worker != "b" || s.Ratio < 9 || s.Dominant == "" {
 		t.Fatalf("straggler = %+v", s)
+	}
+	if len(rep.CriticalPath) != 6 {
+		t.Fatalf("critical path rows = %d, want 6", len(rep.CriticalPath))
+	}
+	if p := rep.CriticalPath[4]; p.Trial != 5 || p.Worker != "b" || p.DispatchMs != 7 || p.QueueMs != 4 {
+		t.Fatalf("retried trial row = %+v, want both attempts in dispatch", p)
+	}
+	if p := rep.CriticalPath[5]; p.Trial != 6 || p.Worker != "b" || p.TotalMs != 11 || p.DispatchMs != 5 {
+		t.Fatalf("re-run trial row = %+v, want the re-run alone", p)
 	}
 	if len(rep.Studies) != 1 || rep.Studies[0] != "s1" {
 		t.Fatalf("studies = %v, want [s1]", rep.Studies)
@@ -98,7 +130,7 @@ func TestReadTraceRotatedAndTorn(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		sealed0 = append(sealed0, obs.Event{Seq: uint64(i), Kind: obs.KindTrialStart, Study: "s1", Trial: i})
 		sealed1 = append(sealed1, obs.Event{Seq: uint64(10 + i), Kind: obs.KindTrialDone, Study: "s1", Trial: i})
-		live = append(live, obs.Event{Seq: uint64(20 + i), Kind: obs.KindDispatch, Study: "s1", Trial: i})
+		live = append(live, obs.Event{Seq: uint64(20 + i), Kind: obs.KindSpan, Name: obspan.NameTrial, Study: "s1", Trial: i})
 	}
 	// Segment files as obs.OpenTracerRotating seals them: <base>-<n>.<ext>.
 	writeLines(t, filepath.Join(dir, "trace-0.jsonl"), sealed0, "")
@@ -158,6 +190,17 @@ func TestSummarizePercentiles(t *testing.T) {
 	empty := summarize(nil)
 	if empty.Count != 0 {
 		t.Fatalf("empty summary = %+v", empty)
+	}
+	// Nearest rank is the ceil(q·n)-th value: p90 of 7 samples is the 7th,
+	// of 9 samples the 9th.
+	for _, n := range []int{7, 9} {
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = float64(i + 1)
+		}
+		if s := summarize(vals); s.P90Ms != float64(n) || s.P50Ms != float64((n+1)/2) {
+			t.Fatalf("n=%d summary = %+v, want p50 %d and p90 %d", n, s, (n+1)/2, n)
+		}
 	}
 	one := summarize([]float64{7})
 	if one.P50Ms != 7 || one.P99Ms != 7 || one.MeanMs != 7 {

@@ -77,9 +77,10 @@ type FleetOptions struct {
 	// Clock is the wall-clock seam used to age heartbeats; inject a fake
 	// stopwatch in tests (default power.StartStopwatch()).
 	Clock *power.Stopwatch
-	// Events, when set, receives dispatch and worker lifecycle events
-	// (obs.KindDispatch/KindDispatchEnd/KindWorkerUp/KindWorkerDown).
-	// Publication is non-blocking and purely observational.
+	// Events, when set, receives worker lifecycle announcements
+	// (obs.KindWorkerUp/KindWorkerDown). Dispatch attempts are timed by
+	// "dispatch" spans on the ambient tracing scope instead. Publication
+	// is non-blocking and purely observational.
 	Events *obs.Bus
 	// Logf receives operational log lines (default: discard).
 	Logf func(format string, args ...any)
@@ -248,7 +249,6 @@ func (f *Fleet) Run(ctx context.Context, req TrialRequest) (TrialResult, error) 
 		if req.SpecHash != "" && f.workerKnowsSpec(rw, req.SpecHash) {
 			send.Spec = nil // worker has the spec cached; ship hash-only
 		}
-		f.events.Publish(obs.Event{Kind: obs.KindDispatch, Study: req.StudyID, Trial: req.TrialID, Attempt: attempt, Worker: w.Name})
 		dsp := sc.Start(span.NameDispatch, attempt)
 		dsp.SetWorker(w.Name)
 		parent := dsp.ID()
@@ -264,16 +264,12 @@ func (f *Fleet) Run(ctx context.Context, req TrialRequest) (TrialResult, error) 
 		}
 		metricDispatches.Inc()
 		metricDispatchSeconds.Observe((f.clock.Elapsed() - start).Seconds())
-		done := obs.Event{Kind: obs.KindDispatchEnd, Study: req.StudyID, Trial: req.TrialID, Attempt: attempt, Worker: w.Name, Status: "ok"}
 		if err != nil {
 			metricDispatchFailures.Inc()
-			done.Status = "error"
-			done.Err = err.Error()
 			dsp.Finish("error", err.Error())
 		} else {
 			dsp.Finish("ok", "")
 		}
-		f.events.Publish(done)
 		f.settle(rw, err == nil)
 		if err == nil {
 			if req.SpecHash != "" {

@@ -5,21 +5,20 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"rldecide/internal/obs/span"
 	"rldecide/internal/power"
 )
 
-// Event kinds emitted by the instrumented stack. Kinds form the span
-// hierarchy study → trial → attempt → dispatch; worker attribution rides
-// on the attempt/dispatch events.
+// Event kinds emitted by the instrumented stack. Every kind but KindSpan
+// is an announcement — something happened — for live consumers (SSE
+// clients, the tracer); timing comes from KindSpan events alone.
 const (
-	KindStudyStart  = "study_start"
-	KindStudyDone   = "study_done"
-	KindTrialStart  = "trial_start"
-	KindTrialDone   = "trial_done"
-	KindDispatch    = "dispatch"
-	KindDispatchEnd = "dispatch_done"
-	KindWorkerUp    = "worker_up"
-	KindWorkerDown  = "worker_down"
+	KindStudyStart = "study_start"
+	KindStudyDone  = "study_done"
+	KindTrialStart = "trial_start"
+	KindTrialDone  = "trial_done"
+	KindWorkerUp   = "worker_up"
+	KindWorkerDown = "worker_down"
 
 	// Control-plane kinds (router + sharded daemons): study placement
 	// onto a backend, ownership handoff after a backend death, and the
@@ -59,6 +58,25 @@ type Event struct {
 	Span   string  `json:"span,omitempty"`
 	Parent string  `json:"parent,omitempty"`
 	DurMs  float64 `json:"dur_ms,omitempty"`
+}
+
+// SpanEvent converts a finished causal span into its KindSpan event.
+func SpanEvent(sp span.Span) Event {
+	return Event{
+		Kind:    KindSpan,
+		Study:   sp.Study,
+		Trial:   sp.Trial,
+		Attempt: sp.Attempt,
+		Worker:  sp.Worker,
+		Daemon:  sp.Daemon,
+		Status:  sp.Status,
+		Err:     sp.Err,
+		Name:    sp.Name,
+		Trace:   sp.Trace,
+		Span:    sp.ID,
+		Parent:  sp.Parent,
+		DurMs:   sp.DurMs,
+	}
 }
 
 // Subscription is one consumer's buffered view of the bus. Events the

@@ -28,8 +28,8 @@ type rotatingFile struct {
 	n int64
 }
 
-// openRotating opens (truncating, matching OpenTracer) the rotating file
-// at path. maxBytes <= 0 disables rotation.
+// openRotating opens (truncating) the rotating file at path. maxBytes <= 0
+// disables rotation.
 func openRotating(path string, maxBytes int64) (*rotatingFile, error) {
 	f, err := os.Create(path)
 	if err != nil {
@@ -133,9 +133,10 @@ func TraceFiles(path string) ([]string, error) {
 	return out, nil
 }
 
-// OpenTracerRotating is OpenTracer with size-capped rotation: the trace
-// stream rolls to <base>-<n>.jsonl segments so long-lived campaigns are
-// bounded on disk. maxBytes <= 0 behaves exactly like OpenTracer.
+// OpenTracerRotating creates (truncating) the JSONL trace file at path
+// and returns a tracer streaming to it. With maxBytes > 0 the stream
+// rolls to <base>-<n>.jsonl segments so long-lived campaigns are bounded
+// on disk; maxBytes <= 0 keeps one unbounded file.
 func OpenTracerRotating(bus *Bus, path string, maxBytes int64) (*Tracer, error) {
 	rf, err := openRotating(path, maxBytes)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
-	"os"
 	"sync"
 )
 
@@ -45,22 +44,6 @@ func NewTracer(bus *Bus, w io.Writer) *Tracer {
 	}
 	go t.run()
 	return t
-}
-
-// OpenTracer creates (truncating) the JSONL trace file at path and
-// returns a tracer streaming to it.
-func OpenTracer(bus *Bus, path string) (*Tracer, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	t := NewTracer(bus, f)
-	if t == nil {
-		_ = f.Close()
-		return nil, nil
-	}
-	t.file = f
-	return t, nil
 }
 
 // run drains the subscription. The writer flushes whenever the queue
@@ -121,7 +104,7 @@ func (t *Tracer) Dropped() uint64 {
 }
 
 // Close cancels the subscription, waits for the drain goroutine to flush
-// the remaining events, closes the underlying file (if OpenTracer
+// the remaining events, closes the underlying file (if OpenTracerRotating
 // created one), and returns the first write error seen. Nil-safe and
 // idempotent.
 func (t *Tracer) Close() error {

@@ -81,7 +81,7 @@ func TestOpenTracer(t *testing.T) {
 	b := frozenBus()
 	defer b.Close()
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	tr, err := OpenTracer(b, path)
+	tr, err := OpenTracerRotating(b, path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,17 +47,7 @@ func (rt *Router) recordPlaceSpan(study, backend string, startMs float64) {
 	}
 	rt.placeSpans[study] = append(rt.placeSpans[study], sp)
 	rt.spanMu.Unlock()
-	rt.bus.Publish(obs.Event{
-		Kind:   obs.KindSpan,
-		Study:  study,
-		Daemon: backend,
-		Status: sp.Status,
-		Name:   sp.Name,
-		Trace:  sp.Trace,
-		Span:   sp.ID,
-		Parent: sp.Parent,
-		DurMs:  sp.DurMs,
-	})
+	rt.bus.Publish(obs.SpanEvent(sp))
 }
 
 // placeSpansOf returns a copy of the router's recorded spans for a study.

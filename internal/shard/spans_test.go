@@ -28,7 +28,7 @@ type spanTree struct {
 // placement span, daemon-side scheduling spans, and objective spans all
 // share the deterministically derived trace ID.
 func TestRouterSpanTreeMerge(t *testing.T) {
-	d, err := studyd.New(studyd.Config{Dir: t.TempDir(), Name: "alpha", Workers: 4, Spans: true, Logf: testLogf(t)})
+	d, err := studyd.New(studyd.Config{Dir: t.TempDir(), Name: "alpha", Workers: 4, Trace: true, Logf: testLogf(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

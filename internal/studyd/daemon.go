@@ -57,20 +57,15 @@ type Config struct {
 	// Fleet tunes the fleet executor (timeouts, retry, heartbeat TTL).
 	// Token and Logf default to the daemon's own.
 	Fleet executor.FleetOptions
-	// Trace, when set, streams the daemon's event bus to
-	// <Dir>/trace.jsonl — one JSON span event per line (study, trial,
-	// dispatch, worker lifecycle). Purely informational: campaign
-	// journals and fronts are byte-identical with tracing on or off.
-	Trace bool
-	// Spans, when set, records per-trial causal span trees (study →
+	// Trace, when set, records per-trial causal span trees (study →
 	// trial → dispatch → run → objective, plus journal appends) with
 	// deterministic IDs derived from the study/trial/attempt keys,
-	// propagates them to workers via the X-Rldecide-Trace headers, and
-	// serves each study's tree at GET /studies/{id}/spans. Span events
-	// also ride the event bus (so -trace streams them). Like Trace,
-	// provably off the result path: journals and fronts are
-	// byte-identical with spans on or off.
-	Spans bool
+	// propagates them to workers via the X-Rldecide-Trace headers, serves
+	// each study's tree at GET /studies/{id}/spans, and streams the
+	// daemon's event bus — announcements plus one event per finished span
+	// — to <Dir>/trace.jsonl. Purely informational: campaign journals and
+	// fronts are byte-identical with tracing on or off.
+	Trace bool
 	// Analysis, when set, journals the trajectories of locally executed
 	// trials to <Dir>/<id>.trajectories.jsonl (one rl.Episode per line)
 	// for the decision-analysis endpoints. Like Trace, it is provably
@@ -95,7 +90,7 @@ type Daemon struct {
 	// not tracing is enabled) — the trace-analysis endpoint reads it.
 	tracePath string
 
-	// spanClock times spans when Config.Spans is on (nil otherwise —
+	// spanClock times spans when Config.Trace is on (nil otherwise —
 	// span scopes tolerate it, recording zero durations).
 	spanClock *power.Stopwatch
 	spanMu    sync.Mutex
@@ -171,9 +166,6 @@ func New(cfg Config) (*Daemon, error) {
 	d := &Daemon{cfg: cfg, store: store, exec: exec, fleet: fleet, bus: bus, ctx: ctx, cancel: cancel,
 		epWriters: map[string]*analysis.EpisodeWriter{},
 		spanCols:  map[string]*span.Collector{}}
-	if cfg.Spans {
-		d.spanClock = power.StartStopwatch()
-	}
 	d.reg = d.newRegistry()
 	name := "trace.jsonl"
 	if cfg.Name != "" {
@@ -191,6 +183,7 @@ func New(cfg Config) (*Daemon, error) {
 			return nil, fmt.Errorf("studyd: opening trace stream: %w", err)
 		}
 		d.tracer = tracer
+		d.spanClock = power.StartStopwatch()
 	}
 	return d, nil
 }
@@ -313,11 +306,11 @@ func (d *Daemon) episodeSinkFor(id string) rl.EpisodeSink {
 }
 
 func (d *Daemon) launch(m *ManagedStudy) {
-	// In span mode the whole run gets a study root span, and journal
-	// appends are timed under per-trial journal spans (the hook must be
-	// set before run starts consuming it).
+	// Traced, the whole run gets a study root span, and journal appends
+	// are timed under per-trial journal spans (the hook must be set before
+	// run starts consuming it).
 	var root *span.Active
-	if d.cfg.Spans {
+	if d.cfg.Trace {
 		root = d.studyScope(m.ID).Start(span.NameStudy, 0)
 		m.journalTimer = d.journalTimerFor(m.ID)
 	}

@@ -50,7 +50,7 @@ func EvaluateRequest(ctx context.Context, req executor.TrialRequest) (executor.T
 	// wall-clock seam. The measurement is informational — it becomes the
 	// journal's wall_ms field and the trial-latency histogram, never an
 	// input to the result. When the caller's context carries a tracing
-	// scope (Config.Spans on the daemon, or a traced dispatch on a
+	// scope (Config.Trace on the daemon, or a traced dispatch on a
 	// worker), the same window is recorded as an "objective" span.
 	osp := span.FromContext(ctx).Start(span.NameObjective, 0)
 	sw := power.StartStopwatch()

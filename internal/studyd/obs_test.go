@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"rldecide/internal/obs"
+	"rldecide/internal/obs/span"
 )
 
 // TestObsOnOffDeterminism is the observability acceptance cross-check:
@@ -102,9 +103,10 @@ type journalRecord struct {
 }
 
 // TestTraceStreamWrittenAlongsideJournal verifies the Trace flag produces
-// a JSONL span stream in the state directory covering the whole study
-// lifecycle: study start/done bracketing per-trial start/done events, in
-// monotonically increasing sequence order.
+// a JSONL event stream in the state directory covering the whole study
+// lifecycle: study start/done bracketing per-trial announcements and
+// exactly one "trial" span per trial, in monotonically increasing
+// sequence order. Dispatch attempts are spans, never event pairs.
 func TestTraceStreamWrittenAlongsideJournal(t *testing.T) {
 	dir := t.TempDir()
 	d, err := New(Config{Dir: dir, Workers: 2, Trace: true, Logf: testLogf(t)})
@@ -129,6 +131,7 @@ func TestTraceStreamWrittenAlongsideJournal(t *testing.T) {
 	}
 	defer f.Close()
 	counts := map[string]int{}
+	trialSpans := map[int]int{}
 	var lastSeq uint64
 	dec := json.NewDecoder(f)
 	for {
@@ -146,12 +149,26 @@ func TestTraceStreamWrittenAlongsideJournal(t *testing.T) {
 			t.Fatalf("trace event for unknown study: %+v", ev)
 		}
 		counts[ev.Kind]++
+		if ev.Kind == obs.KindSpan && ev.Name == span.NameTrial {
+			trialSpans[ev.Trial]++
+		}
 	}
 	if counts[obs.KindStudyStart] != 1 || counts[obs.KindStudyDone] != 1 {
 		t.Fatalf("study lifecycle events: %v", counts)
 	}
 	if counts[obs.KindTrialStart] != spec.Budget || counts[obs.KindTrialDone] != spec.Budget {
 		t.Fatalf("trial events do not cover the budget: %v", counts)
+	}
+	if counts["dispatch"] != 0 || counts["dispatch_done"] != 0 {
+		t.Fatalf("dispatch event pairs on the trace stream: %v", counts)
+	}
+	if len(trialSpans) != spec.Budget {
+		t.Fatalf("trial spans cover %d of %d trials: %v", len(trialSpans), spec.Budget, trialSpans)
+	}
+	for id, n := range trialSpans {
+		if n != 1 {
+			t.Fatalf("trial %d has %d trial spans, want 1", id, n)
+		}
 	}
 }
 

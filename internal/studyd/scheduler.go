@@ -50,7 +50,7 @@ func (d *Daemon) wrapFor(m *ManagedStudy) func(core.Objective) core.Objective {
 	// that already cached the spec, and the evaluator to prepare the spec
 	// once instead of once per trial.
 	specHash := executor.SpecHashOf(m.wireSpec)
-	// Span mode: every trial gets a "trial" span under the study root,
+	// Traced: every trial gets a "trial" span under the study root,
 	// and the executor call carries a scope parented to it so dispatch
 	// attempts (fleet) or the objective span (local) attach underneath.
 	// All IDs are re-derived from the keys here rather than read off live
@@ -58,7 +58,7 @@ func (d *Daemon) wrapFor(m *ManagedStudy) func(core.Objective) core.Objective {
 	// taint rule.
 	var trace, rootID string
 	var sink span.Sink
-	if d.cfg.Spans {
+	if d.cfg.Trace {
 		trace = span.DeriveTrace(m.ID)
 		rootID = span.DeriveID(trace, "", span.NameStudy, 0, 0)
 		sink = d.spanSink(m.ID)
@@ -92,7 +92,7 @@ func (d *Daemon) wrapFor(m *ManagedStudy) func(core.Objective) core.Objective {
 				ctx = analysis.WithEpisodeSink(ctx, sink)
 			}
 			var tsp *span.Active
-			if d.cfg.Spans {
+			if d.cfg.Trace {
 				tscope := &span.Scope{Trace: trace, Parent: rootID, Study: m.ID,
 					Trial: req.TrialID, Daemon: d.cfg.Name, Clock: d.spanClock, Sink: sink}
 				tsp = tscope.Start(span.NameTrial, 0)

@@ -22,7 +22,7 @@ import (
 //	GET  /studies/{id}/trials  finished trials (journal records, ID order)
 //	GET  /studies/{id}/front   current Pareto ranking of completed trials
 //	GET  /studies/{id}/events  SSE push stream of the study's live events
-//	GET  /studies/{id}/spans   per-trial causal span tree (see -spans)
+//	GET  /studies/{id}/spans   per-trial causal span tree (see -trace)
 //	GET  /studies/{id}/analysis/{kind}
 //	                           decision-analysis report (kind: traces |
 //	                           attribution | counterfactuals), computed

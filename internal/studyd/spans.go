@@ -7,11 +7,11 @@ import (
 	"rldecide/internal/obs/span"
 )
 
-// Span plumbing for the daemon (Config.Spans). Every span the daemon —
+// Span plumbing for the daemon (Config.Trace). Every span the daemon —
 // or a worker on the daemon's behalf — records for a study lands in two
 // places: the study's bounded in-memory collector (served at
-// GET /studies/{id}/spans) and the event bus as a KindSpan event (so
-// -trace streams it to the rotating trace file, where the traces
+// GET /studies/{id}/spans) and the event bus as a KindSpan event (which
+// the tracer streams to the rotating trace file, where the traces
 // analysis picks it up). All IDs are derived deterministically from the
 // study/trial/attempt keys (see internal/obs/span), so the router, the
 // daemon, and the workers agree on one tree without coordination.
@@ -29,7 +29,7 @@ func (d *Daemon) spanCollector(study string) *span.Collector {
 }
 
 // spansOf returns the study's collected spans without creating a buffer
-// for studies that never recorded any (spans off, or pre-span journals).
+// for studies that never recorded any (tracing off, or pre-span journals).
 func (d *Daemon) spansOf(study string) []span.Span {
 	d.spanMu.Lock()
 	col := d.spanCols[study]
@@ -42,21 +42,7 @@ func (d *Daemon) spanSink(study string) span.Sink {
 	col := d.spanCollector(study)
 	return func(sp span.Span) {
 		col.Record(sp)
-		d.bus.Publish(obs.Event{
-			Kind:    obs.KindSpan,
-			Study:   sp.Study,
-			Trial:   sp.Trial,
-			Attempt: sp.Attempt,
-			Worker:  sp.Worker,
-			Daemon:  sp.Daemon,
-			Status:  sp.Status,
-			Err:     sp.Err,
-			Name:    sp.Name,
-			Trace:   sp.Trace,
-			Span:    sp.ID,
-			Parent:  sp.Parent,
-			DurMs:   sp.DurMs,
-		})
+		d.bus.Publish(obs.SpanEvent(sp))
 	}
 }
 
@@ -109,7 +95,7 @@ type SpanTree struct {
 }
 
 // serveSpans answers GET /studies/{id}/spans. A study with no recorded
-// spans (spans off, or finished before -spans was enabled) answers an
+// spans (tracing off, or finished before -trace was enabled) answers an
 // empty tree, not an error — the endpoint shape is stable either way.
 func (d *Daemon) serveSpans(w http.ResponseWriter, r *http.Request, m *ManagedStudy) {
 	spans := d.spansOf(m.ID)
@@ -119,7 +105,7 @@ func (d *Daemon) serveSpans(w http.ResponseWriter, r *http.Request, m *ManagedSt
 	}
 	if len(spans) > 0 {
 		tree.Trace = spans[0].Trace
-	} else if d.cfg.Spans {
+	} else if d.cfg.Trace {
 		tree.Trace = span.DeriveTrace(m.ID)
 	}
 	d.spanMu.Lock()

@@ -4,29 +4,62 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"rldecide/internal/analysis"
+	"rldecide/internal/executor"
+	"rldecide/internal/obs"
 	"rldecide/internal/obs/span"
 )
 
+// fleetDaemon starts a fleet-mode daemon on cfg (Dir, Exec and Logf are
+// filled in), serves its API, and registers the given workers.
+func fleetDaemon(t *testing.T, cfg Config, workers ...executor.WorkerInfo) (*Daemon, *httptest.Server) {
+	t.Helper()
+	cfg.Dir, cfg.Exec, cfg.Logf = t.TempDir(), ExecFleet, testLogf(t)
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Start()
+	t.Cleanup(func() { _ = d.Shutdown(context.Background()) })
+	ts := httptest.NewServer(d.Handler())
+	t.Cleanup(ts.Close)
+	for _, info := range workers {
+		if _, err := d.Fleet().Upsert(info); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return d, ts
+}
+
+// twoWorkers starts fleet workers w1 and w2 with two slots each; eval
+// overrides w1's evaluator when non-nil.
+func twoWorkers(t *testing.T, eval executor.EvalFunc) []executor.WorkerInfo {
+	t.Helper()
+	_, w1 := startFleetWorker(t, "w1", 2, eval, "")
+	_, w2 := startFleetWorker(t, "w2", 2, nil, "")
+	return []executor.WorkerInfo{w1, w2}
+}
+
 // TestSpansOnOffDeterminism is the causal-tracing acceptance cross-check:
-// the same spec + seed run on a span-recording daemon and on a plain one
-// must produce identical journals (modulo the informational worker/wall_ms
-// fields) and the same Pareto front — span trees stay off the result path.
+// the same spec + seed run on a traced fleet daemon — dispatch spans, span
+// headers to the workers, worker spans riding back in results — and on a
+// plain one must produce identical journals (modulo the informational
+// worker/wall_ms fields) and the same Pareto front — span trees stay off
+// the result path.
 func TestSpansOnOffDeterminism(t *testing.T) {
 	spec := baseSpec("sphere")
 	spec.Parallelism = 3
 	spec.Noise = 0.1
 
-	run := func(spans bool) *ManagedStudy {
-		d, err := New(Config{Dir: t.TempDir(), Workers: 4, Spans: spans, Logf: testLogf(t)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.Start()
-		t.Cleanup(func() { _ = d.Shutdown(context.Background()) })
+	run := func(trace bool) *ManagedStudy {
+		d, _ := fleetDaemon(t, Config{Trace: trace}, twoWorkers(t, nil)...)
 		m, err := d.Submit(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -79,22 +112,7 @@ func fetchSpanTree(t *testing.T, url, id string) SpanTree {
 // worker-side run + objective execution, and journal appends — under one
 // deterministically derived trace ID with worker attribution intact.
 func TestFleetSpanTree(t *testing.T) {
-	d, err := New(Config{Dir: t.TempDir(), Exec: ExecFleet, Spans: true, Logf: testLogf(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Start()
-	t.Cleanup(func() { _ = d.Shutdown(context.Background()) })
-	ts := httptest.NewServer(d.Handler())
-	t.Cleanup(ts.Close)
-	for _, name := range []string{"w1", "w2"} {
-		_, info := startFleetWorker(t, name, 2, nil, "")
-		resp := postJSON(t, ts.URL+"/workers/register", info)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("register %s: %d", name, resp.StatusCode)
-		}
-	}
+	d, ts := fleetDaemon(t, Config{Trace: true}, twoWorkers(t, nil)...)
 
 	spec := baseSpec("sphere")
 	spec.Parallelism = 2
@@ -180,7 +198,7 @@ func TestFleetSpanTree(t *testing.T) {
 }
 
 // TestSpansDisabledServesEmptyTree checks the endpoint stays up — and
-// empty — on a daemon without -spans, rather than 404ing.
+// empty — on a daemon without -trace, rather than 404ing.
 func TestSpansDisabledServesEmptyTree(t *testing.T) {
 	d, err := New(Config{Dir: t.TempDir(), Workers: 2, Logf: testLogf(t)})
 	if err != nil {
@@ -203,4 +221,82 @@ func TestSpansDisabledServesEmptyTree(t *testing.T) {
 	if tree.Spans == nil {
 		t.Fatal("spans must serialize as [], not null")
 	}
+}
+
+// TestFleetTraceAnalysisFromSpans drives the traces report end to end on
+// a traced fleet campaign whose first dispatch attempt fails: every trial
+// counts once, every dispatch attempt counts once (matching the dispatch
+// spans served at /spans), and every critical-path row names its worker.
+func TestFleetTraceAnalysisFromSpans(t *testing.T) {
+	var faulted atomic.Bool
+	flaky := func(ctx context.Context, req executor.TrialRequest) (executor.TrialResult, error) {
+		if faulted.CompareAndSwap(false, true) {
+			return executor.TrialResult{}, errors.New("injected worker fault")
+		}
+		return EvaluateRequest(ctx, req)
+	}
+	// Free slots tie at the first lease and name order breaks the tie, so
+	// the first attempt lands on the flaky w1.
+	d, ts := fleetDaemon(t, Config{Trace: true, Fleet: executor.FleetOptions{Backoff: time.Millisecond}},
+		twoWorkers(t, flaky)...)
+	spec := baseSpec("sphere")
+	spec.Parallelism = 2
+	m, err := d.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, m, StatusDone)
+
+	// Every span of the study is published before its study_done
+	// announcement; wait for the tracer to put that on disk.
+	deadline := time.Now().Add(10 * time.Second)
+	for !traceHas(d.tracePath, obs.KindStudyDone, m.ID) {
+		if time.Now().After(deadline) {
+			t.Fatal("study_done never reached the trace stream")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	var rep analysis.TraceReport
+	if code := getJSON(t, ts.URL+"/studies/"+m.ID+"/analysis/traces", &rep); code != http.StatusOK {
+		t.Fatalf("traces report: %d", code)
+	}
+	dispatches, failed := 0, 0
+	for _, sp := range span.Flatten(fetchSpanTree(t, ts.URL, m.ID).Spans) {
+		if sp.Name == span.NameDispatch {
+			dispatches++
+			if sp.Status == "error" {
+				failed++
+			}
+		}
+	}
+	if failed != 1 || dispatches != spec.Budget+1 {
+		t.Fatalf("served %d dispatch spans (%d failed), want %d with 1 failed", dispatches, failed, spec.Budget+1)
+	}
+	if rep.Trials.Count != spec.Budget {
+		t.Fatalf("report counted %d trials, want %d", rep.Trials.Count, spec.Budget)
+	}
+	if rep.Dispatches.Count != dispatches {
+		t.Fatalf("report counted %d dispatches, /spans served %d", rep.Dispatches.Count, dispatches)
+	}
+	if len(rep.CriticalPath) != spec.Budget {
+		t.Fatalf("critical path has %d rows, want %d", len(rep.CriticalPath), spec.Budget)
+	}
+	for _, pb := range rep.CriticalPath {
+		if pb.Worker == "" {
+			t.Fatalf("critical-path row without a worker: %+v", pb)
+		}
+	}
+}
+
+// traceHas reports whether the trace stream at path holds an event of the
+// given kind for study.
+func traceHas(path, kind, study string) bool {
+	events, _ := analysis.ReadTrace(path)
+	for _, ev := range events {
+		if ev.Kind == kind && ev.Study == study {
+			return true
+		}
+	}
+	return false
 }

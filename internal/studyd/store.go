@@ -56,7 +56,7 @@ type ManagedStudy struct {
 	// carries it (see wireForm), so every worker rebuilds the identical
 	// objective.
 	wireSpec []byte
-	// journalTimer, when set (by the daemon before run, in span mode),
+	// journalTimer, when set (by a tracing daemon before run),
 	// wraps each trial's journal append so its latency can be recorded as
 	// a causal span. Purely observational: do() runs exactly once either
 	// way, and the appended bytes are untouched.

@@ -79,14 +79,31 @@ for _ in $(seq 1 300); do
 done
 [ "$status" = "done" ] || { echo "study $id stuck in '$status'" >&2; exit 1; }
 
-# The tracer drains the event bus asynchronously; give the final
-# trial_done spans a moment to reach trace.jsonl before summarizing.
+# The tracer drains the event bus asynchronously. Every span of the study
+# is published before its study_done event, so once that reaches
+# trace.jsonl the trace report has all it will ever have.
+done_ev="\"kind\":\"study_done\",\"study\":\"$id\""
 for _ in $(seq 1 50); do
-  n=$(grep -c '"kind":"trial_done"' "$DIR/state/trace.jsonl" 2>/dev/null) || n=0
-  [ "$n" -ge 4 ] && break
+  grep -qs "$done_ev" "$DIR/state/trace.jsonl" && break
   sleep 0.2
 done
-[ "$n" -ge 4 ] || { echo "trace.jsonl has $n trial_done events, want 4" >&2; exit 1; }
+grep -qs "$done_ev" "$DIR/state/trace.jsonl" ||
+  { echo "trace.jsonl never recorded study_done for $id" >&2; exit 1; }
+
+# check_trace_report FILE: the trace report counts every trial of the
+# 4-trial budget and decomposes their critical paths.
+check_trace_report() {
+  local flat
+  flat=$(tr -d ' \n' <"$1")
+  case "$flat" in
+    *'"trials":{"count":4,'*) ;;
+    *) echo "$1: trials.count is not 4: $flat" >&2; return 1 ;;
+  esac
+  case "$flat" in
+    *'"critical_path":[{'*) ;;
+    *) echo "$1: critical_path is empty: $flat" >&2; return 1 ;;
+  esac
+}
 
 # All three reports over HTTP, each fetched twice: the second response
 # must be the cached sidecar, byte-identical to the first.
@@ -99,7 +116,7 @@ for kind in traces attribution counterfactuals; do
   cmp -s "$DIR/$kind.1.json" "$DIR/$kind.2.json" ||
     { echo "cached $kind report differs from fresh one" >&2; exit 1; }
 done
-grep -q '"trials"' "$DIR/traces.1.json" || { echo "trace report has no trial summary" >&2; exit 1; }
+check_trace_report "$DIR/traces.1.json"
 grep -q '"ranking"' "$DIR/attribution.1.json" || { echo "attribution report has no ranking" >&2; exit 1; }
 grep -q '"points"' "$DIR/counterfactuals.1.json" || { echo "counterfactual report has no points" >&2; exit 1; }
 echo "all three analysis endpoints OK (cached + byte-stable)"
@@ -107,7 +124,7 @@ echo "all three analysis endpoints OK (cached + byte-stable)"
 # Offline: the CLI must produce the same three reports straight from the
 # state directory, no daemon involved.
 "$BIN/rldecide-analyze" traces -trace "$DIR/state/trace.jsonl" -study "$id" >"$DIR/cli-traces.json"
-grep -q '"trials"' "$DIR/cli-traces.json" || { echo "offline trace analysis empty" >&2; exit 1; }
+check_trace_report "$DIR/cli-traces.json"
 traj="$DIR/state/$id.trajectories.jsonl"
 [ -s "$traj" ] || { echo "no trajectory journal at $traj" >&2; exit 1; }
 "$BIN/rldecide-analyze" attribution -traj "$traj" >"$DIR/cli-attr.json"

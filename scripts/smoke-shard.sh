@@ -45,10 +45,10 @@ go build -o "$BIN/rldecide-worker" ./cmd/rldecide-worker
 go build -o "$BIN/rldecide-router" ./cmd/rldecide-router
 
 "$BIN/rldecide-serve" -addr "127.0.0.1:$A_PORT" -dir "$DIR/state" \
-  -name alpha -exec fleet -token "$TOKEN" -trace -spans &
+  -name alpha -exec fleet -token "$TOKEN" -trace &
 PIDS+=($!)
 "$BIN/rldecide-serve" -addr "127.0.0.1:$B_PORT" -dir "$DIR/state" \
-  -name beta -exec fleet -token "$TOKEN" -trace -spans &
+  -name beta -exec fleet -token "$TOKEN" -trace &
 BETA_PID=$!
 PIDS+=($BETA_PID)
 
@@ -154,11 +154,20 @@ echo "$tree" | grep -q '"worker": *"shard-w' ||
 echo "span tree OK"
 
 # Decision-analysis reads are per-study GETs, so the router must proxy
-# them to the owning shard like any other study read.
+# them to the owning shard like any other study read. The owner's trace
+# stream holds the study's spans once its study_done event has landed.
+done_ev="\"kind\":\"study_done\",\"study\":\"${ids[0]}\""
+for _ in $(seq 1 50); do
+  grep -qs "$done_ev" "$DIR"/state/trace-*.jsonl && break
+  sleep 0.2
+done
 report=$(curl -sf "$base/studies/${ids[0]}/analysis/traces") ||
   { echo "router did not proxy analysis/traces for ${ids[0]}" >&2; exit 1; }
-echo "$report" | grep -q '"trials"' ||
-  { echo "proxied trace report malformed: $report" >&2; exit 1; }
+flat=$(echo "$report" | tr -d ' \n')
+case "$flat" in
+  *'"trials":{"count":8,'*'"critical_path":[{'*) ;;
+  *) echo "proxied trace report does not cover the 8 trials: $report" >&2; exit 1 ;;
+esac
 echo "analysis proxy OK"
 
 # The rollup must label every shard's series and collide nothing.
