@@ -90,9 +90,6 @@ type Config struct {
 	NoiseGain float64
 	// MaxSteps truncates pathological episodes (safety net).
 	MaxSteps int
-	// Continuous switches the action space from Discrete(3) to
-	// Box([-1,1]): continuous brake deflection.
-	Continuous bool
 }
 
 // NewConfig returns the default simulator configuration: RK order 3, wind
@@ -237,12 +234,7 @@ func (e *Env) Method() *ode.Method { return e.method }
 func (e *Env) ObservationSpace() gym.Space { return gym.NewBox(ObsDim, -100, 100) }
 
 // ActionSpace implements gym.Env.
-func (e *Env) ActionSpace() gym.Space {
-	if e.cfg.Continuous {
-		return gym.NewBox(1, -1, 1)
-	}
-	return gym.Discrete{N: 3}
-}
+func (e *Env) ActionSpace() gym.Space { return gym.Discrete{N: 3} }
 
 // Seed implements gym.Env.
 func (e *Env) Seed(seed uint64) { e.rng = mathx.NewRand(seed) }
@@ -325,7 +317,7 @@ func (e *Env) rhs(t float64, y, dydt []float64) {
 }
 
 // Step implements gym.Env. The discrete actions are 0=rotate left,
-// 1=straight, 2=rotate right (continuous mode: action[0] in [-1,1]).
+// 1=straight, 2=rotate right.
 func (e *Env) Step(action []float64) gym.StepResult {
 	if e.landed {
 		panic("airdrop: Step after episode end; call Reset")
@@ -367,9 +359,6 @@ func (e *Env) Step(action []float64) gym.StepResult {
 
 // command maps the action to a brake deflection u in [-1,1].
 func (e *Env) command(action []float64) float64 {
-	if e.cfg.Continuous {
-		return mathx.Clip(action[0], -1, 1)
-	}
 	switch int(action[0]) {
 	case 0:
 		return -1

@@ -233,20 +233,6 @@ func TestAutopilotBetterWithHighOrder(t *testing.T) {
 	}
 }
 
-func TestContinuousMode(t *testing.T) {
-	cfg := NewConfig()
-	cfg.Continuous = true
-	e := MustNew(cfg, 2)
-	if _, ok := e.ActionSpace().(gym.Box); !ok {
-		t.Fatal("continuous mode should expose a Box action space")
-	}
-	e.Reset()
-	res := e.Step([]float64{0.5})
-	if len(res.Obs) != ObsDim {
-		t.Fatal("obs dim wrong")
-	}
-}
-
 func TestStepAfterDonePanics(t *testing.T) {
 	cfg := NewConfig()
 	cfg.AltMin, cfg.AltMax = 30, 31

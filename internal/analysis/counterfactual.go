@@ -196,31 +196,20 @@ func branchReturn(env gym.StatefulEnv, snap []float64, seed uint64, action []flo
 }
 
 // alternatives enumerates the counterfactual actions for a space: every
-// other index of a Discrete space, or the low/mid/high corners of a Box.
+// other index of a Discrete space, and none for any other space.
 func alternatives(space gym.Space, factual []float64) [][]float64 {
-	switch s := space.(type) {
-	case gym.Discrete:
-		out := make([][]float64, 0, s.N-1)
-		for a := 0; a < s.N; a++ {
-			if a == int(factual[0]) {
-				continue
-			}
-			out = append(out, []float64{float64(a)})
-		}
-		return out
-	case gym.Box:
-		mid := make([]float64, len(s.Low))
-		for i := range mid {
-			mid[i] = (s.Low[i] + s.High[i]) / 2
-		}
-		return [][]float64{
-			append([]float64(nil), s.Low...),
-			mid,
-			append([]float64(nil), s.High...),
-		}
-	default:
+	s, ok := space.(gym.Discrete)
+	if !ok {
 		return nil
 	}
+	out := make([][]float64, 0, s.N-1)
+	for a := 0; a < s.N; a++ {
+		if a == int(factual[0]) {
+			continue
+		}
+		out = append(out, []float64{float64(a)})
+	}
+	return out
 }
 
 // branchSeed derives the shared per-decision-point branch seed. Every

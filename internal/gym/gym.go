@@ -1,7 +1,7 @@
 // Package gym defines the reinforcement-learning environment abstraction
 // used throughout the project, modeled after OpenAI gym: environments with
-// observation/action spaces, a Reset/Step episode protocol, composable
-// wrappers, and vectorized execution.
+// observation/action spaces, a Reset/Step episode protocol, and vectorized
+// execution.
 package gym
 
 import (

@@ -69,75 +69,6 @@ func (c *countEnv) Step(a []float64) StepResult {
 	return StepResult{Obs: []float64{float64(c.n)}, Reward: 1, Done: c.n >= 3}
 }
 
-func TestTimeLimit(t *testing.T) {
-	tl := NewTimeLimit(&countEnv{}, 2)
-	tl.Reset()
-	r1 := tl.Step([]float64{0})
-	if r1.Done {
-		t.Fatal("done too early")
-	}
-	r2 := tl.Step([]float64{0})
-	if !r2.Done || !r2.Truncated {
-		t.Fatalf("expected truncation at step 2: %+v", r2)
-	}
-	// natural termination must not be marked truncated
-	tl2 := NewTimeLimit(&countEnv{}, 10)
-	tl2.Reset()
-	var last StepResult
-	for i := 0; i < 3; i++ {
-		last = tl2.Step([]float64{0})
-	}
-	if !last.Done || last.Truncated {
-		t.Fatalf("natural done mis-flagged: %+v", last)
-	}
-}
-
-func TestMonitor(t *testing.T) {
-	m := NewMonitor(&countEnv{})
-	if _, ok := m.MeanReturn(0); ok {
-		t.Fatal("MeanReturn should report !ok before episodes")
-	}
-	for ep := 0; ep < 2; ep++ {
-		m.Reset()
-		for {
-			if res := m.Step([]float64{0}); res.Done {
-				break
-			}
-		}
-	}
-	if len(m.Episodes) != 2 {
-		t.Fatalf("episodes=%d want 2", len(m.Episodes))
-	}
-	mean, ok := m.MeanReturn(0)
-	if !ok || mean != 3 {
-		t.Fatalf("MeanReturn=%v ok=%v want 3", mean, ok)
-	}
-	if m.Episodes[0].Length != 3 {
-		t.Errorf("episode length=%d want 3", m.Episodes[0].Length)
-	}
-	mean1, _ := m.MeanReturn(1)
-	if mean1 != 3 {
-		t.Errorf("MeanReturn(1)=%v", mean1)
-	}
-}
-
-func TestObsNorm(t *testing.T) {
-	o := NewObsNorm(&countEnv{}, 5)
-	o.Reset()
-	var res StepResult
-	for i := 0; i < 3; i++ {
-		res = o.Step([]float64{0})
-	}
-	if len(res.Obs) != 1 {
-		t.Fatal("obs dim changed")
-	}
-	if res.Obs[0] < -5 || res.Obs[0] > 5 {
-		t.Fatalf("normalized obs out of clip range: %v", res.Obs)
-	}
-	o.Freeze()
-	o.Thaw() // just exercise the toggles
-}
-
 func TestVecEnvAutoReset(t *testing.T) {
 	maker := func(seed uint64) Env { return &countEnv{seed: seed} }
 	v := NewVec(maker, 4, mathx.NewSeeder(1), false)
@@ -198,31 +129,4 @@ func TestVecEnvParallelMatchesSerial(t *testing.T) {
 	if a.ObservationSpace().Dim() != 1 || a.ActionSpace().Dim() != 1 {
 		t.Fatal("space accessors wrong")
 	}
-}
-
-func TestRewardScale(t *testing.T) {
-	rs := NewRewardScale(&countEnv{}, 10)
-	rs.Reset()
-	if res := rs.Step([]float64{0}); res.Reward != 10 {
-		t.Fatalf("scaled reward %v want 10", res.Reward)
-	}
-}
-
-func TestActionRepeat(t *testing.T) {
-	ar := NewActionRepeat(&countEnv{}, 2)
-	ar.Reset()
-	res := ar.Step([]float64{0})
-	if res.Reward != 2 || res.Done {
-		t.Fatalf("repeat-2 step: %+v", res)
-	}
-	res = ar.Step([]float64{0})
-	if !res.Done || res.Reward != 1 {
-		t.Fatalf("terminal mid-repeat must stop: %+v", res)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("n<1 should panic")
-		}
-	}()
-	NewActionRepeat(&countEnv{}, 0)
 }

@@ -164,42 +164,6 @@ func (s *Steer1D) Restore(snap []float64) error {
 	return nil
 }
 
-// Steer1DC is the continuous-action variant of Steer1D: the action is a
-// thrust in [-1, 1] instead of a three-way switch. Used by the
-// continuous-PPO tests and examples.
-type Steer1DC struct {
-	Steer1D
-}
-
-// NewSteer1DC returns a continuous Steer1D.
-func NewSteer1DC(seed uint64) *Steer1DC {
-	return &Steer1DC{Steer1D: *NewSteer1D(seed)}
-}
-
-// ActionSpace implements gym.Env.
-func (s *Steer1DC) ActionSpace() gym.Space { return gym.NewBox(1, -1, 1) }
-
-// Step implements gym.Env.
-func (s *Steer1DC) Step(action []float64) gym.StepResult {
-	u := mathx.Clip(action[0], -1, 1)
-	// Map the continuous thrust onto the discrete dynamics' scale.
-	s.vel += u * s.Accel
-	s.vel = mathx.Clip(s.vel, -1, 1)
-	s.pos += s.vel
-	s.t++
-	res := gym.StepResult{Obs: s.obs()}
-	if s.t >= s.Horizon {
-		res.Done = true
-		res.Reward = -math.Abs(s.pos) / s.Scale
-	}
-	return res
-}
-
-// MakeSteer1DC returns an EnvMaker for Steer1DC.
-func MakeSteer1DC() gym.EnvMaker {
-	return func(seed uint64) gym.Env { return NewSteer1DC(seed) }
-}
-
 // MakeChain returns an EnvMaker for Chain.
 func MakeChain(n int) gym.EnvMaker {
 	return func(seed uint64) gym.Env { return NewChain(n, seed) }

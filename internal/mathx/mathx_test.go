@@ -116,68 +116,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestRunningStatMatchesBatch(t *testing.T) {
-	xs := []float64{1.5, -2.25, 4, 0, 3.125, 9, -7}
-	var r RunningStat
-	for _, x := range xs {
-		r.Push(x)
-	}
-	if math.Abs(r.Mean()-Mean(xs)) > 1e-12 {
-		t.Errorf("running mean %v vs batch %v", r.Mean(), Mean(xs))
-	}
-	if math.Abs(r.Std()-Std(xs)) > 1e-12 {
-		t.Errorf("running std %v vs batch %v", r.Std(), Std(xs))
-	}
-	if r.Count() != int64(len(xs)) {
-		t.Errorf("count %d want %d", r.Count(), len(xs))
-	}
-}
-
-func TestRunningStatProperty(t *testing.T) {
-	f := func(xs []float64) bool {
-		clean := make([]float64, 0, len(xs))
-		for _, x := range xs {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e6 {
-				clean = append(clean, x)
-			}
-		}
-		if len(clean) < 2 {
-			return true
-		}
-		var r RunningStat
-		for _, x := range clean {
-			r.Push(x)
-		}
-		return math.Abs(r.Mean()-Mean(clean)) < 1e-6 && math.Abs(r.Std()-Std(clean)) < 1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunningVecNormalize(t *testing.T) {
-	rv := NewRunningVec(2)
-	rv.Push([]float64{1, 10})
-	rv.Push([]float64{3, 30})
-	rv.Push([]float64{5, 50})
-	out := rv.Normalize([]float64{3, 30}, nil)
-	if math.Abs(out[0]) > 1e-12 || math.Abs(out[1]) > 1e-12 {
-		t.Errorf("mean input should normalize to 0, got %v", out)
-	}
-	if rv.Dim() != 2 {
-		t.Errorf("Dim=%d want 2", rv.Dim())
-	}
-}
-
-func TestRunningVecPanicsOnDimMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on dim mismatch")
-		}
-	}()
-	NewRunningVec(2).Push([]float64{1})
-}
-
 func TestLinspace(t *testing.T) {
 	xs := Linspace(0, 1, 5)
 	want := []float64{0, 0.25, 0.5, 0.75, 1}

@@ -1,7 +1,6 @@
 package mathx
 
 import (
-	"fmt"
 	"math"
 	"math/rand/v2"
 	"sort"
@@ -44,14 +43,6 @@ func Clip(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// ClipSlice clips every element of xs in place and returns xs.
-func ClipSlice(xs []float64, lo, hi float64) []float64 {
-	for i, x := range xs {
-		xs[i] = Clip(x, lo, hi)
-	}
-	return xs
 }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
@@ -144,79 +135,6 @@ func Percentile(xs []float64, p float64) float64 {
 
 // Median returns the median of xs.
 func Median(xs []float64) float64 { return Percentile(xs, 0.5) }
-
-// RunningStat tracks mean and variance online (Welford's algorithm).
-// The zero value is ready to use.
-type RunningStat struct {
-	n    int64
-	mean float64
-	m2   float64
-}
-
-// Push adds an observation.
-func (r *RunningStat) Push(x float64) {
-	r.n++
-	d := x - r.mean
-	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
-}
-
-// Count returns the number of observations seen.
-func (r *RunningStat) Count() int64 { return r.n }
-
-// Mean returns the running mean (0 before any observation).
-func (r *RunningStat) Mean() float64 { return r.mean }
-
-// Var returns the running population variance.
-func (r *RunningStat) Var() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n)
-}
-
-// Std returns the running population standard deviation.
-func (r *RunningStat) Std() float64 { return math.Sqrt(r.Var()) }
-
-// RunningVec tracks per-dimension running mean/std for observation
-// normalization. Construct with NewRunningVec.
-type RunningVec struct {
-	stats []RunningStat
-}
-
-// NewRunningVec returns a RunningVec for dim dimensions.
-func NewRunningVec(dim int) *RunningVec {
-	return &RunningVec{stats: make([]RunningStat, dim)}
-}
-
-// Dim returns the dimensionality.
-func (r *RunningVec) Dim() int { return len(r.stats) }
-
-// Push adds one observation vector; x must have the configured dimension.
-func (r *RunningVec) Push(x []float64) {
-	if len(x) != len(r.stats) {
-		panic(fmt.Sprintf("mathx: RunningVec.Push dim %d, want %d", len(x), len(r.stats)))
-	}
-	for i := range x {
-		r.stats[i].Push(x[i])
-	}
-}
-
-// Normalize writes (x-mean)/std into dst (allocating if dst is nil) and
-// returns dst. Dimensions with near-zero variance pass through centered.
-func (r *RunningVec) Normalize(x, dst []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, len(x))
-	}
-	for i := range x {
-		std := r.stats[i].Std()
-		if std < 1e-8 {
-			std = 1
-		}
-		dst[i] = (x[i] - r.stats[i].Mean()) / std
-	}
-	return dst
-}
 
 // Linspace returns n evenly spaced values from lo to hi inclusive.
 // n must be >= 2.

@@ -111,37 +111,3 @@ func Argmax(xs []float64) int {
 	}
 	return best
 }
-
-const log2Pi = 1.8378770664093453 // log(2π)
-
-// GaussianLogProb returns the log density of x under independent Gaussians
-// with the given means and log-standard-deviations.
-func GaussianLogProb(x, mean, logStd []float64) float64 {
-	lp := 0.0
-	for i := range x {
-		std := math.Exp(logStd[i])
-		z := (x[i] - mean[i]) / std
-		lp += -0.5*z*z - logStd[i] - 0.5*log2Pi
-	}
-	return lp
-}
-
-// GaussianSample draws from independent Gaussians into dst.
-func GaussianSample(rng *rand.Rand, mean, logStd, dst []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, len(mean))
-	}
-	for i := range mean {
-		dst[i] = mean[i] + rng.NormFloat64()*math.Exp(logStd[i])
-	}
-	return dst
-}
-
-// GaussianEntropy returns the entropy of independent Gaussians.
-func GaussianEntropy(logStd []float64) float64 {
-	h := 0.0
-	for _, ls := range logStd {
-		h += 0.5*(1+log2Pi) + ls
-	}
-	return h
-}

@@ -1,6 +1,6 @@
 // Package nn is the from-scratch neural-network stack behind the PPO and
 // SAC implementations: dense layers with hand-rolled backpropagation, MLPs,
-// the Adam optimizer, and the categorical/Gaussian policy distributions.
+// the Adam optimizer, and the categorical policy distribution.
 // It is CPU-only, float64, deterministic given a seed, and sized for the
 // small policy/value networks RL uses (tens of thousands of parameters).
 package nn
@@ -362,9 +362,6 @@ func (m *MLP) SetWeights(w []float64) {
 		off += len(p.Data)
 	}
 }
-
-// CopyFrom copies weights from src (same architecture).
-func (m *MLP) CopyFrom(src *MLP) { m.SetWeights(src.Weights()) }
 
 // Polyak blends src into m: θ ← (1−τ)θ + τ·θ_src (target-network update).
 func (m *MLP) Polyak(src *MLP, tau float64) {

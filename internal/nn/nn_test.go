@@ -300,32 +300,6 @@ func TestArgmax(t *testing.T) {
 	}
 }
 
-func TestGaussian(t *testing.T) {
-	// Standard normal at 0: log density = -0.5*log(2π).
-	lp := GaussianLogProb([]float64{0}, []float64{0}, []float64{0})
-	if math.Abs(lp+0.5*log2Pi) > 1e-12 {
-		t.Fatalf("logprob %v", lp)
-	}
-	// Entropy of N(0,1) = 0.5*(1+log 2π).
-	h := GaussianEntropy([]float64{0})
-	if math.Abs(h-0.5*(1+log2Pi)) > 1e-12 {
-		t.Fatalf("entropy %v", h)
-	}
-	rng := newRng(15, 16)
-	var s, s2 float64
-	const n = 20000
-	for i := 0; i < n; i++ {
-		x := GaussianSample(rng, []float64{2}, []float64{math.Log(0.5)}, nil)
-		s += x[0]
-		s2 += x[0] * x[0]
-	}
-	mean := s / n
-	std := math.Sqrt(s2/n - mean*mean)
-	if math.Abs(mean-2) > 0.02 || math.Abs(std-0.5) > 0.02 {
-		t.Fatalf("sample moments mean=%v std=%v", mean, std)
-	}
-}
-
 func TestDensePanics(t *testing.T) {
 	rng := newRng(17, 18)
 	d := NewDense(rng, 3, 2, Tanh{}, 1)

@@ -23,7 +23,6 @@ type Collector struct {
 	pending []pendingStep
 	has     []bool
 	epRet   []float64
-	epLen   []int
 
 	segs    []*rl.Segment
 	actions [][]float64
@@ -32,7 +31,6 @@ type Collector struct {
 	vals    []float64
 
 	episodes []float64
-	epLens   []int
 }
 
 type pendingStep struct {
@@ -56,7 +54,6 @@ func NewCollector(vec *gym.VecEnv) *Collector {
 		pending: make([]pendingStep, n),
 		has:     make([]bool, n),
 		epRet:   make([]float64, n),
-		epLen:   make([]int, n),
 		segs:    make([]*rl.Segment, n),
 		actions: make([][]float64, n),
 		acts:    make([]int, n),
@@ -103,7 +100,6 @@ func (c *Collector) Collect(p *PPO, nSteps int) *rl.Rollout {
 		for i := range steps {
 			s := &steps[i]
 			c.epRet[i] += s.Reward
-			c.epLen[i]++
 			// c.obs[i] still holds the pre-step observation (it is a
 			// collector-owned copy, untouched by the env's Step).
 			ps := pendingStep{
@@ -121,9 +117,7 @@ func (c *Collector) Collect(p *PPO, nSteps int) *rl.Rollout {
 				}
 				c.segs[i].Push(ps.obs, ps.act, ps.logp, ps.val, ps.rew, ps.done, ps.trunc, ps.next)
 				c.episodes = append(c.episodes, c.epRet[i])
-				c.epLens = append(c.epLens, c.epLen[i])
 				c.epRet[i] = 0
-				c.epLen[i] = 0
 			} else {
 				// Deferred until the successor value is known: move the
 				// pre-step obs into the pending buffer before c.obs[i] is
@@ -155,7 +149,6 @@ func (c *Collector) Collect(p *PPO, nSteps int) *rl.Rollout {
 func (c *Collector) TakeEpisodes() []float64 {
 	out := c.episodes
 	c.episodes = nil
-	c.epLens = nil
 	return out
 }
 

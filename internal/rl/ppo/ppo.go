@@ -1,7 +1,7 @@
 // Package ppo implements Proximal Policy Optimization (Schulman et al.,
 // 2017) with a categorical policy: clipped surrogate objective, generalized
-// advantage estimation, minibatched multi-epoch updates, entropy bonus and
-// global gradient clipping. The learner is separable from collection — the
+// advantage estimation normalized per update, minibatched multi-epoch
+// updates, entropy bonus and global gradient clipping. The learner is separable from collection — the
 // distributed backends ship policy weights to remote actors and feed
 // collected rollouts back — which is exactly the architecture split the
 // paper's RLlib configurations exercise.
@@ -19,18 +19,16 @@ import (
 
 // Config holds PPO hyperparameters. Zero fields are replaced by defaults.
 type Config struct {
-	Hidden     []int   // hidden layer sizes (default [64, 64])
-	LR         float64 // Adam learning rate (default 3e-4)
-	Gamma      float64 // discount (default 0.99)
-	Lambda     float64 // GAE λ (default 0.95)
-	ClipEps    float64 // surrogate clip ε (default 0.2)
-	Epochs     int     // update epochs per rollout (default 8)
-	Minibatch  int     // minibatch size (default 128)
-	EntCoef    float64 // entropy bonus coefficient (default 0.01)
-	VfCoef     float64 // value-loss coefficient (default 0.5)
-	MaxGrad    float64 // global gradient-norm clip (default 0.5)
-	NormAdv    bool    // normalize advantages per update (default true)
-	normAdvSet bool
+	Hidden    []int   // hidden layer sizes (default [64, 64])
+	LR        float64 // Adam learning rate (default 3e-4)
+	Gamma     float64 // discount (default 0.99)
+	Lambda    float64 // GAE λ (default 0.95)
+	ClipEps   float64 // surrogate clip ε (default 0.2)
+	Epochs    int     // update epochs per rollout (default 8)
+	Minibatch int     // minibatch size (default 128)
+	EntCoef   float64 // entropy bonus coefficient (default 0.01)
+	VfCoef    float64 // value-loss coefficient (default 0.5)
+	MaxGrad   float64 // global gradient-norm clip (default 0.5)
 }
 
 // WithDefaults returns cfg with zero fields filled in.
@@ -65,17 +63,6 @@ func (c Config) WithDefaults() Config {
 	if c.MaxGrad == 0 {
 		c.MaxGrad = 0.5
 	}
-	if !c.normAdvSet {
-		c.NormAdv = true
-	}
-	return c
-}
-
-// DisableAdvNorm returns a copy of the config with advantage normalization
-// off (and marks the field as explicitly set).
-func (c Config) DisableAdvNorm() Config {
-	c.NormAdv = false
-	c.normAdvSet = true
 	return c
 }
 
@@ -223,15 +210,12 @@ func (p *PPO) Update(rollout *rl.Rollout) Stats {
 	if n == 0 {
 		return Stats{}
 	}
-	if p.Cfg.NormAdv {
-		m := mathx.Mean(adv)
-		s := mathx.Std(adv)
-		if s < 1e-8 {
-			s = 1
-		}
-		for i := range adv {
-			adv[i] = (adv[i] - m) / s
-		}
+	mean, std := mathx.Mean(adv), mathx.Std(adv)
+	if std < 1e-8 {
+		std = 1
+	}
+	for i := range adv {
+		adv[i] = (adv[i] - mean) / std
 	}
 
 	if cap(p.idx) < n {

@@ -121,12 +121,8 @@ func TestEmptyRolloutUpdate(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.WithDefaults()
-	if c.LR != 3e-4 || c.Gamma != 0.99 || !c.NormAdv || c.Epochs != 8 {
+	if c.LR != 3e-4 || c.Gamma != 0.99 || c.Epochs != 8 {
 		t.Fatalf("defaults wrong: %+v", c)
-	}
-	d := Config{}.DisableAdvNorm().WithDefaults()
-	if d.NormAdv {
-		t.Fatal("DisableAdvNorm ignored")
 	}
 }
 

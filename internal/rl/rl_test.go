@@ -42,6 +42,29 @@ func TestGAETerminalCutsBootstrap(t *testing.T) {
 	}
 }
 
+func TestGAETerminalMidSegment(t *testing.T) {
+	// One env's segment holds an episode that terminates at t=1 and the
+	// start of the next, truncated at t=2: the terminal step's advantage
+	// must not take the next episode's. gamma=0.5, lambda=0.5.
+	s := &Segment{}
+	s.Push([]float64{0}, 0, 0, 1.0, 1.0, false, false, 2.0)
+	s.Push([]float64{1}, 0, 0, 2.0, 0.0, true, false, 99.0) // terminal: NextVal ignored
+	s.Push([]float64{2}, 0, 0, 0.5, 1.0, false, true, 1.0)
+	s.ComputeGAE(0.5, 0.5)
+	// t=2: delta = 1 + 0.5*1 - 0.5 = 1.0; truncation cuts the recursion.
+	// t=1: delta = 0 + 0 - 2 = -2; the terminal cuts it again.
+	// t=0: delta = 1 + 0.5*2 - 1 = 1; adv = 1 + 0.25*(-2) = 0.5.
+	want := []float64{0.5, -2, 1.0}
+	for i, w := range want {
+		if math.Abs(s.Adv[i]-w) > 1e-12 {
+			t.Errorf("adv[%d]=%v want %v", i, s.Adv[i], w)
+		}
+	}
+	if math.Abs(s.Ret[0]-1.5) > 1e-12 {
+		t.Errorf("ret[0]=%v want 1.5", s.Ret[0])
+	}
+}
+
 func TestGAEMatchesMonteCarloWhenLambda1(t *testing.T) {
 	// With λ=1 and no critic (V=0), returns must equal discounted rewards.
 	s := &Segment{}

@@ -32,7 +32,9 @@ func init() {
 //
 // Recognized parameters (all optional, by name): "lr" (learning rate,
 // default 3e-3), "hidden" (hidden width, default 16), "steps" (training
-// env steps, default 2048).
+// env steps, default 2048). A trial with lr <= 0, hidden < 1 or steps < 1
+// fails with an error naming the parameter, rather than training under a
+// value other than the one its journal records.
 //
 // Evaluation always replays the same rl.RecordEpisode walk, whether or
 // not a trajectory sink is attached to the trial's context — metric
@@ -46,11 +48,13 @@ func steerPPOObjective(spec Spec, metrics []core.Metric) (core.Objective, error)
 		lr := floatParam(a, "lr", 3e-3)
 		hidden := intParam(a, "hidden", 16)
 		steps := intParam(a, "steps", 2048)
-		if hidden < 1 {
-			hidden = 1
-		}
-		if steps < 1 {
-			steps = 1
+		switch {
+		case !(lr > 0):
+			return fmt.Errorf("studyd: steer-ppo needs lr > 0, got lr = %v", lr)
+		case hidden < 1:
+			return fmt.Errorf("studyd: steer-ppo needs hidden >= 1, got hidden = %d", hidden)
+		case steps < 1:
+			return fmt.Errorf("studyd: steer-ppo needs steps >= 1, got steps = %d", steps)
 		}
 		const (
 			nEnv    = 4

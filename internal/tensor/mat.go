@@ -51,14 +51,6 @@ func (m *Mat) Clone() *Mat {
 	return out
 }
 
-// CopyFrom copies src into m; shapes must match.
-func (m *Mat) CopyFrom(src *Mat) {
-	if m.R != src.R || m.C != src.C {
-		panic("tensor: CopyFrom shape mismatch")
-	}
-	copy(m.Data, src.Data)
-}
-
 // Zero sets all elements to 0.
 func (m *Mat) Zero() {
 	for i := range m.Data {

@@ -191,17 +191,19 @@ func TestShapePanics(t *testing.T) {
 	}
 }
 
-func TestCopyFromZeroFill(t *testing.T) {
+func TestCloneZeroFill(t *testing.T) {
 	a := New(2, 3)
 	a.Fill(7)
-	b := New(2, 3)
-	b.CopyFrom(a)
+	b := a.Clone()
 	if b.At(1, 2) != 7 {
-		t.Fatal("CopyFrom failed")
+		t.Fatal("Clone failed")
 	}
 	b.Zero()
 	if b.Frobenius() != 0 {
 		t.Fatal("Zero failed")
+	}
+	if a.At(1, 2) != 7 {
+		t.Fatal("Clone shares storage with its source")
 	}
 	if a.String() != "Mat(2x3)" {
 		t.Fatalf("String=%q", a.String())
