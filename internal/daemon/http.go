@@ -39,14 +39,15 @@ const (
 
 // StudyListElem encodes v as it stands inside that body: indented two
 // levels deep, HTML-escaped, no trailing newline.
-func StudyListElem(v any) ([]byte, error) {
-	return json.MarshalIndent(v, "    ", "  ")
+func StudyListElem(v any) (string, error) {
+	b, err := json.MarshalIndent(v, "    ", "  ")
+	return string(b), err
 }
 
 // WriteStudyList answers 200 with the study list made of elems, each one a
 // StudyListElem encoding: one buffer of the final size, one Write, an
 // explicit Content-Length.
-func WriteStudyList(w http.ResponseWriter, elems [][]byte) {
+func WriteStudyList(w http.ResponseWriter, elems []string) {
 	var body []byte
 	if len(elems) == 0 {
 		body = []byte(StudyListEmpty)

@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"reflect"
 	"testing"
 
+	"rldecide/internal/jsonbytes"
 	"rldecide/internal/obs/span"
 )
 
@@ -120,62 +120,27 @@ func checkResultWire(t *testing.T, res TrialResult) []byte {
 	return got
 }
 
-// checkDecodeTrialRequest is the request decoder's whole contract on one
-// body: decline and leave the request alone, or return exactly what the
-// handler's json.Decoder returns — so never accept a body it rejects. It
-// reports whether the body was accepted.
+// checkDecode holds a fast decoder to the handler's json.Decoder on one
+// body and reports whether the body was accepted.
+func checkDecode[T any](t *testing.T, body []byte, fast func([]byte, *T) bool) bool {
+	t.Helper()
+	accepted, err := jsonbytes.Differential(body, fast, func(b []byte, v *T) error {
+		return json.NewDecoder(bytes.NewReader(b)).Decode(v)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return accepted
+}
+
 func checkDecodeTrialRequest(t *testing.T, body []byte) bool {
 	t.Helper()
-	var fast, ref TrialRequest
-	accepted := decodeTrialRequest(body, &fast)
-	err := json.NewDecoder(bytes.NewReader(body)).Decode(&ref)
-	if !accepted {
-		if !reflect.DeepEqual(fast, TrialRequest{}) {
-			t.Fatalf("declined %q but wrote %+v", body, fast)
-		}
-		return false
-	}
-	if err != nil {
-		t.Fatalf("accepted %q, which json.Decoder rejects: %v", body, err)
-	}
-	if !reflect.DeepEqual(fast, ref) {
-		t.Fatalf("body %q\n fast: %+v\n json: %+v", body, fast, ref)
-	}
-	return true
+	return checkDecode(t, body, decodeTrialRequest)
 }
 
-// checkDecodeTrialResult is the same contract for results.
 func checkDecodeTrialResult(t *testing.T, body []byte) bool {
 	t.Helper()
-	var fast, ref TrialResult
-	accepted := decodeTrialResult(body, &fast)
-	err := json.NewDecoder(bytes.NewReader(body)).Decode(&ref)
-	if !accepted {
-		if !reflect.DeepEqual(fast, TrialResult{}) {
-			t.Fatalf("declined %q but wrote %+v", body, fast)
-		}
-		return false
-	}
-	if err != nil {
-		t.Fatalf("accepted %q, which json.Decoder rejects: %v", body, err)
-	}
-	if !reflect.DeepEqual(fast, ref) {
-		t.Fatalf("body %q\n fast: %+v\n json: %+v", body, fast, ref)
-	}
-	return true
-}
-
-// damage puts one byte of a body to the decoder's oracle overwritten,
-// dropped, doubled and torn off after it.
-func damage(t *testing.T, rng *rand.Rand, body []byte, check func(*testing.T, []byte) bool) {
-	t.Helper()
-	at := rng.IntN(len(body))
-	damaged := bytes.Clone(body)
-	damaged[at] = byte(rng.Uint32())
-	check(t, damaged)
-	check(t, append(bytes.Clone(body[:at]), body[at+1:]...))
-	check(t, append(bytes.Clone(body[:at+1]), body[at:]...))
-	check(t, body[:at])
+	return checkDecode(t, body, decodeTrialResult)
 }
 
 func TestTrialRequestWireMatchesJSON(t *testing.T) {
@@ -210,7 +175,9 @@ func TestTrialRequestWireMatchesJSON(t *testing.T) {
 		if checkDecodeTrialRequest(t, body) {
 			accepted++
 		}
-		damage(t, rng, body, checkDecodeTrialRequest)
+		for _, damaged := range jsonbytes.Damaged(rng, body) {
+			checkDecodeTrialRequest(t, damaged)
+		}
 	}
 	if accepted < 1000 {
 		t.Fatalf("fast path accepted %d of 10000 generated requests", accepted)
@@ -250,7 +217,9 @@ func TestTrialResultWireMatchesJSON(t *testing.T) {
 		if checkDecodeTrialResult(t, body) {
 			accepted++
 		}
-		damage(t, rng, body, checkDecodeTrialResult)
+		for _, damaged := range jsonbytes.Damaged(rng, body) {
+			checkDecodeTrialResult(t, damaged)
+		}
 	}
 	if accepted < 1000 {
 		t.Fatalf("fast path accepted %d of 10000 generated results", accepted)

@@ -4,35 +4,22 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand/v2"
-	"reflect"
 	"testing"
 
 	"rldecide/internal/core"
+	"rldecide/internal/jsonbytes"
 	"rldecide/internal/param"
 )
 
-// checkDecodeRecord is the fast decoder's whole contract on one line:
-// decline and leave the record alone, or return exactly the Record
-// json.Unmarshal returns — so never accept a line it rejects. It reports
-// whether the line was accepted.
+// checkDecodeRecord holds the fast decoder to json.Unmarshal on one line
+// and reports whether the line was accepted.
 func checkDecodeRecord(t *testing.T, line []byte) bool {
 	t.Helper()
-	var fast, ref Record
-	accepted := decodeRecord(line, &fast)
-	err := json.Unmarshal(line, &ref)
-	if !accepted {
-		if !reflect.DeepEqual(fast, Record{}) {
-			t.Fatalf("declined %q but wrote %+v", line, fast)
-		}
-		return false
-	}
+	accepted, err := jsonbytes.Differential(line, decodeRecord, func(b []byte, r *Record) error { return json.Unmarshal(b, r) })
 	if err != nil {
-		t.Fatalf("accepted %q, which json.Unmarshal rejects: %v", line, err)
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(fast, ref) {
-		t.Fatalf("line %q\n fast: %+v\n json: %+v", line, fast, ref)
-	}
-	return true
+	return accepted
 }
 
 // sphereTrial is a trial of the shape the service benchmark's studies
@@ -90,13 +77,9 @@ func TestDecodeRecordMatchesJSON(t *testing.T) {
 		if checkDecodeRecord(t, l) {
 			accepted++
 		}
-		at := rng.IntN(len(l))
-		damaged := bytes.Clone(l)
-		damaged[at] = byte(rng.Uint32())
-		checkDecodeRecord(t, damaged)
-		checkDecodeRecord(t, append(bytes.Clone(l[:at]), l[at+1:]...))
-		checkDecodeRecord(t, append(bytes.Clone(l[:at+1]), l[at:]...))
-		checkDecodeRecord(t, l[:at]) // a torn tail
+		for _, damaged := range jsonbytes.Damaged(rng, l) {
+			checkDecodeRecord(t, damaged)
+		}
 	}
 	if accepted < 2000 {
 		t.Fatalf("fast path accepted %d of 4000 generated lines", accepted)

@@ -12,7 +12,8 @@ import (
 // zero value, so the owner checks Done once at the end and hands a
 // declined message to encoding/json. What a Cursor accepts it returns
 // exactly as encoding/json would: plain strings only, JSON-grammar
-// numbers converted with the strconv calls encoding/json makes.
+// numbers converted with the strconv calls encoding/json makes, and for
+// Scalar the text encoding/json would copy through unchanged.
 type Cursor struct {
 	s   string
 	i   int
@@ -42,6 +43,12 @@ func (d *Cursor) Expect(lit string) {
 		d.bad = true
 	}
 }
+
+// Pos returns how many bytes of the message have been consumed.
+func (d *Cursor) Pos() int { return d.i }
+
+// Decline marks the message declined, for a rule the owner checks itself.
+func (d *Cursor) Decline() { d.bad = true }
 
 // fail declines the message.
 func (d *Cursor) fail() string {
@@ -73,16 +80,16 @@ func (d *Cursor) Str() string {
 	if !d.Accept(`"`) {
 		return d.fail()
 	}
-	start, ascii := d.i, true
-	for ; d.i < len(d.s); d.i++ {
-		c := d.s[d.i]
+	s, i, ascii := d.s, d.i, true
+	for ; i < len(s); i++ {
+		c := s[i]
 		if plainASCII[c] {
 			continue
 		}
 		switch {
 		case c == '"':
-			out := d.s[start:d.i]
-			d.i++
+			out := s[d.i:i]
+			d.i = i + 1
 			if !ascii && !utf8.ValidString(out) {
 				return d.fail() // encoding/json substitutes U+FFFD
 			}
@@ -90,6 +97,63 @@ func (d *Cursor) Str() string {
 		case c >= utf8.RuneSelf:
 			ascii = false
 		default: // a control byte or an escape
+			return d.fail()
+		}
+	}
+	return d.fail()
+}
+
+// Scalar consumes a string, number, true, false or null that
+// json.Marshal(json.RawMessage(x)) copies byte for byte, and returns its
+// text. A string may hold valid escapes, but no control byte, no raw <, >
+// or & and no U+2028 or U+2029, all of which that compact-and-escape pass
+// rewrites.
+func (d *Cursor) Scalar() string {
+	if d.bad || d.i == len(d.s) {
+		return d.fail()
+	}
+	s, i := d.s, d.i
+	switch s[i] {
+	case 't', 'f', 'n':
+		for _, lit := range [...]string{"true", "false", "null"} {
+			if d.Accept(lit) {
+				return lit
+			}
+		}
+		return d.fail()
+	case '"':
+	default:
+		return d.number()
+	}
+	for i++; i < len(s); i++ {
+		c := s[i]
+		if htmlSafe[c] {
+			continue
+		}
+		switch {
+		case c == '"':
+			text := s[d.i : i+1]
+			d.i = i + 1
+			return text
+		case c == '\\':
+			if i++; i == len(s) {
+				return d.fail()
+			}
+			switch s[i] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+			case 'u':
+				if len(s)-i <= 4 {
+					return d.fail()
+				}
+				if _, err := strconv.ParseUint(s[i+1:i+5], 16, 16); err != nil {
+					return d.fail()
+				}
+				i += 4
+			default:
+				return d.fail()
+			}
+		case c < utf8.RuneSelf, // a control byte, <, > or &
+			c == 0xE2 && len(s)-i > 2 && s[i+1] == 0x80 && s[i+2]&^1 == 0xA8:
 			return d.fail()
 		}
 	}

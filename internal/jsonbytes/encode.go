@@ -1,11 +1,13 @@
-// Package jsonbytes holds the primitives of the repository's two
-// hand-written JSON codecs — the journal's record lines
-// (internal/journal) and the fleet's dispatch bodies (internal/executor):
-// a string and a float encoder that write exactly the bytes encoding/json
-// writes, and a Cursor that reads back the form they write and declines
-// everything else. Each codec lays out its own message from these; the
-// byte-for-byte agreement with encoding/json is pinned by the codecs' own
-// differential tests and fuzz targets, not here.
+// Package jsonbytes holds the primitives of the repository's byte-form
+// JSON readers and writers: a string and a float encoder that write
+// exactly the bytes encoding/json writes, and a Cursor that reads back one
+// message in its writer's own form and declines everything else. Three
+// readers walk a Cursor — the journal's record lines (internal/journal),
+// the fleet's dispatch bodies (internal/executor) and the router's study
+// list (internal/shard) — and each takes a message whole or declines it
+// whole to encoding/json. Differential is the one contract all of them
+// are tested against: encoding/json stays the authority, and a reader
+// only ever answers for messages on which the two agree.
 package jsonbytes
 
 import (

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"rldecide/internal/daemon"
+	"rldecide/internal/jsonbytes"
 	"rldecide/internal/studyd"
 )
 
@@ -75,25 +77,13 @@ func referenceList(t *testing.T, bodies ...[]byte) []byte {
 
 // spliceBody is the router's body for entries.
 func spliceBody(entries []listEntry) []byte {
-	elems := make([][]byte, len(entries))
+	elems := make([]string, len(entries))
 	for i, e := range entries {
 		elems[i] = e.raw
 	}
 	rec := httptest.NewRecorder()
 	daemon.WriteStudyList(rec, elems)
 	return rec.Body.Bytes()
-}
-
-// passedThrough counts the entries whose bytes are body's own: the ones
-// the splitter accepted rather than handed to encoding/json.
-func passedThrough(body []byte, entries []listEntry) int {
-	n := 0
-	for _, e := range entries {
-		if off := bytes.Index(body, e.raw); off >= 0 && &body[off] == &e.raw[0] {
-			n++
-		}
-	}
-	return n
 }
 
 // ---- stub backends
@@ -171,16 +161,13 @@ func mustList(t *testing.T, routerURL string) []studyd.Summary {
 
 // TestRouterListMatchesWriteJSON: the router's body is byte for byte what
 // decoding every backend body and re-encoding the merged elements with
-// daemon.WriteJSON gives, and every element of a serve daemon's body
-// passes through the splitter rather than through encoding/json.
+// daemon.WriteJSON gives, and a serve daemon's body is taken whole by the
+// splitter rather than handed to encoding/json.
 func TestRouterListMatchesWriteJSON(t *testing.T) {
 	alpha, beta, empty := daemonBody(trickySummaries("alpha")...), daemonBody(trickySummaries("beta")...), daemonBody()
 	for _, body := range [][]byte{alpha, beta, empty} {
-		entries, ok := splitList(body, "x", nil)
-		want, _, _ := referenceSplit(body)
-		if !ok || len(entries) != len(want) || passedThrough(body, entries) != len(want) {
-			t.Fatalf("daemon body declined (ok=%v, %d entries, %d passed through, want %d):\n%s",
-				ok, len(entries), passedThrough(body, entries), len(want), body)
+		if !checkSplit(t, body) {
+			t.Fatalf("daemon body declined:\n%s", body)
 		}
 	}
 	for name, bodies := range map[string][][]byte{
@@ -215,8 +202,8 @@ func TestRouterListMatchesWriteJSON(t *testing.T) {
 		waitStatus(t, m, studyd.StatusDone)
 	}
 	body := mustGet(t, tsD.URL+"/studies")
-	if entries, ok := splitList(body, "alpha", nil); !ok || passedThrough(body, entries) != 3 {
-		t.Fatalf("live daemon body declined (ok=%v, %d of 3 passed through):\n%s", ok, passedThrough(body, entries), body)
+	if !checkSplit(t, body) {
+		t.Fatalf("live daemon body declined:\n%s", body)
 	}
 	_, tsR := newRouter(t, Config{Backends: []Backend{{Name: "alpha", URL: tsD.URL}}})
 	if got, want := mustGet(t, tsR.URL+"/studies"), referenceList(t, body); !bytes.Equal(got, want) {
@@ -225,8 +212,8 @@ func TestRouterListMatchesWriteJSON(t *testing.T) {
 }
 
 // foreignBodies are list bodies no serve daemon writes but encoding/json
-// reads: whatever of each the splitter declines, whole or by element, the
-// router's answer must be the one encoding/json alone would give.
+// reads: whether the splitter takes each or declines it, the router's
+// answer must be the one encoding/json alone would give.
 var foreignBodies = map[string]string{
 	"compact":        `{"studies":[{"id":"a-s0001","name":"x"},{"id":"a-s0002","name":"y"}]}`,
 	"crlf":           "{\r\n  \"studies\": [\r\n    {\r\n      \"id\": \"a-s0001\"\r\n    }\r\n  ]\r\n}\r\n",
@@ -265,35 +252,30 @@ var tornBodies = []string{
 	"{\n  \"studies\": [\n    {\n      \"id\": \"a-s0001\",\n      \"budget\": 016\n    }\n  ]\n}\n",
 }
 
-// checkSplit holds the splitter to the encoding/json reading of body.
-func checkSplit(t *testing.T, body []byte) {
+// checkSplit holds the splitter to decodeList, its decline target, and
+// decodeList to the encoding/json reading of body. It reports whether the
+// splitter took the body.
+func checkSplit(t *testing.T, body []byte) bool {
 	t.Helper()
+	accepted, err := jsonbytes.Differential(body,
+		func(b []byte, e *[]listEntry) (ok bool) { *e, ok = splitList(string(b), "b", nil); return ok },
+		func(b []byte, e *[]listEntry) (err error) { *e, err = decodeList(string(b), "b", nil); return err })
+	if err != nil {
+		t.Fatal(err)
+	}
 	wantIDs, wantRaws, refErr := referenceSplit(body)
-	got, ok := splitList(body, "b", nil)
+	got, err := decodeList(string(body), "b", nil)
+	if (err != nil) != (refErr != nil) {
+		t.Fatalf("decodeList: %v, encoding/json: %v, on\n%q", err, refErr, body)
+	}
 	if refErr != nil {
-		if ok {
-			t.Fatalf("splitter accepted a body encoding/json rejects (%v):\n%q", refErr, body)
-		}
-		if _, err := decodeList(body, "b", nil); err == nil {
-			t.Fatalf("decodeList accepted a body encoding/json rejects (%v):\n%q", refErr, body)
-		}
-		return
-	}
-	if ok && !json.Valid(body) {
-		t.Fatalf("splitter accepted an invalid body:\n%q", body)
-	}
-	if !ok {
-		// The decline target is held to the same reading.
-		var err error
-		if got, err = decodeList(body, "b", nil); err != nil {
-			t.Fatalf("decodeList: %v on a body encoding/json reads:\n%q", err, body)
-		}
+		return accepted
 	}
 	if len(got) != len(wantIDs) {
-		t.Fatalf("%d elements (accepted=%v), want %d:\n%q", len(got), ok, len(wantIDs), body)
+		t.Fatalf("%d elements, want %d:\n%q", len(got), len(wantIDs), body)
 	}
 	for i, e := range got {
-		if string(e.id) != wantIDs[i] {
+		if e.id != wantIDs[i] {
 			t.Fatalf("element %d has ID %q, want %q:\n%q", i, e.id, wantIDs[i], body)
 		}
 	}
@@ -301,8 +283,9 @@ func checkSplit(t *testing.T, body []byte) {
 		wantRaws = []json.RawMessage{}
 	}
 	if out, want := spliceBody(got), writeJSONBody(map[string]any{"studies": wantRaws}); !bytes.Equal(out, want) {
-		t.Fatalf("spliced (accepted=%v)\n%q\nwant\n%q\nfrom\n%q", ok, out, want, body)
+		t.Fatalf("spliced\n%q\nwant\n%q\nfrom\n%q", out, want, body)
 	}
+	return accepted
 }
 
 func TestSplitListForeignAndTorn(t *testing.T) {
@@ -318,11 +301,13 @@ func TestSplitListForeignAndTorn(t *testing.T) {
 		}
 		checkSplit(t, []byte(body))
 	}
-	// Declines are per element where the envelope is the encoder's: the
-	// nested body's second element still passes through.
-	body := []byte(foreignBodies["nested"])
-	if entries, ok := splitList(body, "b", nil); !ok || len(entries) != 2 || passedThrough(body, entries) != 1 {
-		t.Fatalf("nested: ok=%v, %d entries, %d passed through", ok, len(entries), passedThrough(body, entries))
+	// Near misses of a daemon body, kept short: four of the tricky summaries.
+	rng := rand.New(rand.NewPCG(28, 0x5b1))
+	body := daemonBody(trickySummaries("alpha")[:4]...)
+	for i := 0; i < 200; i++ {
+		for _, damaged := range jsonbytes.Damaged(rng, body) {
+			checkSplit(t, damaged)
+		}
 	}
 }
 

@@ -409,7 +409,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 // counted. An ID listed more than once (a re-homed study whose old owner
 // came back, docs/sharding.md) keeps one summary: the highest generation,
 // the backend first in name order on a tie.
-func (rt *Router) listStudies(ctx context.Context) ([][]byte, error) {
+func (rt *Router) listStudies(ctx context.Context) ([]string, error) {
 	var entries []listEntry
 	var lastErr error
 	reached := 0
@@ -426,10 +426,10 @@ func (rt *Router) listStudies(ctx context.Context) ([][]byte, error) {
 		return nil, lastErr
 	}
 	// Stable, so that summaries of one ID stay in backend name order.
-	slices.SortStableFunc(entries, func(a, b listEntry) int { return bytes.Compare(a.id, b.id) })
+	slices.SortStableFunc(entries, func(a, b listEntry) int { return strings.Compare(a.id, b.id) })
 	kept := entries[:0]
 	for _, e := range entries {
-		if n := len(kept); n > 0 && bytes.Equal(kept[n-1].id, e.id) {
+		if n := len(kept); n > 0 && kept[n-1].id == e.id {
 			if generationOf(e.raw) > generationOf(kept[n-1].raw) {
 				kept[n-1] = e
 			}
@@ -437,14 +437,13 @@ func (rt *Router) listStudies(ctx context.Context) ([][]byte, error) {
 		}
 		kept = append(kept, e)
 	}
-	out := make([][]byte, len(kept))
+	out := make([]string, len(kept))
 	rt.mu.Lock()
 	for i, e := range kept {
 		out[i] = e.raw
-		// Looked up as bytes first: listing studies the directory already
-		// holds allocates no ID strings.
-		if rt.placements[string(e.id)] != e.backend {
-			rt.place(string(e.id), e.backend)
+		if rt.placements[e.id] != e.backend {
+			// Cloned, or one directory entry would pin a whole listing body.
+			rt.place(strings.Clone(e.id), e.backend)
 		}
 	}
 	rt.mu.Unlock()
@@ -460,19 +459,20 @@ func (rt *Router) appendList(ctx context.Context, b Backend, entries []listEntry
 		return entries, err
 	}
 	defer resp.Body.Close()
-	var buf bytes.Buffer
-	// Sized from the header so the body is read into place, but not on the
+	// Read as a string, which the splitter's entries are substrings of.
+	// Sized from the header so the body is never regrown, but not on the
 	// word of a header alone past what a list has any business being.
+	var buf strings.Builder
 	if n := resp.ContentLength; 0 < n && n < 1<<28 {
-		buf.Grow(int(n) + bytes.MinRead)
+		buf.Grow(int(n))
 	}
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
+	if _, err := io.Copy(&buf, resp.Body); err != nil {
 		return entries, err
 	}
 	if resp.StatusCode != http.StatusOK {
 		return entries, fmt.Errorf("status %d", resp.StatusCode)
 	}
-	body := buf.Bytes()
+	body := buf.String()
 	if entries == nil {
 		// An indented summary is upwards of 250 bytes. Growing the table by
 		// doubling instead costs a 4000-study listing 1.2 MB of garbage
@@ -486,12 +486,12 @@ func (rt *Router) appendList(ctx context.Context, b Backend, entries []listEntry
 }
 
 // generationOf reads a summary's ownership generation (0 when it has none).
-func generationOf(summary []byte) int {
+func generationOf(summary string) int {
 	var p struct {
 		Generation int `json:"generation"`
 	}
 	// A summary that does not decode cleanly still has the generation it has.
-	_ = json.Unmarshal(summary, &p)
+	_ = json.Unmarshal([]byte(summary), &p)
 	return p.Generation
 }
 

@@ -260,10 +260,11 @@ func (d *Daemon) SubmitAs(spec Spec, tenant string) (*ManagedStudy, error) {
 // when budget remains — resumes it. Idempotent: adopting a study this
 // daemon already runs returns it unchanged.
 func (d *Daemon) Adopt(id string) (*ManagedStudy, error) {
+	// Held through the launch, as in SubmitAs: a Shutdown between the check
+	// and the launch would drain, then have a runner start after it.
 	d.mu.Lock()
-	stopped := d.stopped
-	d.mu.Unlock()
-	if stopped {
+	defer d.mu.Unlock()
+	if d.stopped {
 		return nil, fmt.Errorf("studyd: daemon is shutting down")
 	}
 	m, fresh, err := d.store.Adopt(id)

@@ -78,7 +78,7 @@ func (d *Daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (d *Daemon) handleList(w http.ResponseWriter, r *http.Request) {
 	studies := d.store.List()
-	elems := make([][]byte, len(studies))
+	elems := make([]string, len(studies))
 	for i, m := range studies {
 		elems[i] = m.listElement()
 	}

@@ -2,6 +2,7 @@ package studyd
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -297,5 +298,56 @@ func TestAdoptRehomesStudy(t *testing.T) {
 	}
 	if len(alpha2.Store().List()) != 0 {
 		t.Fatal("alpha still loads the study beta adopted")
+	}
+}
+
+// TestAdoptRacesShutdown: an adopt racing Shutdown is either refused or
+// has its runner drained by it — never a runner started against the state
+// directory after Shutdown reported a clean drain.
+func TestAdoptRacesShutdown(t *testing.T) {
+	spec := baseSpec("sphere")
+	spec.Budget = 1
+	quiet := func(string, ...any) {} // a runner started after the drain outlives the test
+	for round := 0; round < 100; round++ {
+		dir := t.TempDir()
+		st, err := OpenStore(dir, "alpha", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stranded, err := st.Submit(spec, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		beta, err := New(Config{Dir: dir, Name: "beta", Workers: 1, Logf: quiet})
+		if err != nil {
+			t.Fatal(err)
+		}
+		type adoption struct {
+			m   *ManagedStudy
+			err error
+		}
+		adopted := make(chan adoption, 1)
+		go func() {
+			m, err := beta.Adopt(stranded.ID)
+			adopted <- adoption{m, err}
+		}()
+		// Staggered across rounds, so that Shutdown lands before, inside and
+		// after the adopt's manifest rewrite and journal replay.
+		time.Sleep(time.Duration(round%20) * 25 * time.Microsecond)
+		if err := beta.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		a := <-adopted
+		if a.err != nil {
+			if !strings.Contains(a.err.Error(), "shutting down") {
+				t.Fatalf("round %d: adopt: %v", round, a.err)
+			}
+			continue
+		}
+		select {
+		case <-a.m.Done():
+		default:
+			t.Fatalf("round %d: Shutdown drained cleanly before the adopted study's runner finished", round)
+		}
 	}
 }

@@ -81,13 +81,12 @@ type ManagedStudy struct {
 	// body: listElem is the indented encoding of listed, good for as long
 	// as the study's summary still equals it — for a finished study, for
 	// ever. The comparison is the whole invalidation; nothing on the trial,
-	// status or adopt paths knows the memo exists. listElem is never
-	// written in place, so a handler may keep reading one after the lock is
-	// released.
+	// status or adopt paths knows the memo exists. listElem is a string,
+	// so a handler may keep reading one after the lock is released.
 	// guarded-by: mu
 	listed Summary
 	// guarded-by: mu
-	listElem []byte
+	listElem string
 }
 
 // Status returns the study's current lifecycle state.
@@ -148,11 +147,11 @@ func (m *ManagedStudy) Summary() Summary {
 
 // listElement returns the study's summary as GET /studies lists it
 // (daemon.StudyListElem), encoding it only if it changed since the last
-// listing. The result is shared and read-only.
-func (m *ManagedStudy) listElement() []byte {
+// listing.
+func (m *ManagedStudy) listElement() string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if sum := m.summaryLocked(); m.listElem == nil || sum != m.listed {
+	if sum := m.summaryLocked(); m.listElem == "" || sum != m.listed {
 		// A struct of strings and integers always encodes.
 		m.listElem, _ = daemon.StudyListElem(sum)
 		m.listed = sum

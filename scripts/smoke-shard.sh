@@ -7,13 +7,14 @@
 #   * identical submissions spread across both shards (bounded-load
 #     placement),
 #   * per-study reads proxy through the router to the owning daemon,
+#   * the fleet-wide study list names every study once, sorted by ID,
 #   * a study's /spans tree links the router's placement span, the owning
 #     daemon's scheduling spans, and the worker-side execution spans
 #     under one deterministic trace ID,
 #   * the fleet-wide /metrics rollup carries daemon labels without
 #     colliding series,
 #   * killing one daemon re-homes its studies onto the survivor and the
-#     router keeps serving them.
+#     router keeps serving and listing them.
 #
 # Runs in CI (see .github/workflows/ci.yml) and locally:
 #
@@ -137,6 +138,15 @@ for id in "${ids[@]}"; do
 done
 echo "all studies done through the router"
 
+# The fleet-wide list splices both daemons' GET /studies bodies: exactly
+# the three studies, sorted by ID, each once.
+list_ids() { curl -sf "$base/studies" | sed -n 's/^ *"id": *"\([^"]*\)".*/\1/p'; }
+want_ids=$(printf '%s\n' "${ids[@]}" | LC_ALL=C sort)
+got_ids=$(list_ids)
+[ "$got_ids" = "$want_ids" ] ||
+  { printf 'router lists\n%s\nwant\n%s\n' "$got_ids" "$want_ids" >&2; exit 1; }
+echo "fleet-wide list OK"
+
 # Fleet-wide causal tracing: the routed /spans tree must stitch the
 # router's placement span, the daemon's scheduling spans, and the
 # worker-side execution spans under a single trace ID.
@@ -208,4 +218,15 @@ done
 trials=$(curl -sf "$base/studies/$beta_id/trials" | grep -o '"id":' | wc -l)
 [ "$trials" -ge 8 ] || { echo "re-homed study lost trials ($trials)" >&2; exit 1; }
 echo "re-homed $beta_id onto alpha with $trials trials intact"
+
+# The list still has the three studies, and lists the re-homed one as
+# alpha's, one ownership generation on.
+got_ids=$(list_ids)
+[ "$got_ids" = "$want_ids" ] ||
+  { printf 'after re-homing, router lists\n%s\nwant\n%s\n' "$got_ids" "$want_ids" >&2; exit 1; }
+elem=$(curl -sf "$base/studies" |
+  awk -v id="\"id\": \"$beta_id\"" 'index($0, id) { on = 1 } on { print } on && /^    }/ { exit }')
+echo "$elem" | grep -q '"daemon": "alpha"' && echo "$elem" | grep -q '"generation": 2' ||
+  { echo "list shows re-homed $beta_id as: $elem" >&2; exit 1; }
+echo "fleet-wide list after re-homing OK"
 echo "shard smoke OK"
