@@ -1,8 +1,8 @@
 // Package daemon is the shared kernel every rldecide daemon embeds:
 // bearer-token authentication (single-token or per-tenant with slot
 // quotas), the JSON error/response helpers of the HTTP APIs, the debug
-// listener (pprof + metrics) wiring, state-directory management, and the
-// serve-then-gracefully-drain lifecycle. cmd/rldecide-serve,
+// listener (pprof + metrics) wiring, and the serve-then-gracefully-drain
+// lifecycle. cmd/rldecide-serve,
 // cmd/rldecide-worker and cmd/rldecide-router all build on this package
 // instead of carrying their own copies of the plumbing, which is what
 // makes adding another daemon to the control plane cheap.
@@ -15,12 +15,9 @@ package daemon
 
 import (
 	"context"
-	"fmt"
 	"log"
 	"net/http"
-	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -48,18 +45,6 @@ func (c *Core) Printf(format string, args ...any) {
 		return
 	}
 	c.Logf(format, args...)
-}
-
-// StateDir ensures the daemon's state directory exists and returns its
-// cleaned path.
-func StateDir(path string) (string, error) {
-	if path == "" {
-		return "", fmt.Errorf("daemon: state directory path is empty")
-	}
-	if err := os.MkdirAll(path, 0o755); err != nil {
-		return "", err
-	}
-	return filepath.Clean(path), nil
 }
 
 // SignalContext returns a context cancelled on SIGINT/SIGTERM — the

@@ -7,8 +7,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 )
@@ -130,20 +128,6 @@ func TestAuthRequireMiddleware(t *testing.T) {
 	var apiErr APIError
 	if err := json.NewDecoder(rec.Body).Decode(&apiErr); err != nil || apiErr.Error == "" {
 		t.Fatalf("401 body not an APIError: %v %+v", err, apiErr)
-	}
-}
-
-func TestStateDir(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "a", "b")
-	got, err := StateDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fi, err := os.Stat(got); err != nil || !fi.IsDir() {
-		t.Fatalf("state dir not created: %v", err)
-	}
-	if _, err := StateDir(""); err == nil {
-		t.Fatal("empty state dir accepted")
 	}
 }
 

@@ -54,9 +54,6 @@ const (
 	SAC Algo = "sac"
 )
 
-// Algos lists all supported algorithms.
-func Algos() []Algo { return []Algo{PPO, SAC} }
-
 // TrainConfig describes one training run (one "learning configuration" in
 // the methodology's vocabulary).
 type TrainConfig struct {

@@ -31,7 +31,6 @@ func AppendFloat(dst []byte, f float64) ([]byte, error) {
 	}
 	abs := math.Abs(f)
 	format := byte('f')
-	//lint:ignore float-eq exact-zero test replicates encoding/json's floatEncoder branch
 	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}

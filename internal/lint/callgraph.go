@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// CallGraph is the module-internal static call graph over non-test code.
+// CallGraph is the module-internal static call graph.
 // Edges connect *types.Func objects resolved by the type checker; dynamic
 // calls (function values, interface methods) contribute an edge only when
 // the checker resolves the callee to a concrete function. Calls made
@@ -24,7 +24,7 @@ type CallGraph struct {
 	PkgOf map[*types.Func]*Package
 }
 
-// buildCallGraph walks every checked package once.
+// buildCallGraph walks every package once.
 func buildCallGraph(m *Module) *CallGraph {
 	g := &CallGraph{
 		Callees: map[*types.Func][]*types.Func{},
@@ -34,58 +34,30 @@ func buildCallGraph(m *Module) *CallGraph {
 	}
 	// First pass registers every declared function so edges can be
 	// restricted to module-internal targets.
-	for _, pkg := range m.Pkgs {
-		if !pkg.Checked() {
-			continue
-		}
-		for _, name := range pkg.NonTestFileNames() {
-			for _, decl := range pkg.Files[name].Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if fn, ok := pkg.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-					g.DeclOf[fn] = fd
-					g.PkgOf[fn] = pkg
-				}
+	m.eachFunc(func(pkg *Package, fn *types.Func, fd *ast.FuncDecl) {
+		g.DeclOf[fn] = fd
+		g.PkgOf[fn] = pkg
+	})
+	m.eachFunc(func(pkg *Package, fn *types.Func, fd *ast.FuncDecl) {
+		seen := map[*types.Func]bool{}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
 			}
-		}
-	}
-	for _, pkg := range m.Pkgs {
-		if !pkg.Checked() {
-			continue
-		}
-		for _, name := range pkg.NonTestFileNames() {
-			for _, decl := range pkg.Files[name].Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, ok := pkg.TypesInfo.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				seen := map[*types.Func]bool{}
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					callee := CalleeOf(pkg.TypesInfo, call)
-					if callee == nil || seen[callee] {
-						return true
-					}
-					if _, inModule := g.PkgOf[callee]; !inModule {
-						return true
-					}
-					seen[callee] = true
-					g.Callees[fn] = append(g.Callees[fn], callee)
-					g.Callers[callee] = append(g.Callers[callee], fn)
-					return true
-				})
+			callee := CalleeOf(pkg.TypesInfo, call)
+			if callee == nil || seen[callee] {
+				return true
 			}
-		}
-	}
+			if _, inModule := g.PkgOf[callee]; !inModule {
+				return true
+			}
+			seen[callee] = true
+			g.Callees[fn] = append(g.Callees[fn], callee)
+			g.Callers[callee] = append(g.Callers[callee], fn)
+			return true
+		})
+	})
 	return g
 }
 

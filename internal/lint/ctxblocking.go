@@ -2,19 +2,22 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 )
 
-// CtxBlocking requires exported blocking functions in internal/core,
-// internal/studyd and internal/executor to take a context.Context as
-// their first parameter. Those are the packages the daemon builds on: a
-// blocking call without a context cannot be drained on SIGTERM, which
-// turns graceful shutdown — and therefore crash-safe journaling — into a
-// race. In internal/executor the stakes are higher still: a heartbeat or
+// CtxBlocking requires exported blocking functions in the six ctxScopes
+// packages (internal/core, studyd, executor, daemon, shard, analysis) to
+// take a context.Context as their first parameter. Those are the packages
+// the daemons build on: a blocking call without a context cannot be
+// drained on SIGTERM, which turns graceful shutdown — and therefore
+// crash-safe journaling — into a race. In internal/executor the stakes are higher still: a heartbeat or
 // dispatch loop that cannot be cancelled keeps a dead fleet alive.
 //
-// "Blocking" is detected syntactically: the function body performs a
-// channel send/receive, a select, time.Sleep, ranges over a ticker/timer
-// channel (a `.C` selector), or calls a Wait/Acquire method. Function
+// "Blocking" means the function body performs a channel send/receive, a
+// select, a time.Sleep call, ranges over a ticker/timer channel (a `.C`
+// selector), or calls a Wait/Acquire method. The context parameter,
+// time.Sleep and context.Background/TODO are resolved by go/types, so an
+// aliased or dot import reads the same as a plain one. Function
 // literals and go statements are excluded (work launched asynchronously
 // does not block the caller). Thin wrappers whose entire body delegates
 // to a context-taking variant with context.Background() or context.TODO()
@@ -33,59 +36,27 @@ func (CtxBlocking) Doc() string {
 var ctxScopes = []string{"internal/core", "internal/studyd", "internal/executor", "internal/daemon", "internal/shard", "internal/analysis"}
 
 // Check implements Rule.
-func (r CtxBlocking) Check(pkg *Package, report ReportFunc) {
-	inScope := false
-	for _, seg := range ctxScopes {
-		if pathHasSegments(pkg.Path, seg) {
-			inScope = true
-			break
+func (r CtxBlocking) Check(mod *Module, report ReportFunc) {
+	mod.eachFunc(func(pkg *Package, obj *types.Func, fn *ast.FuncDecl) {
+		if !inAnyScope(pkg.Path, ctxScopes) || !fn.Name.IsExported() {
+			return
 		}
-	}
-	if !inScope {
-		return
-	}
-	for _, name := range pkg.SortedFileNames() {
-		if IsTestFile(name) {
-			continue
+		params := obj.Type().(*types.Signature).Params()
+		if params.Len() > 0 && isNamed(params.At(0).Type(), "context", "Context") || isCtxDelegator(pkg.TypesInfo, fn) {
+			return
 		}
-		file := pkg.Files[name]
-		timeName := importName(file, "time")
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || !fn.Name.IsExported() {
-				continue
-			}
-			if firstParamIsContext(fn) || isCtxDelegator(fn) {
-				continue
-			}
-			if op := blockingOp(fn.Body, timeName); op != "" {
-				report(r.Name(), fn.Pos(),
-					"exported %s blocks (%s) but does not take a context.Context first parameter; without one the daemon cannot drain it on shutdown",
-					fn.Name.Name, op)
-			}
+		if op := blockingOp(pkg.TypesInfo, fn.Body); op != "" {
+			report(r.Name(), fn.Pos(),
+				"exported %s blocks (%s) but does not take a context.Context first parameter; without one the daemon cannot drain it on shutdown",
+				fn.Name.Name, op)
 		}
-	}
-}
-
-// firstParamIsContext reports whether fn's first parameter is typed
-// context.Context.
-func firstParamIsContext(fn *ast.FuncDecl) bool {
-	params := fn.Type.Params
-	if params == nil || len(params.List) == 0 {
-		return false
-	}
-	sel, ok := params.List[0].Type.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Context" {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	return ok && id.Name == "context"
+	})
 }
 
 // isCtxDelegator reports whether fn's body is a single statement that
 // calls something with context.Background() or context.TODO() as the
 // first argument — the convenience-wrapper shape (Run → RunContext).
-func isCtxDelegator(fn *ast.FuncDecl) bool {
+func isCtxDelegator(info *types.Info, fn *ast.FuncDecl) bool {
 	if len(fn.Body.List) != 1 {
 		return false
 	}
@@ -101,22 +72,14 @@ func isCtxDelegator(fn *ast.FuncDecl) bool {
 	if call == nil || len(call.Args) == 0 {
 		return false
 	}
-	argCall, ok := call.Args[0].(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	sel, ok := argCall.Fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Background" && sel.Sel.Name != "TODO") {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	return ok && id.Name == "context"
+	arg, ok := call.Args[0].(*ast.CallExpr)
+	return ok && isPkgFunc(CalleeOf(info, arg), "context", "Background", "TODO")
 }
 
 // blockingOp returns a description of the first synchronous blocking
 // operation in body, or "". Bodies of go statements and function literals
 // are skipped: they run on other goroutines or at another time.
-func blockingOp(body *ast.BlockStmt, timeName string) string {
+func blockingOp(info *types.Info, body *ast.BlockStmt) string {
 	op := ""
 	var walk func(n ast.Node) bool
 	walk = func(n ast.Node) bool {
@@ -142,13 +105,10 @@ func blockingOp(body *ast.BlockStmt, timeName string) string {
 		case *ast.SelectStmt:
 			op = "select"
 		case *ast.CallExpr:
-			if sel, ok := v.Fun.(*ast.SelectorExpr); ok {
-				switch {
-				case sel.Sel.Name == "Sleep" && isPkgRef(sel.X, timeName):
-					op = "time.Sleep"
-				case sel.Sel.Name == "Wait" || sel.Sel.Name == "Acquire":
-					op = sel.Sel.Name + " call"
-				}
+			if isPkgFunc(CalleeOf(info, v), "time", "Sleep") {
+				op = "time.Sleep"
+			} else if sel, ok := v.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Wait" || sel.Sel.Name == "Acquire") {
+				op = sel.Sel.Name + " call"
 			}
 		}
 		return true

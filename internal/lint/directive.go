@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"go/ast"
 	"go/token"
 	"strings"
 )
@@ -48,8 +47,7 @@ func (r *Runner) applySuppressions(pkgs []*Package, findings []Finding) []Findin
 	var dirs []*directive
 	var out []Finding
 	for _, pkg := range pkgs {
-		for _, name := range pkg.SortedFileNames() {
-			file := pkg.Files[name]
+		for _, file := range pkg.Files {
 			for _, group := range file.Comments {
 				for _, c := range group.List {
 					text := strings.TrimSpace(c.Text)
@@ -114,48 +112,4 @@ func matchDirective(dirs []*directive, f Finding) *directive {
 		}
 	}
 	return hit
-}
-
-// importName returns the local name under which file imports path, or
-// "" when the import is absent. Blank and dot imports return "".
-func importName(file *ast.File, path string) string {
-	for _, imp := range file.Imports {
-		if strings.Trim(imp.Path.Value, `"`) != path {
-			continue
-		}
-		if imp.Name != nil {
-			if imp.Name.Name == "_" || imp.Name.Name == "." {
-				return ""
-			}
-			return imp.Name.Name
-		}
-		// Default name: last non-version path segment, so that
-		// "math/rand/v2" resolves to "rand".
-		segs := strings.Split(path, "/")
-		name := segs[len(segs)-1]
-		if len(segs) > 1 && len(name) >= 2 && name[0] == 'v' && name[1] >= '0' && name[1] <= '9' {
-			name = segs[len(segs)-2]
-		}
-		return name
-	}
-	return ""
-}
-
-// isPkgRef reports whether e is a reference to the package imported under
-// name — an identifier with that name that the parser did not resolve to a
-// local declaration (shadowing).
-func isPkgRef(e ast.Expr, name string) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && name != "" && id.Name == name && id.Obj == nil
-}
-
-// pathHasSegments reports whether the slash-separated import path contains
-// the given consecutive segment sequence (e.g. "internal/power").
-func pathHasSegments(path, segs string) bool {
-	if path == segs {
-		return true
-	}
-	return strings.HasPrefix(path, segs+"/") ||
-		strings.HasSuffix(path, "/"+segs) ||
-		strings.Contains(path, "/"+segs+"/")
 }

@@ -11,11 +11,13 @@ import (
 // `_ = f()` (the assignment is the acknowledgment); deferred calls are
 // exempt by convention.
 //
-// Without type information the rule flags two shapes: bare calls to
-// functions declared in the same package whose last result is error, and
-// bare calls to methods with conventionally error-returning names (Close,
-// Flush, Encode, ...). Same-package method names are flagged only when
-// every method of that name in the package returns an error.
+// err-drop is the one rule that asks go/types nothing. It flags two
+// shapes: bare calls to functions declared in the same package whose last
+// result is error, and bare calls to methods with conventionally
+// error-returning names (Close, Flush, Encode, ...). Same-package method
+// names are flagged only when every method of that name in the package
+// returns an error. A typed version would flag any bare call whose last
+// result is error; docs/lint.md records what it would find.
 type ErrDrop struct{}
 
 // Name implements Rule.
@@ -36,54 +38,52 @@ var errDropMethods = map[string]bool{
 }
 
 // Check implements Rule.
-func (r ErrDrop) Check(pkg *Package, report ReportFunc) {
-	funcs, methods := errReturningDecls(pkg)
-	for _, name := range pkg.SortedFileNames() {
-		if IsTestFile(name) {
-			continue
+func (r ErrDrop) Check(mod *Module, report ReportFunc) {
+	for _, pkg := range mod.Pkgs {
+		funcs, methods := errReturningDecls(pkg)
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				stmt, ok := n.(*ast.ExprStmt)
+				if !ok {
+					return true
+				}
+				call, ok := stmt.X.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				name := ""
+				switch fn := call.Fun.(type) {
+				case *ast.Ident:
+					// Obj is non-nil for same-file package functions (Kind
+					// Fun) and for locally redeclared names (Kind Var); only
+					// the latter are exempt.
+					if funcs[fn.Name] && (fn.Obj == nil || fn.Obj.Kind == ast.Fun) {
+						name = fn.Name
+					}
+				case *ast.SelectorExpr:
+					if errDropMethods[fn.Sel.Name] || methods[fn.Sel.Name] {
+						name = fn.Sel.Name
+					}
+				}
+				if name != "" {
+					report(r.Name(), stmt.Pos(),
+						"%s returns an error that is silently discarded; handle it or discard explicitly with _ =", name)
+				}
+				return true
+			})
 		}
-		file := pkg.Files[name]
-		ast.Inspect(file, func(n ast.Node) bool {
-			stmt, ok := n.(*ast.ExprStmt)
-			if !ok {
-				return true
-			}
-			call, ok := stmt.X.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			switch fn := call.Fun.(type) {
-			case *ast.Ident:
-				// Obj is non-nil for same-file package functions (Kind
-				// Fun) and for locally redeclared names (Kind Var); only
-				// the latter are exempt.
-				if funcs[fn.Name] && (fn.Obj == nil || fn.Obj.Kind == ast.Fun) {
-					report(r.Name(), stmt.Pos(),
-						"%s returns an error that is silently discarded; handle it or discard explicitly with _ =",
-						fn.Name)
-				}
-			case *ast.SelectorExpr:
-				if errDropMethods[fn.Sel.Name] || methods[fn.Sel.Name] {
-					report(r.Name(), stmt.Pos(),
-						"%s returns an error that is silently discarded; handle it or discard explicitly with _ =",
-						fn.Sel.Name)
-				}
-			}
-			return true
-		})
 	}
 }
 
-// errReturningDecls scans every file of pkg (tests included, since helpers
-// may live there) and returns the plain functions whose last result is
-// error, plus the method names for which every same-named method in the
-// package returns an error.
+// errReturningDecls scans every file of pkg and returns the plain
+// functions whose last result is error, plus the method names for which
+// every same-named method in the package returns an error.
 func errReturningDecls(pkg *Package) (funcs, methods map[string]bool) {
 	funcs = map[string]bool{}
 	methods = map[string]bool{}
 	nonErr := map[string]bool{}
-	for _, name := range pkg.SortedFileNames() {
-		for _, decl := range pkg.Files[name].Decls {
+	for _, file := range pkg.Files {
+		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok {
 				continue

@@ -30,21 +30,18 @@ func (GoroutineLeak) Doc() string {
 	return "spawned goroutines with infinite channel loops observe ctx.Done() or a close signal"
 }
 
-// Check implements Rule; GoroutineLeak is a ModuleRule.
-func (GoroutineLeak) Check(pkg *Package, report ReportFunc) {}
-
 // goleakScopes are the package path segments the rule applies to — the
 // concurrent control plane and the daemon mains.
 var goleakScopes = []string{"internal/executor", "internal/studyd", "internal/shard", "internal/obs", "internal/daemon", "internal/analysis", "cmd"}
 
-// CheckModule implements ModuleRule.
-func (r GoroutineLeak) CheckModule(mod *Module, report ReportFunc) {
+// Check implements Rule.
+func (r GoroutineLeak) Check(mod *Module, report ReportFunc) {
 	for _, pkg := range mod.Pkgs {
-		if !pkg.Checked() || !inAnyScope(pkg.Path, goleakScopes) {
+		if !inAnyScope(pkg.Path, goleakScopes) {
 			continue
 		}
-		for _, name := range pkg.NonTestFileNames() {
-			ast.Inspect(pkg.Files[name], func(n ast.Node) bool {
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
 				g, ok := n.(*ast.GoStmt)
 				if !ok {
 					return true
@@ -63,16 +60,6 @@ func (r GoroutineLeak) CheckModule(mod *Module, report ReportFunc) {
 	}
 }
 
-// inAnyScope reports whether path contains any of the segment sequences.
-func inAnyScope(path string, scopes []string) bool {
-	for _, seg := range scopes {
-		if pathHasSegments(path, seg) {
-			return true
-		}
-	}
-	return false
-}
-
 // spawnedBody resolves the body the go statement will run: a function
 // literal's body directly, or the declaration of a statically-resolved
 // callee (possibly in another package — then that package's type info is
@@ -86,11 +73,10 @@ func spawnedBody(mod *Module, pkg *Package, call *ast.CallExpr) (*ast.BlockStmt,
 		return nil, nil
 	}
 	decl := mod.Graph.DeclOf[fn]
-	declPkg := mod.Graph.PkgOf[fn]
-	if decl == nil || declPkg == nil || !declPkg.Checked() {
+	if decl == nil {
 		return nil, nil
 	}
-	return decl.Body, declPkg.TypesInfo
+	return decl.Body, mod.Graph.PkgOf[fn].TypesInfo
 }
 
 // leakyLoop returns a description of the first infinite channel loop in

@@ -25,29 +25,19 @@ func (GoSpawn) Doc() string {
 var goSpawnScopes = []string{"internal/tensor", "internal/nn"}
 
 // Check implements Rule.
-func (g GoSpawn) Check(pkg *Package, report ReportFunc) {
-	inScope := false
-	for _, scope := range goSpawnScopes {
-		if pathHasSegments(pkg.Path, scope) {
-			inScope = true
-			break
-		}
-	}
-	if !inScope {
-		return
-	}
-	for _, name := range pkg.SortedFileNames() {
-		if IsTestFile(name) {
+func (g GoSpawn) Check(mod *Module, report ReportFunc) {
+	for _, pkg := range mod.Pkgs {
+		if !inAnyScope(pkg.Path, goSpawnScopes) {
 			continue
 		}
-		ast.Inspect(pkg.Files[name], func(n ast.Node) bool {
-			st, ok := n.(*ast.GoStmt)
-			if !ok {
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if st, ok := n.(*ast.GoStmt); ok {
+					report(g.Name(), st.Pos(),
+						"go statement in a hot-path kernel package allocates per call and competes for the cores trials already run on; kernels are serial, concurrency belongs to core.Study.Parallelism and executor slots")
+				}
 				return true
-			}
-			report(g.Name(), st.Pos(),
-				"go statement in a hot-path kernel package allocates per call and competes for the cores trials already run on; kernels are serial, concurrency belongs to core.Study.Parallelism and executor slots")
-			return true
-		})
+			})
+		}
 	}
 }

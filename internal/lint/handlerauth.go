@@ -29,20 +29,14 @@ func (HandlerAuth) Doc() string {
 	return "mutating ServeMux routes are registered behind Require/RequireTenant auth middleware"
 }
 
-// Check implements Rule; HandlerAuth is a ModuleRule.
-func (HandlerAuth) Check(pkg *Package, report ReportFunc) {}
-
 // mutatingMethods are the HTTP methods whose routes must be authed.
 var mutatingMethods = map[string]bool{"POST": true, "PUT": true, "DELETE": true, "PATCH": true}
 
-// CheckModule implements ModuleRule.
-func (r HandlerAuth) CheckModule(mod *Module, report ReportFunc) {
+// Check implements Rule.
+func (r HandlerAuth) Check(mod *Module, report ReportFunc) {
 	for _, pkg := range mod.Pkgs {
-		if !pkg.Checked() {
-			continue
-		}
-		for _, name := range pkg.NonTestFileNames() {
-			ast.Inspect(pkg.Files[name], func(n ast.Node) bool {
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
@@ -74,19 +68,7 @@ func (r HandlerAuth) CheckModule(mod *Module, report ReportFunc) {
 // to it).
 func isServeMux(info *types.Info, e ast.Expr) bool {
 	tv, ok := info.Types[e]
-	if !ok {
-		return false
-	}
-	t := tv.Type
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "ServeMux" && obj.Pkg() != nil && obj.Pkg().Path() == "net/http"
+	return ok && isNamed(tv.Type, "net/http", "ServeMux")
 }
 
 // mutatingPattern decodes a route pattern literal and reports whether it

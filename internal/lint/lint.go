@@ -6,14 +6,16 @@
 // serializes map iteration order, compares floats exactly, blocks without
 // a context, or drops errors on the floor.
 //
-// The analyzer is stdlib-only (go/ast, go/parser, go/token, go/types): it
-// parses the module from source into one shared token.FileSet, type-checks
-// every package with go/types (module-internal imports resolved from the
-// parsed ASTs, standard-library imports through go/importer), builds a
-// per-module call graph, and runs two kinds of rules over the result:
-// per-package Rules (syntax-level) and ModuleRules (type- and flow-aware,
-// cross-package). Findings carry file:line:column positions and can be
-// silenced one at a time with a directive comment:
+// The analyzer is stdlib-only (go/ast, go/parser, go/token, go/types) and
+// has one engine: it parses the module's non-test files into one shared
+// token.FileSet, type-checks every package with go/types (module-internal
+// imports resolved from the parsed ASTs, standard-library imports through
+// go/importer), builds a per-module call graph, and runs every Rule once
+// over the result. Type checking is all or nothing — a package that does
+// not check is a load error, never a silently skipped package — so every
+// rule that asks a type question gets its answer from go/types. Findings
+// carry file:line:column positions and can be silenced one at a time with
+// a directive comment:
 //
 //	//lint:ignore <rule> <reason>
 //
@@ -60,72 +62,54 @@ type Package struct {
 	// one Load call share a single FileSet so cross-package analyses can
 	// resolve positions uniformly.
 	Fset *token.FileSet
-	// Files maps file names (absolute) to parsed files, including _test.go
-	// files.
-	Files map[string]*ast.File
-	// Types is the type-checked package, populated by NewModule. It is set
-	// even when type checking reported errors (go/types returns a partial
-	// package); it is nil only before NewModule runs.
+	// Files are the package's non-test files in file-name order. _test.go
+	// files are never parsed: no rule looks at them and the type checker
+	// never sees them.
+	Files []*ast.File
+	// Types is the type-checked package, set by NewModule.
 	Types *types.Package
 	// TypesInfo records type-checker facts (uses, defs, selections, expr
-	// types) for the package's non-test files. Nil before NewModule runs.
+	// types), set by NewModule.
 	TypesInfo *types.Info
-	// TypeErrs holds the type-checker errors for this package, if any.
-	// Type-aware rules skip packages that failed to check.
-	TypeErrs []error
 }
 
-// IsTestFile reports whether name is a _test.go file.
-func IsTestFile(name string) bool { return strings.HasSuffix(name, "_test.go") }
-
-// SortedFileNames returns the package's file names in deterministic order.
-func (p *Package) SortedFileNames() []string {
-	names := make([]string, 0, len(p.Files))
-	for name := range p.Files {
-		names = append(names, name)
+// pathHasSegments reports whether the slash-separated import path contains
+// the given consecutive segment sequence (e.g. "internal/power").
+func pathHasSegments(path, segs string) bool {
+	if path == segs {
+		return true
 	}
-	sort.Strings(names)
-	return names
+	return strings.HasPrefix(path, segs+"/") ||
+		strings.HasSuffix(path, "/"+segs) ||
+		strings.Contains(path, "/"+segs+"/")
 }
 
-// NonTestFileNames returns the package's non-test file names in
-// deterministic order — the set of files the type checker sees.
-func (p *Package) NonTestFileNames() []string {
-	names := make([]string, 0, len(p.Files))
-	for name := range p.Files {
-		if !IsTestFile(name) {
-			names = append(names, name)
+// inAnyScope reports whether path contains any of the segment sequences —
+// the one test every package-scoped rule uses for its scope or allowlist.
+func inAnyScope(path string, scopes []string) bool {
+	for _, seg := range scopes {
+		if pathHasSegments(path, seg) {
+			return true
 		}
 	}
-	sort.Strings(names)
-	return names
+	return false
 }
 
 // ReportFunc records one finding against a node.
 type ReportFunc func(rule string, pos token.Pos, format string, args ...any)
 
-// Rule checks one invariant over a whole package. Package-level granularity
-// lets rules that need cross-file declaration info (err-drop) build it once.
+// Rule checks one invariant over the whole type-checked module: the
+// packages with their go/types facts and the call graph.
 type Rule interface {
 	// Name is the identifier used in output and //lint:ignore directives.
 	Name() string
 	// Doc is a one-line description for -help style output.
 	Doc() string
-	// Check inspects pkg and reports findings.
-	Check(pkg *Package, report ReportFunc)
+	// Check inspects the module and reports findings.
+	Check(mod *Module, report ReportFunc)
 }
 
-// ModuleRule is a rule that needs the whole type-checked module at once:
-// cross-package flows, the call graph, resolved types. A rule may
-// implement both interfaces; the Runner invokes CheckModule exactly once
-// per run instead of Check per package.
-type ModuleRule interface {
-	Rule
-	// CheckModule inspects the type-checked module and reports findings.
-	CheckModule(mod *Module, report ReportFunc)
-}
-
-// Runner loads packages and applies rules.
+// Runner applies a rule set to a module.
 type Runner struct {
 	Rules []Rule
 }
@@ -217,16 +201,16 @@ func Load(root string, patterns []string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// loadDir parses one directory into the shared fset, returning nil when it
-// holds no Go files.
+// loadDir parses one directory's non-test files into the shared fset,
+// returning nil when it holds none.
 func loadDir(fset *token.FileSet, root, module, dir string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
+	entries, err := os.ReadDir(dir) // sorted by name
 	if err != nil {
 		return nil, err
 	}
-	files := map[string]*ast.File{}
+	var files []*ast.File
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
 			continue
 		}
 		name := filepath.Join(dir, e.Name())
@@ -234,7 +218,7 @@ func loadDir(fset *token.FileSet, root, module, dir string) (*Package, error) {
 		if err != nil {
 			return nil, fmt.Errorf("lint: parse %s: %w", name, err)
 		}
-		files[name] = f
+		files = append(files, f)
 	}
 	if len(files) == 0 {
 		return nil, nil
@@ -268,13 +252,21 @@ func moduleName(root string) string {
 	return ""
 }
 
-// Run type-checks the module, applies every rule and returns the
+// Run type-checks the module and applies every rule to it. A package that
+// fails to type-check is an error naming it: no rule runs over a tree it
+// could only half see.
+func (r *Runner) Run(pkgs []*Package) ([]Finding, error) {
+	mod, err := NewModule(pkgs)
+	if err != nil {
+		return nil, err
+	}
+	return r.Check(mod), nil
+}
+
+// Check applies every rule once to the type-checked module and returns the
 // surviving findings (suppressed ones removed, stale directives added)
-// sorted by position. Syntax rules run per package; ModuleRules run once
-// over the whole type-checked module. Packages whose type check failed
-// are skipped by ModuleRules but still see the syntax rules.
-func (r *Runner) Run(pkgs []*Package) []Finding {
-	mod := NewModule(pkgs)
+// sorted by position.
+func (r *Runner) Check(mod *Module) []Finding {
 	var findings []Finding
 	report := func(rule string, pos token.Pos, format string, args ...any) {
 		p := mod.Fset.Position(pos)
@@ -288,15 +280,9 @@ func (r *Runner) Run(pkgs []*Package) []Finding {
 		})
 	}
 	for _, rule := range r.Rules {
-		if mr, ok := rule.(ModuleRule); ok {
-			mr.CheckModule(mod, report)
-			continue
-		}
-		for _, pkg := range pkgs {
-			rule.Check(pkg, report)
-		}
+		rule.Check(mod, report)
 	}
-	findings = r.applySuppressions(pkgs, findings)
+	findings = r.applySuppressions(mod.Pkgs, findings)
 	SortFindings(findings)
 	return findings
 }

@@ -91,7 +91,10 @@ func TestRuleGolden(t *testing.T) {
 		t.Run(c.dir, func(t *testing.T) {
 			pkgs := loadFixture(t, c.dir)
 			runner := &Runner{Rules: []Rule{c.rule}}
-			findings := runner.Run(pkgs)
+			findings, err := runner.Run(pkgs)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if len(findings) == 0 {
 				t.Fatalf("fixture %s: expected at least one true positive", c.dir)
 			}
@@ -113,8 +116,10 @@ func TestRuleGolden(t *testing.T) {
 // directive naming another rule silences nothing (and is reported stale),
 // and a directive without a reason is reported as bad-ignore.
 func TestSuppressDirective(t *testing.T) {
-	pkgs := loadFixture(t, "suppress")
-	findings := NewRunner().Run(pkgs)
+	findings, err := NewRunner().Run(loadFixture(t, "suppress"))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	byRule := map[string]int{}
 	for _, f := range findings {
@@ -137,9 +142,11 @@ func TestSuppressDirective(t *testing.T) {
 }
 
 // TestRepoClean lints the entire module exactly as CI does and requires
-// zero findings: the replay contract holds everywhere. Fixture testdata is
-// skipped by Load's recursive expansion, which this test also proves —
-// the fixtures are full of violations.
+// zero findings: the replay contract holds everywhere. Every package must
+// type-check (a type error is a load error) and the call graph must be
+// non-empty, so a broken importer cannot pass for a clean tree. Fixture
+// testdata is skipped by Load's recursive expansion, which this test also
+// proves — the fixtures are full of violations.
 func TestRepoClean(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
@@ -155,9 +162,45 @@ func TestRepoClean(t *testing.T) {
 	if len(pkgs) < 10 {
 		t.Fatalf("suspiciously few packages loaded: %d", len(pkgs))
 	}
-	findings := NewRunner().Run(pkgs)
+	findings, err := NewRunner().Run(pkgs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, f := range findings {
 		t.Errorf("%s", f)
+	}
+}
+
+// TestTypeErrorIsFatal pins all-or-nothing type checking: a package that
+// does not type-check fails the run with an error naming it, instead of
+// being linted by half the rules and reported clean.
+func TestTypeErrorIsFatal(t *testing.T) {
+	findings, err := NewRunner().Run(loadFixture(t, "typeerror"))
+	if err == nil || !strings.Contains(err.Error(), "src/typeerror") {
+		t.Fatalf("want an error naming src/typeerror, got %v (findings %v)", err, findings)
+	}
+}
+
+// TestLoadSkipsTestFiles pins that Load parses only what the type checker
+// sees: no _test.go file, and no package for a directory of tests alone.
+func TestLoadSkipsTestFiles(t *testing.T) {
+	pkgs, err := Load(".", []string{"."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			if name := pkg.Fset.Position(f.Package).Filename; strings.HasSuffix(name, "_test.go") {
+				t.Errorf("Load parsed test file %s", name)
+			}
+		}
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "only_test.go"), []byte("package only\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if pkgs, err := Load(dir, []string{"."}); err != nil || len(pkgs) != 0 {
+		t.Errorf("a directory of tests alone: got %d packages, err %v; want none", len(pkgs), err)
 	}
 }
 

@@ -31,9 +31,6 @@ func (LockDiscipline) Doc() string {
 	return "fields annotated `guarded-by: <mutex>` are only touched while the mutex is held"
 }
 
-// Check implements Rule; LockDiscipline is a ModuleRule.
-func (LockDiscipline) Check(pkg *Package, report ReportFunc) {}
-
 // guardedByMarker introduces the annotation inside a field comment.
 const guardedByMarker = "guarded-by:"
 
@@ -54,18 +51,15 @@ type lockAccess struct {
 	baseO types.Object // resolved base object when the base is a plain identifier
 }
 
-// CheckModule implements ModuleRule.
-func (r LockDiscipline) CheckModule(mod *Module, report ReportFunc) {
+// Check implements Rule.
+func (r LockDiscipline) Check(mod *Module, report ReportFunc) {
 	guarded := map[*types.Var]*types.Var{} // guarded field -> mutex field
 	mutexName := map[*types.Var]string{}   // mutex field -> its name (for messages)
 
 	// Pass 1: collect annotations.
 	for _, pkg := range mod.Pkgs {
-		if !pkg.Checked() {
-			continue
-		}
-		for _, name := range pkg.NonTestFileNames() {
-			ast.Inspect(pkg.Files[name], func(n ast.Node) bool {
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
 				st, ok := n.(*ast.StructType)
 				if !ok {
 					return true
@@ -99,35 +93,23 @@ func (r LockDiscipline) CheckModule(mod *Module, report ReportFunc) {
 	// Pass 2: per-unit lock state and accesses.
 	var units []*lockUnit
 	declLocks := map[*types.Func]map[*types.Var]bool{}
-	for _, pkg := range mod.Pkgs {
-		if !pkg.Checked() {
-			continue
-		}
-		for _, name := range pkg.NonTestFileNames() {
-			for _, decl := range pkg.Files[name].Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, _ := pkg.TypesInfo.Defs[fd.Name].(*types.Func)
-				us := collectUnits(pkg.TypesInfo, fn, fd.Body, guarded)
-				units = append(units, us...)
-				for _, u := range us {
-					if u.fn == nil {
-						continue
-					}
-					set := declLocks[u.fn]
-					if set == nil {
-						set = map[*types.Var]bool{}
-						declLocks[u.fn] = set
-					}
-					for mu := range u.locks {
-						set[mu] = true
-					}
-				}
+	mod.eachFunc(func(pkg *Package, fn *types.Func, fd *ast.FuncDecl) {
+		us := collectUnits(pkg.TypesInfo, fn, fd.Body, guarded)
+		units = append(units, us...)
+		for _, u := range us {
+			if u.fn == nil {
+				continue
+			}
+			set := declLocks[u.fn]
+			if set == nil {
+				set = map[*types.Var]bool{}
+				declLocks[u.fn] = set
+			}
+			for mu := range u.locks {
+				set[mu] = true
 			}
 		}
-	}
+	})
 
 	// Pass 3: decide each access.
 	for _, u := range units {

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 )
 
@@ -12,10 +13,12 @@ import (
 // report rows or explorer observations in a different order on every run,
 // which is exactly the nondeterminism the replay contract forbids.
 //
-// The rule is syntactic: it only flags ranges over expressions it can
-// prove are maps from declarations in the same function (parameters,
-// var declarations, := from make/map literals). Writing map values into
-// another map is order-insensitive and not flagged.
+// A range is over a map when go/types says the ranged expression's
+// underlying type is one: a parameter, a struct field, a call result alike.
+// Writing map values into another map is order-insensitive and not
+// flagged, and neither is an append stored back under the range key
+// (m[k] = append(m[k], v)): each key's slice receives the same values in
+// the same order whatever order the keys come in.
 type MapOrder struct{}
 
 // Name implements Rule.
@@ -35,57 +38,55 @@ var orderSinkMethods = map[string]bool{
 }
 
 // Check implements Rule.
-func (r MapOrder) Check(pkg *Package, report ReportFunc) {
-	for _, name := range pkg.SortedFileNames() {
-		if IsTestFile(name) {
-			continue
+func (r MapOrder) Check(mod *Module, report ReportFunc) {
+	mod.eachFunc(func(pkg *Package, _ *types.Func, fn *ast.FuncDecl) {
+		info := pkg.TypesInfo
+		if functionSorts(info, fn) {
+			return
 		}
-		file := pkg.Files[name]
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			rng, ok := n.(*ast.RangeStmt)
+			if !ok {
+				return true
 			}
-			sc := funcScope(file, fn)
-			sorts := functionSorts(fn)
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				rng, ok := n.(*ast.RangeStmt)
-				if !ok || sc.exprKind(rng.X) != kindMap {
-					return true
-				}
-				sink := orderSink(rng.Body)
-				if sink == "" || sorts {
-					return true
-				}
+			if _, isMap := info.TypeOf(rng.X).Underlying().(*types.Map); !isMap {
+				return true
+			}
+			if sink := orderSink(info, rng); sink != "" {
 				report(r.Name(), rng.Pos(),
 					"range over a map feeds %s but the enclosing function never sorts; map order is randomized per run — collect keys, sort, then iterate",
 					sink)
-				return true
-			})
-		}
-	}
+			}
+			return true
+		})
+	})
 }
 
 // orderSink returns a description of the first order-sensitive operation
-// in body, or "".
-func orderSink(body *ast.BlockStmt) string {
+// in rng's body, or "".
+func orderSink(info *types.Info, rng *ast.RangeStmt) string {
+	var key types.Object
+	if id, ok := rng.Key.(*ast.Ident); ok {
+		key = useOf(info, id)
+	}
 	found := ""
-	ast.Inspect(body, func(n ast.Node) bool {
+	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		if found != "" {
 			return false
 		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		switch fn := call.Fun.(type) {
-		case *ast.Ident:
-			if fn.Name == "append" {
-				found = "append"
-			}
-		case *ast.SelectorExpr:
-			if orderSinkMethods[fn.Sel.Name] {
-				found = fn.Sel.Name
+		switch v := n.(type) {
+		case *ast.AssignStmt:
+			return key == nil || !isKeyedAppend(info, v, key)
+		case *ast.CallExpr:
+			switch fn := v.Fun.(type) {
+			case *ast.Ident:
+				if _, builtin := info.Uses[fn].(*types.Builtin); builtin && fn.Name == "append" {
+					found = "append"
+				}
+			case *ast.SelectorExpr:
+				if orderSinkMethods[fn.Sel.Name] {
+					found = fn.Sel.Name
+				}
 			}
 		}
 		return true
@@ -93,34 +94,34 @@ func orderSink(body *ast.BlockStmt) string {
 	return found
 }
 
+// isKeyedAppend reports whether as is m[key] = append(m[key], ...).
+func isKeyedAppend(info *types.Info, as *ast.AssignStmt, key types.Object) bool {
+	if len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+		return false
+	}
+	dst, ok := as.Lhs[0].(*ast.IndexExpr)
+	call, isCall := as.Rhs[0].(*ast.CallExpr)
+	if !ok || !isCall || len(call.Args) == 0 {
+		return false
+	}
+	id, isIdent := dst.Index.(*ast.Ident)
+	fn, isFn := call.Fun.(*ast.Ident)
+	return isIdent && useOf(info, id) == key && isFn && fn.Name == "append" &&
+		types.ExprString(call.Args[0]) == types.ExprString(dst)
+}
+
 // functionSorts reports whether fn calls anything that looks like a sort
-// (sort.*, slices.Sort*, or a helper whose name contains "sort").
-func functionSorts(fn *ast.FuncDecl) bool {
+// (a function of package sort or slices, or a helper whose name contains
+// "sort").
+func functionSorts(info *types.Info, fn *ast.FuncDecl) bool {
 	sorts := false
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if sorts {
-			return false
+		if call, ok := n.(*ast.CallExpr); ok && !sorts {
+			callee := CalleeOf(info, call)
+			sorts = callee != nil && callee.Pkg() != nil && (callee.Pkg().Path() == "sort" || callee.Pkg().Path() == "slices") ||
+				strings.Contains(strings.ToLower(calleeName(call)), "sort")
 		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		name := ""
-		switch f := call.Fun.(type) {
-		case *ast.Ident:
-			name = f.Name
-		case *ast.SelectorExpr:
-			name = f.Sel.Name
-			if id, ok := f.X.(*ast.Ident); ok && (id.Name == "sort" || id.Name == "slices") {
-				sorts = true
-				return false
-			}
-		}
-		if strings.Contains(strings.ToLower(name), "sort") {
-			sorts = true
-			return false
-		}
-		return true
+		return !sorts
 	})
 	return sorts
 }

@@ -47,9 +47,6 @@ func (DetermTaint) Doc() string {
 	return "wall-clock/global-RNG values never flow into journal-affecting paths (interprocedural)"
 }
 
-// Check implements Rule; DetermTaint is a ModuleRule.
-func (DetermTaint) Check(pkg *Package, report ReportFunc) {}
-
 // taintSummary is the interprocedural fact sheet for one module function.
 type taintSummary struct {
 	// returns: some return value may be tainted.
@@ -65,15 +62,15 @@ type taintAnalysis struct {
 	summaries map[*types.Func]*taintSummary
 }
 
-// CheckModule implements ModuleRule.
-func (r DetermTaint) CheckModule(mod *Module, report ReportFunc) {
+// Check implements Rule.
+func (r DetermTaint) Check(mod *Module, report ReportFunc) {
 	a := &taintAnalysis{mod: mod, summaries: map[*types.Func]*taintSummary{}}
 	// Summaries grow monotonically, so iterating to a fixed point
 	// propagates taint through call chains; the cap bounds pathological
 	// mutual recursion.
 	for iter := 0; iter < 8; iter++ {
 		changed := false
-		a.eachFunc(func(pkg *Package, fn *types.Func, decl *ast.FuncDecl) {
+		mod.eachFunc(func(pkg *Package, fn *types.Func, decl *ast.FuncDecl) {
 			sum := a.analyzeFunc(pkg, fn, decl, nil)
 			old := a.summaries[fn]
 			if old == nil || *old != sum {
@@ -85,31 +82,11 @@ func (r DetermTaint) CheckModule(mod *Module, report ReportFunc) {
 			break
 		}
 	}
-	a.eachFunc(func(pkg *Package, fn *types.Func, decl *ast.FuncDecl) {
+	mod.eachFunc(func(pkg *Package, fn *types.Func, decl *ast.FuncDecl) {
 		a.analyzeFunc(pkg, fn, decl, func(pos ast.Node, format string, args ...any) {
 			report(r.Name(), pos.Pos(), format, args...)
 		})
 	})
-}
-
-// eachFunc visits every declared function in deterministic order.
-func (a *taintAnalysis) eachFunc(visit func(*Package, *types.Func, *ast.FuncDecl)) {
-	for _, pkg := range a.mod.Pkgs {
-		if !pkg.Checked() {
-			continue
-		}
-		for _, name := range pkg.NonTestFileNames() {
-			for _, decl := range pkg.Files[name].Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if fn, ok := pkg.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-					visit(pkg, fn, fd)
-				}
-			}
-		}
-	}
 }
 
 // taintState is the per-function dataflow state: which locals are tainted
@@ -457,16 +434,10 @@ func (st *taintState) taintOfCall(call *ast.CallExpr) (bool, int64) {
 	return anyArgT || recvT, allArgO | recvO
 }
 
-// isTimeSource reports whether fn reads the wall clock.
+// isTimeSource reports whether fn reads the wall clock — the one list of
+// clock sources, shared with nondeterm-time.
 func isTimeSource(fn *types.Func) bool {
-	if fn.Pkg() == nil || fn.Pkg().Path() != "time" {
-		return false
-	}
-	switch fn.Name() {
-	case "Now", "Since", "Until":
-		return true
-	}
-	return false
+	return isPkgFunc(fn, "time", "Now", "Since", "Until")
 }
 
 // isObsMetricRead reports whether fn reads a live metric value: a Value
@@ -500,7 +471,8 @@ func isObsSpanRead(fn *types.Func) bool {
 }
 
 // isGlobalRandSource reports whether fn draws from the process-global
-// math/rand generator. Constructors are excluded: rand.New(seed) is only
+// math/rand generator — the one list of RNG sources, shared with
+// nondeterm-rand. Constructors are excluded: rand.New(seed) is only
 // tainted through its seed argument.
 func isGlobalRandSource(fn *types.Func) bool {
 	if fn.Pkg() == nil {

@@ -21,3 +21,15 @@ func Dump(w io.Writer, m map[string]float64) {
 		fmt.Fprintf(w, "%s=%g\n", k, v)
 	}
 }
+
+type index struct{ byName map[string]int }
+
+// Names appends the keys of a struct-field map in randomized order; only
+// the field's declared type says the range is over a map.
+func (ix index) Names() []string {
+	var out []string
+	for k := range ix.byName { // want finding: append with no sort
+		out = append(out, k)
+	}
+	return out
+}

@@ -45,3 +45,16 @@ func Total(m map[string]int) int {
 	}
 	return total
 }
+
+// GroupByKey appends each value under its own key: whatever order the
+// keys come in, every key's slice receives the same values in the same
+// order, so the append is order-insensitive.
+func GroupByKey(runs []map[string]float64) map[string][]float64 {
+	samples := map[string][]float64{}
+	for _, run := range runs {
+		for name, v := range run {
+			samples[name] = append(samples[name], v)
+		}
+	}
+	return samples
+}

@@ -8,9 +8,9 @@ import (
 )
 
 // TestRepoTypechecks loads the whole module and requires every package to
-// type-check cleanly through the engine's importer stack. TestRepoClean
-// silently skips unchecked packages for type-aware rules, so this test is
-// what keeps that degradation from hiding a broken importer forever.
+// type-check through the engine's importer stack and the call graph to be
+// non-empty: a broken importer must fail here, not surface as a rule that
+// quietly finds nothing.
 func TestRepoTypechecks(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
@@ -23,15 +23,13 @@ func TestRepoTypechecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod := NewModule(pkgs)
+	mod, err := NewModule(pkgs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, pkg := range mod.Pkgs {
-		if !pkg.Checked() {
-			for _, e := range pkg.TypeErrs {
-				t.Errorf("%s: type error: %v", pkg.Path, e)
-			}
-			if len(pkg.TypeErrs) == 0 {
-				t.Errorf("%s: no type info", pkg.Path)
-			}
+		if pkg.Types == nil || pkg.TypesInfo == nil {
+			t.Errorf("%s: no type info", pkg.Path)
 		}
 	}
 	if len(mod.Graph.DeclOf) == 0 {
@@ -43,20 +41,12 @@ func TestRepoTypechecks(t *testing.T) {
 // embedded interfaces: the fixture must check without a single error and
 // survive the full rule suite silently.
 func TestTypecheckModernSyntax(t *testing.T) {
-	pkgs := loadFixture(t, "typesmoke")
-	mod := NewModule(pkgs)
-	for _, pkg := range mod.Pkgs {
-		for _, e := range pkg.TypeErrs {
-			t.Errorf("%s: type error: %v", pkg.Path, e)
-		}
-		if pkg.TypesInfo == nil {
-			t.Fatalf("%s: engine produced no type info", pkg.Path)
-		}
+	findings, err := NewRunner().Run(loadFixture(t, "typesmoke"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if findings := NewRunner().Run(pkgs); len(findings) != 0 {
-		for _, f := range findings {
-			t.Errorf("unexpected finding: %s", f)
-		}
+	for _, f := range findings {
+		t.Errorf("unexpected finding: %s", f)
 	}
 }
 
@@ -64,11 +54,13 @@ func TestTypecheckModernSyntax(t *testing.T) {
 // package boundaries — what one-level holder inference and taint
 // summaries both stand on.
 func TestCallGraphCrossPackage(t *testing.T) {
-	pkgs := loadFixture(t, "determtaint")
-	mod := NewModule(pkgs)
+	mod, err := NewModule(loadFixture(t, "determtaint"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	helper := mod.PkgByPath("src/determtaint/helper")
-	if helper == nil || !helper.Checked() {
-		t.Fatalf("helper package missing or unchecked: %+v", helper)
+	if helper == nil {
+		t.Fatal("helper package missing")
 	}
 	stamp, ok := helper.Types.Scope().Lookup("Stamp").(*types.Func)
 	if !ok {
@@ -93,8 +85,10 @@ func TestCallGraphCrossPackage(t *testing.T) {
 // directive survives, the stale one is reported, the unknown-rule one is
 // left alone.
 func TestStaleIgnore(t *testing.T) {
-	pkgs := loadFixture(t, "staleignore")
-	findings := NewRunner().Run(pkgs)
+	findings, err := NewRunner().Run(loadFixture(t, "staleignore"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	stale := 0
 	for _, f := range findings {
 		if f.Rule != StaleIgnoreRule {

@@ -116,70 +116,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestLinspace(t *testing.T) {
-	xs := Linspace(0, 1, 5)
-	want := []float64{0, 0.25, 0.5, 0.75, 1}
-	for i := range want {
-		if math.Abs(xs[i]-want[i]) > 1e-12 {
-			t.Fatalf("Linspace=%v want %v", xs, want)
-		}
-	}
-}
-
-func TestLerp(t *testing.T) {
-	if Lerp(0, 10, 0.3) != 3 {
-		t.Errorf("Lerp(0,10,0.3)=%v", Lerp(0, 10, 0.3))
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	if e.Value() != 0 {
-		t.Fatal("zero before push")
-	}
-	if e.Push(10) != 10 {
-		t.Fatal("first push initializes")
-	}
-	if got := e.Push(0); got != 5 {
-		t.Fatalf("ewma %v want 5", got)
-	}
-	if e.Value() != 5 {
-		t.Fatal("Value wrong")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad alpha should panic")
-		}
-	}()
-	NewEWMA(0)
-}
-
-func TestBootstrapCI(t *testing.T) {
-	rng := NewRand(8)
-	xs := make([]float64, 200)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*2 + 7
-	}
-	lo, hi := BootstrapCI(NewRand(9), xs, 500, 0.95)
-	if !(lo < 7 && 7 < hi) {
-		t.Fatalf("CI [%v, %v] should cover the true mean 7", lo, hi)
-	}
-	if hi-lo > 1.5 {
-		t.Fatalf("CI too wide: [%v, %v]", lo, hi)
-	}
-	// Deterministic given the rng.
-	lo2, hi2 := BootstrapCI(NewRand(9), xs, 500, 0.95)
-	if lo != lo2 || hi != hi2 {
-		t.Fatal("bootstrap not deterministic")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty input should panic")
-		}
-	}()
-	BootstrapCI(rng, nil, 10, 0.9)
-}
-
 func TestApproxEq(t *testing.T) {
 	cases := []struct {
 		a, b, tol float64

@@ -1,5 +1,5 @@
 // Package mathx provides small numeric helpers shared across the project:
-// deterministic random-number fan-out, a moving average, clipping and
+// deterministic random-number fan-out, clipping, tolerance comparisons and
 // summary statistics. Everything is allocation-light and safe to use from
 // hot loops.
 package mathx

@@ -2,7 +2,6 @@ package mathx
 
 import (
 	"math"
-	"math/rand/v2"
 	"sort"
 )
 
@@ -135,74 +134,3 @@ func Percentile(xs []float64, p float64) float64 {
 
 // Median returns the median of xs.
 func Median(xs []float64) float64 { return Percentile(xs, 0.5) }
-
-// Linspace returns n evenly spaced values from lo to hi inclusive.
-// n must be >= 2.
-func Linspace(lo, hi float64, n int) []float64 {
-	if n < 2 {
-		panic("mathx: Linspace needs n >= 2")
-	}
-	out := make([]float64, n)
-	step := (hi - lo) / float64(n-1)
-	for i := range out {
-		out[i] = lo + float64(i)*step
-	}
-	out[n-1] = hi
-	return out
-}
-
-// Lerp linearly interpolates between a and b by t in [0,1].
-func Lerp(a, b, t float64) float64 { return a + (b-a)*t }
-
-// EWMA is an exponentially weighted moving average. Construct with
-// NewEWMA; the first Push initializes the average.
-type EWMA struct {
-	alpha float64
-	value float64
-	init  bool
-}
-
-// NewEWMA returns an EWMA with smoothing factor alpha in (0, 1].
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		panic("mathx: EWMA alpha must be in (0,1]")
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Push adds an observation and returns the updated average.
-func (e *EWMA) Push(x float64) float64 {
-	if !e.init {
-		e.value = x
-		e.init = true
-		return x
-	}
-	e.value = e.alpha*x + (1-e.alpha)*e.value
-	return e.value
-}
-
-// Value returns the current average (0 before any observation).
-func (e *EWMA) Value() float64 { return e.value }
-
-// BootstrapCI estimates a two-sided confidence interval for the mean of xs
-// by nonparametric bootstrap with n resamples at the given confidence
-// level (e.g. 0.95). The rng makes the estimate deterministic. It panics
-// on an empty slice.
-func BootstrapCI(rng *rand.Rand, xs []float64, n int, level float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		panic("mathx: BootstrapCI of empty slice")
-	}
-	if n <= 0 {
-		n = 1000
-	}
-	means := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := 0.0
-		for j := 0; j < len(xs); j++ {
-			s += xs[rng.IntN(len(xs))]
-		}
-		means[i] = s / float64(len(xs))
-	}
-	tail := (1 - level) / 2
-	return Percentile(means, tail), Percentile(means, 1-tail)
-}

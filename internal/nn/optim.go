@@ -71,21 +71,3 @@ func ClipGrads(params []Param, maxNorm float64) float64 {
 	}
 	return norm
 }
-
-// ScaleGrads multiplies all gradients by s (e.g. 1/batchSize).
-func ScaleGrads(params []Param, s float64) {
-	for _, p := range params {
-		for j := range p.Grad {
-			p.Grad[j] *= s
-		}
-	}
-}
-
-// ZeroGrads clears the gradients of params.
-func ZeroGrads(params []Param) {
-	for _, p := range params {
-		for j := range p.Grad {
-			p.Grad[j] = 0
-		}
-	}
-}

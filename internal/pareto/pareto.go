@@ -1,8 +1,7 @@
 // Package pareto implements the multi-objective ranking machinery behind
 // step (e) of the paper's methodology: dominance tests, Pareto-front
 // extraction (strict and ε-tolerant), non-dominated sorting into
-// successive fronts, crowding distance, 2-D hypervolume and knee-point
-// selection.
+// successive fronts and knee-point selection.
 //
 // Two contracts hold across the package. Order: Front, EpsilonFront and
 // every front of NonDominatedSort list indices into the input in
@@ -17,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // Direction says whether an objective is minimized or maximized.
@@ -276,82 +274,6 @@ func dominatesMin(a, b []float64) bool {
 		}
 	}
 	return strictly
-}
-
-// CrowdingDistance returns NSGA-II crowding distances for the points of
-// one front (boundary points get +Inf).
-func CrowdingDistance(points []Point, front []int, dirs []Direction) []float64 {
-	m := len(front)
-	dist := make([]float64, m)
-	if m == 0 {
-		return dist
-	}
-	if m <= 2 {
-		for i := range dist {
-			dist[i] = math.Inf(1)
-		}
-		return dist
-	}
-	nObj := len(dirs)
-	order := make([]int, m)
-	for obj := 0; obj < nObj; obj++ {
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool {
-			return points[front[order[a]]].Values[obj] < points[front[order[b]]].Values[obj]
-		})
-		lo := points[front[order[0]]].Values[obj]
-		hi := points[front[order[m-1]]].Values[obj]
-		span := hi - lo
-		dist[order[0]] = math.Inf(1)
-		dist[order[m-1]] = math.Inf(1)
-		if span == 0 {
-			continue
-		}
-		for k := 1; k < m-1; k++ {
-			d := points[front[order[k+1]]].Values[obj] - points[front[order[k-1]]].Values[obj]
-			dist[order[k]] += d / span
-		}
-	}
-	return dist
-}
-
-// Hypervolume2D returns the hypervolume (area) dominated by points
-// relative to the reference point ref, for two objectives. Points not
-// dominating ref contribute nothing.
-func Hypervolume2D(points []Point, ref []float64, dirs []Direction) float64 {
-	if len(dirs) != 2 || len(ref) != 2 {
-		panic("pareto: Hypervolume2D needs exactly 2 objectives")
-	}
-	// Normalize to minimization and keep points that dominate ref.
-	type p2 struct{ x, y float64 }
-	var ps []p2
-	rx, ry := normalize(ref[0], dirs[0]), normalize(ref[1], dirs[1])
-	for _, p := range points {
-		x, y := normalize(p.Values[0], dirs[0]), normalize(p.Values[1], dirs[1])
-		if x < rx && y < ry {
-			ps = append(ps, p2{x, y})
-		}
-	}
-	if len(ps) == 0 {
-		return 0
-	}
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].x != ps[j].x {
-			return ps[i].x < ps[j].x
-		}
-		return ps[i].y < ps[j].y
-	})
-	hv := 0.0
-	bestY := ry
-	for _, p := range ps {
-		if p.y < bestY {
-			hv += (rx - p.x) * (bestY - p.y)
-			bestY = p.y
-		}
-	}
-	return hv
 }
 
 // Knee returns the index (into points) of the knee point of the Pareto

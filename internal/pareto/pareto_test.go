@@ -193,69 +193,6 @@ func TestNonDominatedSort(t *testing.T) {
 	}
 }
 
-func TestCrowdingDistance(t *testing.T) {
-	p := pts([2]float64{0, 10}, [2]float64{5, 5}, [2]float64{10, 0}, [2]float64{1, 9})
-	front := []int{0, 1, 2, 3}
-	d := CrowdingDistance(p, front, minmin)
-	if !math.IsInf(d[0], 1) || !math.IsInf(d[2], 1) {
-		t.Fatalf("boundary points must be infinite: %v", d)
-	}
-	if d[1] <= d[3] {
-		t.Fatalf("middle point should be less crowded than near-boundary: %v", d)
-	}
-	if got := CrowdingDistance(p, []int{0, 1}, minmin); !math.IsInf(got[0], 1) || !math.IsInf(got[1], 1) {
-		t.Fatal("tiny fronts are all-infinite")
-	}
-	if got := CrowdingDistance(p, nil, minmin); len(got) != 0 {
-		t.Fatal("empty front")
-	}
-}
-
-func TestHypervolume2D(t *testing.T) {
-	p := pts([2]float64{1, 2}, [2]float64{2, 1})
-	ref := []float64{3, 3}
-	// Union of rectangles: (3-1)*(3-2) + (3-2)*(2-1) = 2 + 1 = 3.
-	hv := Hypervolume2D(p, ref, minmin)
-	if math.Abs(hv-3) > 1e-12 {
-		t.Fatalf("hv=%v want 3", hv)
-	}
-	// Dominated point adds nothing.
-	p = append(p, Point{ID: 9, Values: []float64{2.5, 2.5}})
-	if hv2 := Hypervolume2D(p, ref, minmin); math.Abs(hv2-3) > 1e-12 {
-		t.Fatalf("hv with dominated point %v", hv2)
-	}
-	// Point outside ref contributes nothing.
-	if hv3 := Hypervolume2D(pts([2]float64{4, 4}), ref, minmin); hv3 != 0 {
-		t.Fatalf("outside ref hv %v", hv3)
-	}
-}
-
-func TestHypervolumeMonotoneProperty(t *testing.T) {
-	// Adding a point never decreases hypervolume.
-	f := func(raw []uint8) bool {
-		if len(raw) < 6 {
-			return true
-		}
-		ref := []float64{300, 300}
-		var p []Point
-		for i := 0; i+1 < len(raw); i += 2 {
-			p = append(p, Point{ID: i, Values: []float64{float64(raw[i]), float64(raw[i+1])}})
-		}
-		prev := -1.0
-		for n := 1; n <= len(p); n++ {
-			hv := Hypervolume2D(p[:n], ref, minmin)
-			if hv < prev-1e-9 {
-				return false
-			}
-			prev = hv
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestKnee(t *testing.T) {
 	// Clear knee at (2,2) between extremes (0,10) and (10,0).
 	p := pts([2]float64{0, 10}, [2]float64{2, 2}, [2]float64{10, 0})

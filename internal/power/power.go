@@ -30,6 +30,7 @@ func NewCurve(points []Point) (Curve, error) {
 	if !sort.SliceIsSorted(points, func(i, j int) bool { return points[i].Util < points[j].Util }) {
 		return Curve{}, fmt.Errorf("power: curve points must be sorted by utilization")
 	}
+	//lint:ignore float-eq a curve's endpoints are declared, not computed: exactly 1 is the contract
 	if points[0].Util != 0 || points[len(points)-1].Util != 1 {
 		return Curve{}, fmt.Errorf("power: curve must span utilization 0..1")
 	}

@@ -193,10 +193,11 @@ func ASCIIScatter(w io.Writer, rep *core.Report, spec ScatterSpec) error {
 		minY = min(minY, p.Values[1])
 		maxY = max(maxY, p.Values[1])
 	}
-	if maxX == minX {
+	// An empty range (max >= min by construction) gets unit width.
+	if maxX <= minX {
 		maxX = minX + 1
 	}
-	if maxY == minY {
+	if maxY <= minY {
 		maxY = minY + 1
 	}
 	grid := make([][]rune, height)
