@@ -529,3 +529,59 @@ func BenchmarkRouterList2000(b *testing.B) {
 		}
 	}
 }
+
+// lengthWriter is a ResponseWriter that keeps only the status and the
+// number of body bytes written.
+type lengthWriter struct {
+	h      http.Header
+	status int
+	n      int
+}
+
+func (w *lengthWriter) Header() http.Header    { return w.h }
+func (w *lengthWriter) WriteHeader(status int) { w.status = status }
+func (w *lengthWriter) Write(p []byte) (int, error) {
+	w.n += len(p)
+	return len(p), nil
+}
+
+// BenchmarkServeFrontDone2000 is read_mix's GET /front of its static study
+// without the HTTP hop: a 2000-trial sphere study run to done on a
+// local-executor daemon, then its front read through the daemon's handler.
+// The first read after done, the one that renders the body, is before the
+// timer.
+func BenchmarkServeFrontDone2000(b *testing.B) {
+	d, err := studyd.New(studyd.Config{Dir: b.TempDir(), Workers: 2, Logf: func(string, ...any) {}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	d.Start()
+	defer d.Shutdown(context.Background())
+	m, err := d.Submit(benchSphereSpec(2000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	<-m.Done()
+	if m.Status() != studyd.StatusDone {
+		b.Fatalf("study %s: %s", m.ID, m.Status())
+	}
+	h := d.Handler()
+	req := httptest.NewRequest(http.MethodGet, "/studies/"+m.ID+"/front", nil)
+	w := &lengthWriter{h: http.Header{}}
+	read := func() int {
+		w.status, w.n = 0, 0
+		h.ServeHTTP(w, req)
+		if w.status != http.StatusOK || w.n == 0 {
+			b.Fatalf("GET /front: status %d, %d bytes", w.status, w.n)
+		}
+		return w.n
+	}
+	want := read()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := read(); got != want {
+			b.Fatalf("body of %d bytes, want %d", got, want)
+		}
+	}
+}

@@ -41,19 +41,16 @@ func main() {
 
 	fmt.Fprintf(os.Stderr, "training %d configurations (%d steps each)...\n", len(picks), scale.TotalSteps)
 	rep, err := study.Run(len(picks))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	exitOn(err)
 
-	report.Table(os.Stdout, rep)
+	exitOn(report.Table(os.Stdout, rep))
 	fmt.Println()
-	report.ASCIIScatter(os.Stdout, rep, report.ScatterSpec{
+	exitOn(report.ASCIIScatter(os.Stdout, rep, report.ScatterSpec{
 		X:     experiments.MetricTime,
 		Y:     experiments.MetricReward,
 		Title: "Reward vs. Computation Time (cf. paper Fig. 4)",
 		Eps:   experiments.FrontEps,
-	})
+	}))
 
 	front, _ := rep.FrontIDs(experiments.FrontEps, experiments.MetricReward, experiments.MetricTime, experiments.MetricPower)
 	fmt.Printf("\n3-objective Pareto front: trials %v\n", front)
@@ -61,4 +58,12 @@ func main() {
 		fmt.Printf("best reward: trial %d  %s  (%.3f)\n", best.ID, best.Params, best.Values.At(experiments.MetricReward))
 	}
 	var _ *core.Report = rep
+}
+
+// exitOn ends the program with err, if there is one.
+func exitOn(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 }

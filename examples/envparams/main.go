@@ -46,18 +46,23 @@ func main() {
 
 	// 3 orders x 2 wind x 5 gust grid points = 30 configurations.
 	rep, err := study.Run(30)
+	exitOn(err)
+	exitOn(report.Table(os.Stdout, rep))
+	fmt.Println()
+	exitOn(report.ASCIIScatter(os.Stdout, rep, report.ScatterSpec{
+		X: "episode_cost", Y: "reward",
+		Title: "landing precision vs. per-episode compute",
+	}))
+	if best, ok := rep.Best("reward"); ok {
+		fmt.Printf("\neasiest environment: %s (reward %.3f)\n", best.Params, best.Values.At("reward"))
+	}
+}
+
+// exitOn ends the program with err, if there is one.
+func exitOn(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-	report.Table(os.Stdout, rep)
-	fmt.Println()
-	report.ASCIIScatter(os.Stdout, rep, report.ScatterSpec{
-		X: "episode_cost", Y: "reward",
-		Title: "landing precision vs. per-episode compute",
-	})
-	if best, ok := rep.Best("reward"); ok {
-		fmt.Printf("\neasiest environment: %s (reward %.3f)\n", best.Params, best.Values.At("reward"))
 	}
 }
 

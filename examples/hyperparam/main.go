@@ -48,10 +48,7 @@ func main() {
 
 	fmt.Fprintln(os.Stderr, "running 20 TPE trials with median pruning...")
 	rep, err := study.Run(20)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	exitOn(err)
 
 	pruned := 0
 	for _, t := range rep.Trials {
@@ -60,9 +57,17 @@ func main() {
 		}
 	}
 	fmt.Printf("trials: %d finished, %d pruned early\n\n", len(rep.Completed()), pruned)
-	report.Table(os.Stdout, rep)
+	exitOn(report.Table(os.Stdout, rep))
 	if best, ok := rep.Best("return"); ok {
 		fmt.Printf("\nbest configuration: %s  (return %.3f)\n", best.Params, best.Values.At("return"))
+	}
+}
+
+// exitOn ends the program with err, if there is one.
+func exitOn(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }
 

@@ -57,20 +57,25 @@ func main() {
 	}
 
 	rep, err := study.Run(24)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	exitOn(err)
 
 	fmt.Println("== all trials ==")
-	report.Table(os.Stdout, rep)
+	exitOn(report.Table(os.Stdout, rep))
 
 	front, _ := rep.FrontIDs(0, "accuracy", "runtime")
 	fmt.Printf("\naccuracy/runtime Pareto front: trials %v\n\n", front)
-	report.ASCIIScatter(os.Stdout, rep, report.ScatterSpec{
+	exitOn(report.ASCIIScatter(os.Stdout, rep, report.ScatterSpec{
 		X: "runtime", Y: "accuracy", Title: "accuracy vs runtime",
-	})
+	}))
 	if best, ok := rep.Best("accuracy"); ok {
 		fmt.Printf("\nbest accuracy: trial %d (%s)\n", best.ID, best.Params)
+	}
+}
+
+// exitOn ends the program with err, if there is one.
+func exitOn(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }

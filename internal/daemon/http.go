@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"strconv"
@@ -11,15 +12,36 @@ type APIError struct {
 	Error string `json:"error"`
 }
 
-// WriteJSON writes v as an indented JSON response with the given status.
+// WriteJSON writes v as an indented JSON response with the given status:
+// WriteBody of EncodeJSON(v).
 func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+	// A value encoding/json refuses answers status with an empty body, as
+	// it did when the encoder wrote straight after the status line.
+	body, _ := EncodeJSON(v)
+	WriteBody(w, status, body)
+}
+
+// EncodeJSON is the body WriteJSON writes for v: indented by two spaces,
+// HTML-escaped, ending in a newline. A value encoding/json refuses (a NaN,
+// a channel) encodes to no bytes and the encoder's error. A caller that
+// keeps a body to serve again keeps these bytes, so a kept body is
+// WriteJSON's by construction.
+func EncodeJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	// The status line is already out; an encode failure here surfaces to
-	// the client as a truncated body.
-	_ = enc.Encode(v)
+	err := enc.Encode(v)
+	return buf.Bytes(), err
+}
+
+// WriteBody answers status with body, a JSON document: one Write, an
+// explicit Content-Length. body is only read, so it may be a kept one.
+func WriteBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	// A gone client is the only way this write fails.
+	_, _ = w.Write(body)
 }
 
 // The study list — GET /studies on a serve daemon and on the router — is
@@ -45,8 +67,7 @@ func StudyListElem(v any) (string, error) {
 }
 
 // WriteStudyList answers 200 with the study list made of elems, each one a
-// StudyListElem encoding: one buffer of the final size, one Write, an
-// explicit Content-Length.
+// StudyListElem encoding, assembled in one buffer of the final size.
 func WriteStudyList(w http.ResponseWriter, elems []string) {
 	var body []byte
 	if len(elems) == 0 {
@@ -65,11 +86,7 @@ func WriteStudyList(w http.ResponseWriter, elems []string) {
 		}
 		body = append(body, StudyListClose...)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(http.StatusOK)
-	// A gone client is the only way this write fails.
-	_, _ = w.Write(body)
+	WriteBody(w, http.StatusOK, body)
 }
 
 // WriteError writes err in the APIError envelope.

@@ -456,7 +456,9 @@ func (f *Fleet) dispatch(ctx context.Context, w WorkerInfo, req TrialRequest, tr
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusPreconditionRequired {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 512))
+		// Drained only so the connection can be reused: the 428 is the
+		// answer, and a failed read of its body leaves nothing to report.
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 512))
 		return TrialResult{}, fmt.Errorf("worker %s: %w", w.Name, errSpecNotCached)
 	}
 	if resp.StatusCode != http.StatusOK {

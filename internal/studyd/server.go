@@ -8,7 +8,6 @@ import (
 
 	"rldecide/internal/daemon"
 	"rldecide/internal/executor"
-	"rldecide/internal/journal"
 	"rldecide/internal/obs"
 )
 
@@ -130,29 +129,24 @@ func (d *Daemon) handleStudy(h func(http.ResponseWriter, *http.Request, *Managed
 	}
 }
 
-// serveTrials answers {"trials":[...]} with each trial as the journal
-// writes it (journal.AppendRecord, so the body decodes into
-// []journal.Record): the journal's lines joined by commas, with no
-// per-request Record and no reflection.
+// serveTrials and serveFront answer from the study's bodies (trialsJSON,
+// frontJSON): a done study's are rendered by its first read and then
+// written as kept bytes.
 func (d *Daemon) serveTrials(w http.ResponseWriter, r *http.Request, m *ManagedStudy) {
-	body := []byte(`{"trials":[`)
-	for i, t := range m.Trials() {
-		if i > 0 {
-			body = append(body, ',')
-		}
-		var err error
-		if body, err = journal.AppendRecord(body, t); err != nil {
-			// A NaN or infinite metric: JSON has no spelling for it (the
-			// journal refused the trial too, see Summary.JournalErr).
-			writeErr(w, http.StatusInternalServerError, fmt.Errorf("trial %d: %w", t.ID, err))
-			return
-		}
-		body = body[:len(body)-1] // the record's newline
+	serveBody(w, m.trialsJSON)
+}
+
+func (d *Daemon) serveFront(w http.ResponseWriter, r *http.Request, m *ManagedStudy) {
+	serveBody(w, m.frontJSON)
+}
+
+func serveBody(w http.ResponseWriter, body func() ([]byte, error)) {
+	b, err := body()
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
 	}
-	body = append(body, "]}\n"...)
-	w.Header().Set("Content-Type", "application/json")
-	// A gone client is the only way this write fails.
-	_, _ = w.Write(body)
+	daemon.WriteBody(w, http.StatusOK, b)
 }
 
 // terminalStatus reports whether a study's run is over (nothing more will
@@ -233,15 +227,6 @@ func writeSSE(w http.ResponseWriter, event string, v any) {
 		return
 	}
 	_, _ = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
-}
-
-func (d *Daemon) serveFront(w http.ResponseWriter, r *http.Request, m *ManagedStudy) {
-	front, err := m.Front()
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, front)
 }
 
 func (d *Daemon) handleWorkers(w http.ResponseWriter, r *http.Request) {

@@ -87,6 +87,18 @@ type ManagedStudy struct {
 	listed Summary
 	// guarded-by: mu
 	listElem string
+
+	// frontBody and trialsBody keep the GET /front and /trials bodies of a
+	// done study, rendered by its first read of each after done. Done is
+	// terminal for a ManagedStudy and its trials never change after it, so
+	// unlike listElem they are never compared: nil until kept, and a kept
+	// body's bytes are never modified (two first reads may each keep one;
+	// the two are equal), so a handler may write one after the lock is
+	// released.
+	// guarded-by: mu
+	frontBody []byte
+	// guarded-by: mu
+	trialsBody []byte
 }
 
 // Status returns the study's current lifecycle state.
@@ -112,11 +124,19 @@ func (m *ManagedStudy) Cancel() {
 
 // Trials returns the finished trials so far, in ID order.
 func (m *ManagedStudy) Trials() []core.Trial {
+	out, _ := m.trialsSnapshot()
+	return out
+}
+
+// trialsSnapshot is Trials, and whether the study was done when they were
+// copied — read under the same lock, so a done snapshot is final.
+func (m *ManagedStudy) trialsSnapshot() ([]core.Trial, bool) {
 	m.mu.Lock()
 	out := append([]core.Trial(nil), m.trials...)
+	done := m.status == StatusDone
 	m.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return out, done
 }
 
 // Summary is the API-facing digest of a managed study.
@@ -197,15 +217,23 @@ type Front struct {
 // Pareto ranker. It is safe to call while the study runs — that is the
 // live-inspection feature.
 func (m *ManagedStudy) Front() (Front, error) {
+	fr, _, err := m.front()
+	return fr, err
+}
+
+// front is Front, and whether the study was done when its trials were
+// filtered — read under the same lock, so a done ranking is final.
+func (m *ManagedStudy) front() (Front, bool, error) {
 	metrics, err := m.Spec.metrics()
 	if err != nil {
-		return Front{}, err
+		return Front{}, false, err
 	}
 	// The partition does not depend on input order and each front's IDs
 	// are sorted below, so the completed subset is filtered straight out of
 	// m.trials (completion order): one copy, no per-request sort.
 	m.mu.Lock()
 	completed := (&core.Report{Metrics: metrics, Trials: m.trials}).Completed()
+	done := m.status == StatusDone
 	m.mu.Unlock()
 	ranking := core.ParetoRanker{Eps: m.Spec.Eps}.Rank(completed, metrics)
 	fr := Front{Metrics: m.Spec.Metrics, Completed: len(completed), Fronts: make([][]int, len(ranking.Fronts))}
@@ -217,7 +245,66 @@ func (m *ManagedStudy) Front() (Front, error) {
 		sort.Ints(ids)
 		fr.Fronts[i] = ids
 	}
-	return fr, nil
+	return fr, done, nil
+}
+
+// frontJSON returns the GET /front body, daemon.EncodeJSON of Front: the
+// kept one, or one rendered now and kept if the ranking was of the done
+// study. A body the encoder refused is empty, as WriteJSON writes it, and
+// not kept.
+func (m *ManagedStudy) frontJSON() ([]byte, error) {
+	m.mu.Lock()
+	body := m.frontBody
+	m.mu.Unlock()
+	if body != nil {
+		return body, nil
+	}
+	fr, done, err := m.front()
+	if err != nil {
+		return nil, err
+	}
+	body, err = daemon.EncodeJSON(fr)
+	if err == nil && done {
+		m.mu.Lock()
+		m.frontBody = body
+		m.mu.Unlock()
+	}
+	return body, nil
+}
+
+// trialsJSON returns the GET /trials body, {"trials":[...]} with each
+// trial as the journal writes it (journal.AppendRecord, so the body decodes
+// into []journal.Record): the kept one, or one rendered now and kept if
+// the trials were the done study's. A trial the journal cannot encode is
+// the error, and nothing is kept.
+func (m *ManagedStudy) trialsJSON() ([]byte, error) {
+	m.mu.Lock()
+	body := m.trialsBody
+	m.mu.Unlock()
+	if body != nil {
+		return body, nil
+	}
+	trials, done := m.trialsSnapshot()
+	body = []byte(`{"trials":[`)
+	for i, t := range trials {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		var err error
+		if body, err = journal.AppendRecord(body, t); err != nil {
+			// A NaN or infinite metric: JSON has no spelling for it (the
+			// journal refused the trial too, see Summary.JournalErr).
+			return nil, fmt.Errorf("trial %d: %w", t.ID, err)
+		}
+		body = body[:len(body)-1] // the record's newline
+	}
+	body = append(body, "]}\n"...)
+	if done {
+		m.mu.Lock()
+		m.trialsBody = body
+		m.mu.Unlock()
+	}
+	return body, nil
 }
 
 // run executes (or resumes) the study's campaign under ctx, routing every

@@ -7,6 +7,7 @@
 #   * identical submissions spread across both shards (bounded-load
 #     placement),
 #   * per-study reads proxy through the router to the owning daemon,
+#   * a done study's /front and /trials read the same bytes every time,
 #   * the fleet-wide study list names every study once, sorted by ID,
 #   * a study's /spans tree links the router's placement span, the owning
 #     daemon's scheduling spans, and the worker-side execution spans
@@ -137,6 +138,22 @@ for id in "${ids[@]}"; do
   [ "$trials" = "8" ] || { echo "$id journaled $trials trials, want 8" >&2; exit 1; }
 done
 echo "all studies done through the router"
+
+# A done study's /front and /trials are rendered by its first read and
+# then served as kept bytes: a second read through the router is
+# byte-identical to the first, and so is the owner's own answer.
+for id in "${ids[@]}"; do
+  owner_port=$A_PORT
+  case "$id" in beta-*) owner_port=$B_PORT ;; esac
+  for ep in front trials; do
+    curl -sf "$base/studies/$id/$ep" -o "$DIR/$ep.1"
+    curl -sf "$base/studies/$id/$ep" -o "$DIR/$ep.2"
+    curl -sf "http://127.0.0.1:$owner_port/studies/$id/$ep" -o "$DIR/$ep.owner"
+    cmp "$DIR/$ep.1" "$DIR/$ep.2" && cmp "$DIR/$ep.1" "$DIR/$ep.owner" ||
+      { echo "/$ep of done study $id differs between reads" >&2; exit 1; }
+  done
+done
+echo "done-study bodies identical across reads"
 
 # The fleet-wide list splices both daemons' GET /studies bodies: exactly
 # the three studies, sorted by ID, each once.
