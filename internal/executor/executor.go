@@ -24,27 +24,28 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 
 	"rldecide/internal/obs/span"
 )
 
 // TrialRequest is one trial dispatch: everything a worker needs to
-// evaluate the trial with no state of its own.
+// evaluate the trial, its spec included or named by hash.
 type TrialRequest struct {
 	StudyID string `json:"study_id"`
 	TrialID int    `json:"trial_id"`
 	// Spec is the submitting study's spec as persisted by the daemon, in
 	// the compact form encoding/json gives a RawMessage on the wire; the
 	// worker builds the objective from it against its own objective
-	// registry. When SpecHash is set, the dispatcher may omit Spec on
-	// repeat sends to a worker that has already seen the hash; a worker
-	// missing the cached spec answers 428 and the dispatcher resends in
-	// full.
+	// registry. Spec may be absent when SpecHash is set: the dispatcher
+	// omits it on repeat sends to a worker that has already evaluated the
+	// hash, and a worker whose evaluator no longer holds that spec answers
+	// 428 (ErrSpecNotCached) so the dispatcher resends in full.
 	Spec json.RawMessage `json:"spec,omitempty"`
 	// SpecHash is the content hash of Spec as the receiver sees it (see
-	// SpecHashOf), keying the worker's spec cache and the evaluator's
-	// prepared-spec cache; both check it against the bytes before filing
-	// anything under it. Empty disables caching for this dispatch.
+	// SpecHashOf), keying the evaluator's prepared-spec cache, which checks
+	// it against the bytes before filing anything under it
+	// (ErrSpecHashMismatch). Empty disables caching for this dispatch.
 	SpecHash string `json:"spec_hash,omitempty"`
 	// Params is the explorer's assignment in its canonical journal
 	// rendering (parameter name -> value string).
@@ -81,15 +82,31 @@ type TrialResult struct {
 // SpecHashOf returns the content hash (hex SHA-256) of raw spec bytes,
 // suitable for TrialRequest.SpecHash. Campaigns compute it once per study:
 // every trial of a study ships the same spec, which is exactly what makes
-// the worker-side cache worthwhile.
+// the evaluator's prepared-spec cache, and hash-only sends, worthwhile.
 func SpecHashOf(spec []byte) string {
 	sum := sha256.Sum256(spec)
 	return hex.EncodeToString(sum[:])
 }
 
+// The two refusals an EvalFunc reports about the spec of a hashed request
+// rather than about its trial. A worker answers them 428 and 400; neither
+// is counted as an evaluation.
+var (
+	// ErrSpecNotCached: the request is hash-only and the evaluator holds no
+	// spec under its hash. The dispatcher resends the trial in full.
+	ErrSpecNotCached = errors.New("executor: spec not cached; resend with full spec")
+	// ErrSpecHashMismatch: the request's spec does not hash to its
+	// spec_hash. Nothing is filed under the hash and nothing runs.
+	ErrSpecHashMismatch = errors.New("executor: spec does not hash to its spec_hash")
+)
+
 // EvalFunc evaluates one trial request. studyd.EvaluateRequest is the
 // canonical implementation; Local and the worker daemon share it, which is
-// what makes local and fleet campaigns bit-for-bit comparable.
+// what makes local and fleet campaigns bit-for-bit comparable. A request
+// whose SpecHash is set may come without Spec; an EvalFunc that keeps no
+// spec under that hash returns an error wrapping ErrSpecNotCached, and one
+// handed a spec that does not hash to SpecHash an error wrapping
+// ErrSpecHashMismatch.
 type EvalFunc func(ctx context.Context, req TrialRequest) (TrialResult, error)
 
 // Stats reports an executor's capacity and occupancy.

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"rldecide/internal/daemon"
 	"rldecide/internal/power"
 )
 
@@ -345,15 +346,58 @@ func postJSON(t *testing.T, url string, v any) (int, map[string]any) {
 	return resp.StatusCode, out
 }
 
+// specCache stands in for the evaluator's prepared-spec cache
+// (studyd.EvaluateRequest): it keeps the hashes of the specs it evaluated
+// and refuses what that cache refuses, with the same sentinels. A fresh
+// one is a restarted worker process.
+type specCache struct {
+	mu    sync.Mutex
+	known map[string]bool
+}
+
+func (c *specCache) eval(ctx context.Context, r TrialRequest) (TrialResult, error) {
+	if err := c.admit(r); err != nil {
+		return TrialResult{}, err
+	}
+	return echoEval(ctx, r)
+}
+
+func (c *specCache) admit(r TrialRequest) error {
+	if r.SpecHash == "" {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch {
+	case c.known[r.SpecHash]:
+	case len(r.Spec) == 0:
+		return fmt.Errorf("spec %s: %w", r.SpecHash, ErrSpecNotCached)
+	case SpecHashOf(r.Spec) != r.SpecHash:
+		return fmt.Errorf("spec hashes to %s: %w", SpecHashOf(r.Spec), ErrSpecHashMismatch)
+	default:
+		if c.known == nil {
+			c.known = map[string]bool{}
+		}
+		c.known[r.SpecHash] = true
+	}
+	return nil
+}
+
+// TestWorkerSpecCache: the worker answers a hash-only dispatch from its
+// evaluator's cache, and its refusal is a 428 that is not a trial.
 func TestWorkerSpecCache(t *testing.T) {
 	spec := json.RawMessage(`{"objective":"paper"}`)
 	hash := SpecHashOf(spec)
-	_, w := startWorker(t, "cachy", 1, echoEval, "")
+	_, w := startWorker(t, "cachy", 1, (&specCache{}).eval, "")
 
 	// Hash-only before the spec was ever sent: 428, resend required.
+	trials, errs := metricWorkerTrials.Value(), metricWorkerTrialErrors.Value()
 	status, _ := postJSON(t, w.URL+"/run", TrialRequest{StudyID: "s1", TrialID: 1, SpecHash: hash, Seed: 10})
 	if status != http.StatusPreconditionRequired {
 		t.Fatalf("cold-cache hash-only dispatch: status %d, want 428", status)
+	}
+	if metricWorkerTrials.Value() != trials || metricWorkerTrialErrors.Value() != errs {
+		t.Fatal("a 428 was counted as a worker trial")
 	}
 
 	// Full spec + hash: evaluated and cached.
@@ -369,13 +413,13 @@ func TestWorkerSpecCache(t *testing.T) {
 	}
 }
 
-// TestWorkerRejectsWrongSpecHash: the worker files nothing under a hash
+// TestWorkerRejectsWrongSpecHash: the evaluator files nothing under a hash
 // the spec bytes do not have. A forged pairing is a 400 and leaves the
 // cache empty — a hash-only dispatch of the real owner of that hash is
 // still a 428, not a run of the forger's spec.
 func TestWorkerRejectsWrongSpecHash(t *testing.T) {
 	spec, other := json.RawMessage(`{"objective":"paper"}`), json.RawMessage(`{"objective":"other"}`)
-	_, w := startWorker(t, "strict", 1, echoEval, "")
+	_, w := startWorker(t, "strict", 1, (&specCache{}).eval, "")
 	status, body := postJSON(t, w.URL+"/run", TrialRequest{StudyID: "s1", TrialID: 1, Spec: other, SpecHash: SpecHashOf(spec), Seed: 10})
 	if status != http.StatusBadRequest || body["error"] == nil {
 		t.Fatalf("spec under another spec's hash: status %d body %v, want 400", status, body)
@@ -386,19 +430,73 @@ func TestWorkerRejectsWrongSpecHash(t *testing.T) {
 	}
 }
 
+// TestWorkerErrorsAreAPIErrors: every non-200 answer of /run is the
+// daemons' error envelope with an explicit Content-Length.
+func TestWorkerErrorsAreAPIErrors(t *testing.T) {
+	_, w := startWorker(t, "errs", 1, func(ctx context.Context, r TrialRequest) (TrialResult, error) {
+		switch r.TrialID {
+		case 1:
+			return TrialResult{}, fmt.Errorf("wrapped: %w", ErrSpecHashMismatch)
+		case 2:
+			return TrialResult{}, fmt.Errorf("wrapped: %w", ErrSpecNotCached)
+		case 3:
+			return TrialResult{}, fmt.Errorf("disk on fire")
+		case 4:
+			return TrialResult{}, fmt.Errorf("stopped: %w", context.Canceled)
+		default:
+			return TrialResult{StudyID: r.StudyID, TrialID: r.TrialID, Values: map[string]float64{"f": math.Inf(1)}}, nil
+		}
+	}, "")
+	huge := req(6)
+	huge.Params = map[string]string{"pad": strings.Repeat("x", maxRunBody)}
+	bodyOf := func(r TrialRequest) string {
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for _, c := range []struct {
+		body string
+		want int
+	}{
+		{"{nope", http.StatusBadRequest},
+		{bodyOf(req(1)), http.StatusBadRequest},
+		{bodyOf(huge), http.StatusRequestEntityTooLarge},
+		{bodyOf(req(2)), http.StatusPreconditionRequired},
+		{bodyOf(req(3)), http.StatusInternalServerError},
+		{bodyOf(req(4)), http.StatusServiceUnavailable},
+		{bodyOf(req(5)), http.StatusInternalServerError},
+	} {
+		resp, err := http.Post(w.URL+"/run", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var apiErr daemon.APIError
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		if resp.StatusCode != c.want || dec.Decode(&apiErr) != nil || apiErr.Error == "" {
+			t.Fatalf("%.40s: status %d body %q, want %d in the APIError envelope", c.body, resp.StatusCode, raw, c.want)
+		}
+		if cl := resp.Header.Get("Content-Length"); cl != fmt.Sprint(len(raw)) {
+			t.Fatalf("%.40s: Content-Length %q for a %d-byte body", c.body, cl, len(raw))
+		}
+	}
+}
+
 func TestFleetSpecCacheAndWorkerRestart(t *testing.T) {
 	spec := json.RawMessage(`{"objective":"paper"}`)
 	hash := SpecHashOf(spec)
 
-	// The eval asserts it always sees the full spec — cache resolution is
-	// invisible to the evaluation, which is the determinism contract.
+	// A fresh server is a restarted worker process: its evaluator holds no
+	// spec.
 	newServer := func() *Server {
-		return &Server{Name: "cachy", Eval: func(ctx context.Context, r TrialRequest) (TrialResult, error) {
-			if string(r.Spec) != string(spec) {
-				return TrialResult{}, fmt.Errorf("eval saw spec %q", r.Spec)
-			}
-			return echoEval(ctx, r)
-		}, Logf: testLogf(t)}
+		return &Server{Name: "cachy", Eval: (&specCache{}).eval, Logf: testLogf(t)}
 	}
 	var cur atomic.Pointer[Server]
 	cur.Store(newServer())
@@ -479,7 +577,7 @@ func TestRegistrarLifecycle(t *testing.T) {
 	events := []string{}
 	record := func(kind string) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
-			if !CheckBearer(r, "tok") {
+			if _, ok := daemon.NewAuth("tok", nil).Authenticate(r); !ok {
 				w.WriteHeader(http.StatusUnauthorized)
 				return
 			}
@@ -498,11 +596,11 @@ func TestRegistrarLifecycle(t *testing.T) {
 	mux.HandleFunc("POST /workers/register", record("register"))
 	mux.HandleFunc("POST /workers/heartbeat", record("heartbeat"))
 	mux.HandleFunc("POST /workers/deregister", record("deregister"))
-	daemon := httptest.NewServer(mux)
-	defer daemon.Close()
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
 
 	reg := &Registrar{
-		Daemon:   daemon.URL,
+		Daemon:   srv.URL,
 		Info:     WorkerInfo{Name: "reg", URL: "http://127.0.0.1:1", Slots: 1},
 		Token:    "tok",
 		Interval: 5 * time.Millisecond,

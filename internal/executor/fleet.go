@@ -112,9 +112,10 @@ type remoteWorker struct {
 	dispatched int
 	completed  int
 	failed     int
-	// specs records spec hashes this worker has confirmed caching, so
-	// repeat dispatches ship hash-only requests. It is advisory: a 428
-	// from the worker (restart, eviction) triggers a full resend.
+	// specs records spec hashes this worker has evaluated, so repeat
+	// dispatches ship hash-only requests. It is advisory: a 428 from the
+	// worker (restart, eviction, re-registered objectives) triggers a full
+	// resend.
 	specs map[string]bool
 }
 
@@ -254,10 +255,11 @@ func (f *Fleet) Run(ctx context.Context, req TrialRequest) (TrialResult, error) 
 		parent := dsp.ID()
 		start := f.clock.Elapsed()
 		res, err := f.dispatch(ctx, w, send, trace, parent)
-		if errors.Is(err, errSpecNotCached) && len(send.Spec) == 0 {
-			// The worker lost its cache (restart mid-campaign, eviction):
-			// forget our assumption and resend with the full spec. Not a
-			// worker fault, so no drop and no attempt consumed.
+		if errors.Is(err, ErrSpecNotCached) && len(send.Spec) == 0 {
+			// The worker's evaluator no longer holds the spec (restart
+			// mid-campaign, eviction, re-registered objectives): forget our
+			// assumption and resend with the full spec. Not a worker fault,
+			// so no drop and no attempt consumed.
 			metricSpecCacheMisses.Inc()
 			f.forgetSpec(rw, req.SpecHash)
 			res, err = f.dispatch(ctx, w, req, trace, parent)
@@ -397,14 +399,14 @@ func (f *Fleet) wakeLocked() {
 	f.wait = make(chan struct{})
 }
 
-// workerKnowsSpec reports whether the worker has confirmed caching hash.
+// workerKnowsSpec reports whether the worker has confirmed holding hash.
 func (f *Fleet) workerKnowsSpec(w *remoteWorker, hash string) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.registeredLocked(w) && w.specs[hash]
 }
 
-// rememberSpec records that the worker has the spec cached (it accepted a
+// rememberSpec records that the worker holds the spec (it evaluated a
 // dispatch carrying it, or served a hash-only dispatch).
 func (f *Fleet) rememberSpec(w *remoteWorker, hash string) {
 	f.mu.Lock()
@@ -423,10 +425,6 @@ func (f *Fleet) forgetSpec(w *remoteWorker, hash string) {
 	defer f.mu.Unlock()
 	delete(w.specs, hash)
 }
-
-// errSpecNotCached reports a worker-side spec-cache miss (HTTP 428) on a
-// hash-only dispatch; the dispatcher resends with the full spec.
-var errSpecNotCached = errors.New("executor: worker is missing the cached spec")
 
 // dispatch POSTs the trial to one worker and decodes its answer. A
 // non-empty trace propagates the tracing context via the span headers so
@@ -459,7 +457,7 @@ func (f *Fleet) dispatch(ctx context.Context, w WorkerInfo, req TrialRequest, tr
 		// Drained only so the connection can be reused: the 428 is the
 		// answer, and a failed read of its body leaves nothing to report.
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 512))
-		return TrialResult{}, fmt.Errorf("worker %s: %w", w.Name, errSpecNotCached)
+		return TrialResult{}, fmt.Errorf("worker %s: %w", w.Name, ErrSpecNotCached)
 	}
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))

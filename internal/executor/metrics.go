@@ -34,41 +34,28 @@ var (
 // router merging several daemons' expositions never collides them; ""
 // keeps the single-daemon series names unchanged.
 func (f *Fleet) RegisterMetrics(reg *obs.Registry, daemonLabel string) {
-	stamp := func(collect func() []obs.Sample) func() []obs.Sample {
-		if daemonLabel == "" {
-			return collect
-		}
-		label := [2]string{"daemon", daemonLabel}
-		return func() []obs.Sample {
-			samples := collect()
-			for i := range samples {
-				samples[i].Labels = append([][2]string{label}, samples[i].Labels...)
-			}
-			return samples
-		}
-	}
 	reg.NewGaugeFunc("rldecide_fleet_workers",
-		"Live (non-expired) workers in the fleet.", stamp(func() []obs.Sample {
+		"Live (non-expired) workers in the fleet.", obs.StampDaemon(daemonLabel, func() []obs.Sample {
 			return []obs.Sample{{Value: float64(f.Stats().Workers)}}
 		}))
 	reg.NewGaugeFunc("rldecide_fleet_slots",
-		"Summed trial slots of live workers.", stamp(func() []obs.Sample {
+		"Summed trial slots of live workers.", obs.StampDaemon(daemonLabel, func() []obs.Sample {
 			return []obs.Sample{{Value: float64(f.Stats().Cap)}}
 		}))
 	reg.NewGaugeFunc("rldecide_fleet_in_flight",
-		"Trials currently dispatched across the fleet.", stamp(func() []obs.Sample {
+		"Trials currently dispatched across the fleet.", obs.StampDaemon(daemonLabel, func() []obs.Sample {
 			return []obs.Sample{{Value: float64(f.Stats().InUse)}}
 		}))
 	reg.NewGaugeFunc("rldecide_fleet_worker_beat_age_seconds",
-		"Seconds since each worker's last heartbeat.", stamp(f.workerSamples(func(w WorkerStatus) float64 {
+		"Seconds since each worker's last heartbeat.", obs.StampDaemon(daemonLabel, f.workerSamples(func(w WorkerStatus) float64 {
 			return w.BeatAgeSec
 		})))
 	reg.NewGaugeFunc("rldecide_fleet_worker_in_flight",
-		"Trials currently dispatched to each worker.", stamp(f.workerSamples(func(w WorkerStatus) float64 {
+		"Trials currently dispatched to each worker.", obs.StampDaemon(daemonLabel, f.workerSamples(func(w WorkerStatus) float64 {
 			return float64(w.InFlight)
 		})))
 	reg.NewGaugeFunc("rldecide_fleet_worker_slots",
-		"Each worker's registered slot capacity.", stamp(f.workerSamples(func(w WorkerStatus) float64 {
+		"Each worker's registered slot capacity.", obs.StampDaemon(daemonLabel, f.workerSamples(func(w WorkerStatus) float64 {
 			return float64(w.Slots)
 		})))
 }

@@ -3,13 +3,11 @@ package executor
 import (
 	"bytes"
 	"context"
-	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,14 +21,18 @@ import (
 
 // Server is the worker daemon's HTTP surface: it receives trial dispatches
 // from a Fleet, evaluates them with Eval, and answers with the result.
-// Workers hold no campaign state — every request is self-contained — so a
-// worker can crash, restart and re-register at any time without the
-// daemon's journal noticing.
+// Workers hold no campaign state and keep no spec bytes: a hash-only
+// request is Eval's to answer from its own prepared-spec cache, or to
+// refuse with ErrSpecNotCached, which this server answers 428 so the
+// dispatcher resends in full. A worker can therefore crash, restart and
+// re-register at any time without the daemon's journal noticing.
 type Server struct {
 	// Name is the worker's registered name, stamped into every result for
 	// journal attribution.
 	Name string
-	// Eval evaluates one trial (typically studyd.EvaluateRequest).
+	// Eval evaluates one trial (typically studyd.EvaluateRequest). Its
+	// ErrSpecNotCached and ErrSpecHashMismatch refusals answer 428 and
+	// 400; any other error 500, or 503 for a cancellation.
 	Eval EvalFunc
 	// Token, when set, is required as a bearer token on /run.
 	Token string
@@ -44,56 +46,6 @@ type Server struct {
 	// no worker-side flag.
 	clockOnce sync.Once
 	clock     *power.Stopwatch
-
-	// Spec cache: study specs are identical across a study's trials, so
-	// the dispatcher sends the full spec once and hash-only afterwards.
-	// The cache is bounded (FIFO eviction) and purely an optimization —
-	// a miss answers 428 and the dispatcher resends in full, which is
-	// also how a restarted (empty-cache) worker recovers mid-campaign.
-	specMu sync.Mutex
-	// guarded-by: specMu
-	specs map[string]json.RawMessage
-	// guarded-by: specMu
-	specOrder []string
-}
-
-// maxCachedSpecs bounds the worker's spec cache. Specs are small (a few
-// KB) and campaigns rarely interleave many studies per worker.
-const maxCachedSpecs = 64
-
-// cacheSpec stores the spec under hash, evicting the oldest entry when
-// full. The bytes are copied: the request buffer is reused by net/http.
-// Nothing is filed under a hash the bytes do not have — later hash-only
-// dispatches of another study would run this spec — so a first sight of a
-// hash costs one SHA-256 of the spec and a repeat costs nothing.
-func (s *Server) cacheSpec(hash string, spec json.RawMessage) error {
-	s.specMu.Lock()
-	defer s.specMu.Unlock()
-	if s.specs == nil {
-		s.specs = make(map[string]json.RawMessage, maxCachedSpecs)
-	}
-	if _, ok := s.specs[hash]; ok {
-		return nil
-	}
-	if got := SpecHashOf(spec); got != hash {
-		return fmt.Errorf("spec hashes to %s, not to its spec_hash %s", got, hash)
-	}
-	for len(s.specs) >= maxCachedSpecs {
-		oldest := s.specOrder[0]
-		s.specOrder = s.specOrder[1:]
-		delete(s.specs, oldest)
-	}
-	s.specs[hash] = append(json.RawMessage(nil), spec...)
-	s.specOrder = append(s.specOrder, hash)
-	return nil
-}
-
-// cachedSpec looks up a spec by hash.
-func (s *Server) cachedSpec(hash string) (json.RawMessage, bool) {
-	s.specMu.Lock()
-	defer s.specMu.Unlock()
-	spec, ok := s.specs[hash]
-	return spec, ok
 }
 
 // Handler returns the worker API:
@@ -121,7 +73,7 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	daemon.WriteJSON(w, http.StatusOK, map[string]any{
 		"ok":        true,
 		"worker":    s.Name,
 		"in_flight": s.inFlight.Load(),
@@ -136,32 +88,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &tooLarge) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		writeJSON(w, status, map[string]any{"error": err.Error()})
+		daemon.WriteError(w, status, err)
 		return
 	}
 	var req TrialRequest
 	if !decodeTrialRequest(body, &req) {
 		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
+			daemon.WriteError(w, http.StatusBadRequest, err)
 			return
-		}
-	}
-	if req.SpecHash != "" {
-		if len(req.Spec) > 0 {
-			if err := s.cacheSpec(req.SpecHash, req.Spec); err != nil {
-				writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
-				return
-			}
-		} else {
-			spec, ok := s.cachedSpec(req.SpecHash)
-			if !ok {
-				// Cache miss (bounded cache evicted it, or this worker
-				// restarted): ask the dispatcher to resend the full spec.
-				writeJSON(w, http.StatusPreconditionRequired,
-					map[string]any{"error": "spec " + req.SpecHash + " not cached; resend with full spec"})
-				return
-			}
-			req.Spec = spec
 		}
 	}
 	s.inFlight.Add(1)
@@ -191,6 +125,19 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		evalCtx = span.NewContext(evalCtx, &child)
 	}
 	res, err := s.Eval(evalCtx, req)
+	switch {
+	case errors.Is(err, ErrSpecNotCached):
+		// A hash-only dispatch the evaluator holds no spec for (this worker
+		// restarted, evicted it, or re-registered objectives): the
+		// dispatcher resends in full. A refusal of the request, not a
+		// trial, so it is neither counted nor logged.
+		daemon.WriteError(w, http.StatusPreconditionRequired, err)
+		return
+	case errors.Is(err, ErrSpecHashMismatch):
+		// Nothing was filed under the forged hash and nothing ran.
+		daemon.WriteError(w, http.StatusBadRequest, err)
+		return
+	}
 	metricWorkerTrials.Inc()
 	if err != nil {
 		metricWorkerTrialErrors.Inc()
@@ -201,7 +148,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusServiceUnavailable
 		}
 		s.logf("worker %s: trial %s/%d failed: %v", s.Name, req.StudyID, req.TrialID, err)
-		writeJSON(w, status, map[string]any{"error": err.Error()})
+		daemon.WriteError(w, status, err)
 		return
 	}
 	status := "ok"
@@ -218,37 +165,16 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		err = fmt.Errorf("worker %s: trial %s/%d: encoding result: %w", s.Name, req.StudyID, req.TrialID, err)
 		s.logf("%v", err)
-		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()})
+		daemon.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(out)))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(out) // a failed write is the dispatcher's transport fault
+	daemon.WriteBody(w, http.StatusOK, out)
 }
 
 // stopwatch returns the worker's span clock, starting it on first use.
 func (s *Server) stopwatch() *power.Stopwatch {
 	s.clockOnce.Do(func() { s.clock = power.StartStopwatch() })
 	return s.clock
-}
-
-// CheckBearer reports whether r carries the bearer token (in constant
-// time). An empty want disables the check.
-func CheckBearer(r *http.Request, want string) bool {
-	if want == "" {
-		return true
-	}
-	got, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
-	return ok && subtle.ConstantTimeCompare([]byte(got), []byte(want)) == 1
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
 }
 
 // Registrar announces a worker to the study daemon and keeps the

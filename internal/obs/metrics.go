@@ -28,6 +28,25 @@ type Sample struct {
 	Value  float64
 }
 
+// StampDaemon prepends the daemon="<name>" label to every sample collect
+// returns. An unnamed (single-daemon) deployment passes "" and keeps its
+// series exactly as they are; in a sharded fleet the label is what keeps
+// two daemons' series from colliding when the router merges their
+// expositions.
+func StampDaemon(name string, collect func() []Sample) func() []Sample {
+	if name == "" {
+		return collect
+	}
+	label := [2]string{"daemon", name}
+	return func() []Sample {
+		samples := collect()
+		for i := range samples {
+			samples[i].Labels = append([][2]string{label}, samples[i].Labels...)
+		}
+		return samples
+	}
+}
+
 // Counter is a monotonically increasing counter. Inc and Add are
 // allocation-free atomic updates, safe on zero-alloc hot paths.
 type Counter struct {

@@ -7,6 +7,7 @@ import (
 	"os"
 
 	"rldecide/internal/analysis"
+	"rldecide/internal/daemon"
 	"rldecide/internal/journal"
 	"rldecide/internal/obs"
 	"rldecide/internal/rl"
@@ -37,7 +38,7 @@ func (d *Daemon) serveAnalysis(w http.ResponseWriter, r *http.Request, m *Manage
 	case AnalysisTraces:
 		files, err := obs.TraceFiles(d.tracePath)
 		if err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
+			daemon.WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 		inputs = files
@@ -67,7 +68,7 @@ func (d *Daemon) serveAnalysis(w http.ResponseWriter, r *http.Request, m *Manage
 			return analysis.AnalyzeCounterfactuals(eps, analysis.CounterfactualOptions{})
 		}
 	default:
-		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown analysis kind %q (want %s, %s or %s)",
+		daemon.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown analysis kind %q (want %s, %s or %s)",
 			kind, AnalysisTraces, AnalysisAttribution, AnalysisCounterfactuals))
 		return
 	}
@@ -75,22 +76,22 @@ func (d *Daemon) serveAnalysis(w http.ResponseWriter, r *http.Request, m *Manage
 	fp := analysis.Fingerprint(inputs...)
 	cachePath := analysis.CachePath(d.cfg.Dir, m.ID, kind)
 	if raw, ok := analysis.LoadCached(cachePath, kind, fp); ok {
-		writeJSON(w, http.StatusOK, raw)
+		daemon.WriteJSON(w, http.StatusOK, raw)
 		return
 	}
 	rep, err := run()
 	if err != nil {
 		if os.IsNotExist(err) {
-			writeErr(w, http.StatusNotFound, fmt.Errorf("no recorded trajectories for %s — run the daemon with analysis enabled (-analysis) and use a trajectory objective such as steer-ppo", m.ID))
+			daemon.WriteError(w, http.StatusNotFound, fmt.Errorf("no recorded trajectories for %s — run the daemon with analysis enabled (-analysis) and use a trajectory objective such as steer-ppo", m.ID))
 			return
 		}
-		writeErr(w, http.StatusUnprocessableEntity, err)
+		daemon.WriteError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
 	if err := analysis.SaveCached(cachePath, kind, m.ID, fp, rep); err != nil {
 		d.cfg.Logf("studyd: caching %s analysis for %s: %v", kind, m.ID, err)
 	}
-	writeJSON(w, http.StatusOK, rep)
+	daemon.WriteJSON(w, http.StatusOK, rep)
 }
 
 // loadTrajectories reads a study's trajectory journal in canonical

@@ -25,11 +25,14 @@ import (
 //
 // Everything that depends on the spec alone is built once per
 // req.SpecHash and kept (see preparedFor); a request without a hash
-// builds it for itself.
+// builds it for itself. This prepared-spec cache is the only spec cache
+// of a worker process: a hash-only request it cannot answer returns
+// executor.ErrSpecNotCached, which the worker answers 428.
 //
-// A returned error is infrastructural (undecodable spec, spec that does
-// not hash to req.SpecHash, unknown objective, cancellation) and is never
-// journaled; a deterministic objective failure comes back as
+// A returned error is infrastructural (undecodable spec, hash-only
+// request for a spec not held, spec that does not hash to req.SpecHash,
+// unknown objective, cancellation) and is never journaled; a
+// deterministic objective failure comes back as
 // TrialResult.Error instead, which the daemon journals exactly like a
 // local failure.
 func EvaluateRequest(ctx context.Context, req executor.TrialRequest) (executor.TrialResult, error) {
@@ -103,9 +106,10 @@ func prepare(raw []byte) (*prepared, error) {
 
 // preparedFor returns the prepared form of req's spec: the cached one when
 // req.SpecHash names one, otherwise a fresh one, filed under the hash if
-// the request carries one. A hash is checked against the bytes before
-// anything is filed under it, so a sender cannot make later trials of
-// another spec run this one.
+// the request carries one. A hash-only request that names none is
+// executor.ErrSpecNotCached. A hash is checked against the bytes before
+// anything is filed under it (executor.ErrSpecHashMismatch), so a sender
+// cannot make later trials of another spec run this one.
 func preparedFor(req executor.TrialRequest) (*prepared, error) {
 	if req.SpecHash == "" {
 		return prepare(req.Spec)
@@ -117,8 +121,11 @@ func preparedFor(req executor.TrialRequest) (*prepared, error) {
 	if ok {
 		return p, nil
 	}
+	if len(req.Spec) == 0 {
+		return nil, fmt.Errorf("studyd: spec %s: %w", req.SpecHash, executor.ErrSpecNotCached)
+	}
 	if got := executor.SpecHashOf(req.Spec); got != req.SpecHash {
-		return nil, fmt.Errorf("studyd: dispatched spec hashes to %s, not to its spec_hash %s", got, req.SpecHash)
+		return nil, fmt.Errorf("studyd: dispatched spec hashes to %s, not to %s: %w", got, req.SpecHash, executor.ErrSpecHashMismatch)
 	}
 	p, err := prepare(req.Spec)
 	if err != nil {

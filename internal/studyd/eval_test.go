@@ -3,12 +3,14 @@ package studyd
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -257,8 +259,8 @@ func TestEvaluateRequestRejectsWrongHash(t *testing.T) {
 	a := param.Assign(param.Bind("x", param.Float(1)), param.Bind("y", param.Float(1)))
 	forged := requestFor(rastrigin, false, 1, a, 1)
 	forged.SpecHash = executor.SpecHashOf(sphere)
-	if res, err := EvaluateRequest(context.Background(), forged); err == nil {
-		t.Fatalf("rastrigin bytes under sphere's hash evaluated: %+v", res)
+	if res, err := EvaluateRequest(context.Background(), forged); !errors.Is(err, executor.ErrSpecHashMismatch) {
+		t.Fatalf("rastrigin bytes under sphere's hash: %+v, %v; want ErrSpecHashMismatch", res, err)
 	}
 	if n, _ := preparedCount(); n != 0 {
 		t.Fatalf("%d prepared specs after a refused request", n)
@@ -266,6 +268,87 @@ func TestEvaluateRequestRejectsWrongHash(t *testing.T) {
 	res, err := EvaluateRequest(context.Background(), requestFor(sphere, true, 1, a, 1))
 	if err != nil || res.Values["f"] != 2 {
 		t.Fatalf("sphere under its own hash: %+v, %v", res, err)
+	}
+}
+
+// TestWorkerServesFromPreparedCache drives a worker built the way
+// cmd/rldecide-worker builds one: the prepared-spec cache is the only spec
+// cache it has, and its misses are the 428s a dispatcher resends on.
+func TestWorkerServesFromPreparedCache(t *testing.T) {
+	var evals atomic.Int32
+	register := func() {
+		RegisterObjective("serve-cache", func(spec Spec, metrics []core.Metric) (core.Objective, error) {
+			return func(a param.Assignment, seed uint64, rec *core.Recorder) error {
+				evals.Add(1)
+				rec.Report(metrics[0].Name, a.Value("x").Float()+float64(seed))
+				return nil
+			}, nil
+		})
+	}
+	register()
+	dropPrepared()
+	ts := httptest.NewServer((&executor.Server{Name: "w", Eval: EvaluateRequest, Logf: testLogf(t)}).Handler())
+	defer ts.Close()
+	run := func(req executor.TrialRequest) (int, executor.TrialResult) {
+		t.Helper()
+		resp := postJSON(t, ts.URL+"/run", req)
+		defer resp.Body.Close()
+		var res executor.TrialResult
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode, res
+	}
+	hashOnly := func(req executor.TrialRequest) executor.TrialRequest {
+		req.Spec = nil
+		return req
+	}
+
+	sp := baseSpec("serve-cache")
+	sp.Metrics = sp.Metrics[:1]
+	raw := marshalSpec(t, sp)
+	a := param.Assign(param.Bind("x", param.Float(0.5)), param.Bind("y", param.Float(0)))
+	full := requestFor(raw, true, 1, a, 3)
+
+	if status, _ := run(hashOnly(full)); status != http.StatusPreconditionRequired || evals.Load() != 0 {
+		t.Fatalf("cold hash-only request: status %d after %d evaluations, want 428 and none", status, evals.Load())
+	}
+	if status, res := run(full); status != http.StatusOK || res.Values["f"] != 3.5 {
+		t.Fatalf("full send: status %d %+v", status, res)
+	}
+	second := requestFor(raw, true, 2, a, 4)
+	want, err := EvaluateRequest(context.Background(), requestFor(raw, false, 2, a, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status, res := run(hashOnly(second)); status != http.StatusOK || !reflect.DeepEqual(res.Values, want.Values) {
+		t.Fatalf("hash-only request: status %d %+v, want the values %v of a hashless evaluation", status, res, want.Values)
+	}
+
+	owner := baseSpec("sphere")
+	owner.Name = "owner"
+	ownerRaw := marshalSpec(t, owner)
+	forged := requestFor(marshalSpec(t, baseSpec("rastrigin")), false, 1, a, 1)
+	forged.SpecHash = executor.SpecHashOf(ownerRaw)
+	before, _ := preparedCount()
+	if status, _ := run(forged); status != http.StatusBadRequest {
+		t.Fatalf("spec under another spec's hash: status %d, want 400", status)
+	}
+	if after, _ := preparedCount(); after != before {
+		t.Fatalf("a refused pairing left %d prepared specs, was %d", after, before)
+	}
+	if status, _ := run(hashOnly(requestFor(ownerRaw, true, 1, a, 1))); status != http.StatusPreconditionRequired {
+		t.Fatalf("the owner's hash-only request after the forged one: status %d, want 428", status)
+	}
+
+	register()
+	if status, _ := run(hashOnly(second)); status != http.StatusPreconditionRequired {
+		t.Fatalf("hash-only request after RegisterObjective: status %d, want 428", status)
+	}
+	if status, res := run(second); status != http.StatusOK || !reflect.DeepEqual(res.Values, want.Values) {
+		t.Fatalf("full resend after RegisterObjective: status %d %+v", status, res)
 	}
 }
 

@@ -24,31 +24,13 @@ var (
 // studyStatuses is the fixed label order for the by-status study gauge.
 var studyStatuses = []Status{StatusPending, StatusRunning, StatusDone, StatusInterrupted, StatusFailed}
 
-// stamp prepends the daemon="<Name>" label to every sample of a named
-// daemon. Unnamed (single-daemon) deployments keep their series exactly
-// as before; in a sharded fleet the label is what keeps two daemons'
-// gauges from colliding when the router merges their expositions.
-func (d *Daemon) stamp(collect func() []obs.Sample) func() []obs.Sample {
-	if d.cfg.Name == "" {
-		return collect
-	}
-	label := [2]string{"daemon", d.cfg.Name}
-	return func() []obs.Sample {
-		samples := collect()
-		for i := range samples {
-			samples[i].Labels = append([][2]string{label}, samples[i].Labels...)
-		}
-		return samples
-	}
-}
-
 // newRegistry builds the daemon's own collector registry: gauges that
 // read daemon state at scrape time. Served at GET /metrics alongside
 // obs.Default.
 func (d *Daemon) newRegistry() *obs.Registry {
 	reg := obs.NewRegistry()
 	reg.NewGaugeFunc("rldecide_studyd_studies",
-		"Managed studies by lifecycle status.", d.stamp(func() []obs.Sample {
+		"Managed studies by lifecycle status.", obs.StampDaemon(d.cfg.Name, func() []obs.Sample {
 			counts := make(map[Status]int, len(studyStatuses))
 			for _, m := range d.store.List() {
 				counts[m.Status()]++
@@ -60,7 +42,7 @@ func (d *Daemon) newRegistry() *obs.Registry {
 			return out
 		}))
 	reg.NewGaugeFunc("rldecide_studyd_tenant_active_studies",
-		"Active (pending or running) studies per configured tenant.", d.stamp(func() []obs.Sample {
+		"Active (pending or running) studies per configured tenant.", obs.StampDaemon(d.cfg.Name, func() []obs.Sample {
 			tenants := d.cfg.Auth.Tenants()
 			if len(tenants) == 0 {
 				return nil
@@ -73,15 +55,15 @@ func (d *Daemon) newRegistry() *obs.Registry {
 			return out
 		}))
 	reg.NewGaugeFunc("rldecide_studyd_exec_slots",
-		"Executor trial capacity (local slots, or summed fleet slots).", d.stamp(func() []obs.Sample {
+		"Executor trial capacity (local slots, or summed fleet slots).", obs.StampDaemon(d.cfg.Name, func() []obs.Sample {
 			return []obs.Sample{{Value: float64(d.exec.Stats().Cap)}}
 		}))
 	reg.NewGaugeFunc("rldecide_studyd_exec_in_use",
-		"Trials executing right now.", d.stamp(func() []obs.Sample {
+		"Trials executing right now.", obs.StampDaemon(d.cfg.Name, func() []obs.Sample {
 			return []obs.Sample{{Value: float64(d.exec.Stats().InUse)}}
 		}))
 	reg.NewGaugeFunc("rldecide_studyd_queue_depth",
-		"Proposed trials waiting for an executor lease.", d.stamp(func() []obs.Sample {
+		"Proposed trials waiting for an executor lease.", obs.StampDaemon(d.cfg.Name, func() []obs.Sample {
 			queued := d.inflight.Load() - int64(d.exec.Stats().InUse)
 			if queued < 0 {
 				queued = 0
@@ -90,7 +72,7 @@ func (d *Daemon) newRegistry() *obs.Registry {
 		}))
 	reg.NewCounterFunc("rldecide_bus_dropped_total",
 		"Event-bus events dropped per subscriber (tracer, SSE streams) because its buffer was full.",
-		d.stamp(func() []obs.Sample { return d.bus.DropSamples() }))
+		obs.StampDaemon(d.cfg.Name, func() []obs.Sample { return d.bus.DropSamples() }))
 	d.fleet.RegisterMetrics(reg, d.cfg.Name)
 	return reg
 }

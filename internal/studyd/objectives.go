@@ -23,10 +23,10 @@ import (
 // whatever it closes over must be read-only or synchronized.
 type ObjectiveFactory func(spec Spec, metrics []core.Metric) (core.Objective, error)
 
-// maxPreparedSpecs bounds the prepared-spec cache, like the worker's raw
-// spec cache (executor.Server): past that many interleaved specs the
-// evaluator prepares per trial again, which is what it did before the
-// cache existed.
+// maxPreparedSpecs bounds the prepared-spec cache: past that many
+// interleaved specs the evaluator prepares per trial again, which is what
+// it did before the cache existed, and a worker answers the evicted
+// spec's hash-only dispatches 428 until the dispatcher resends it.
 const maxPreparedSpecs = 64
 
 // objMu guards the registry and, beside it, the prepared-spec cache.
@@ -34,9 +34,10 @@ var (
 	objMu       sync.RWMutex
 	objRegistry = map[string]ObjectiveFactory{}
 	// preparedSpecs holds the prepared form of recently evaluated specs by
-	// content hash, oldest first in preparedOrder. It answers "which CPU
-	// may the evaluator skip"; the worker's raw cache answers "which bytes
-	// may the dispatcher omit", a question the local executor never has.
+	// content hash, oldest first in preparedOrder. It is the process's one
+	// spec-hash cache and answers two questions: which CPU the evaluator
+	// may skip, and, on a worker, which bytes the dispatcher may omit (a
+	// hash-only request it holds nothing for is a 428).
 	preparedSpecs = map[string]*prepared{}
 	preparedOrder []string
 	// objGen counts registrations, so that a spec prepared against a
@@ -46,7 +47,9 @@ var (
 
 // RegisterObjective makes an objective available to submitted specs under
 // the given name, replacing any previous registration. Prepared specs hold
-// the objective their factory built, so all of them are dropped.
+// the objective their factory built, so all of them are dropped; on a
+// worker, the next hash-only dispatch of each is a 428 and one full
+// resend.
 func RegisterObjective(name string, f ObjectiveFactory) {
 	if name == "" || f == nil {
 		panic("studyd: RegisterObjective needs a name and a factory")

@@ -44,7 +44,7 @@ func (d *Daemon) Handler() http.Handler {
 	mux.HandleFunc("GET /studies", d.handleList)
 	mux.HandleFunc("POST /studies", auth.RequireTenant(d.handleSubmit))
 	mux.HandleFunc("GET /studies/{id}", d.handleStudy(func(w http.ResponseWriter, r *http.Request, m *ManagedStudy) {
-		writeJSON(w, http.StatusOK, m.Summary())
+		daemon.WriteJSON(w, http.StatusOK, m.Summary())
 	}))
 	mux.HandleFunc("GET /studies/{id}/trials", d.handleStudy(d.serveTrials))
 	mux.HandleFunc("GET /studies/{id}/front", d.handleStudy(d.serveFront))
@@ -53,7 +53,7 @@ func (d *Daemon) Handler() http.Handler {
 	mux.HandleFunc("GET /studies/{id}/analysis/{kind}", d.handleStudy(d.serveAnalysis))
 	mux.HandleFunc("POST /studies/{id}/cancel", auth.Require(d.handleStudy(func(w http.ResponseWriter, r *http.Request, m *ManagedStudy) {
 		m.Cancel()
-		writeJSON(w, http.StatusAccepted, m.Summary())
+		daemon.WriteJSON(w, http.StatusAccepted, m.Summary())
 	})))
 	mux.HandleFunc("POST /studies/{id}/adopt", auth.Require(d.handleAdopt))
 	mux.HandleFunc("GET /workers", d.handleWorkers)
@@ -65,7 +65,7 @@ func (d *Daemon) Handler() http.Handler {
 
 func (d *Daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	stats := d.exec.Stats()
-	writeJSON(w, http.StatusOK, map[string]any{
+	daemon.WriteJSON(w, http.StatusOK, map[string]any{
 		"ok":       true,
 		"daemon":   d.cfg.Name,
 		"studies":  len(d.store.List()),
@@ -89,19 +89,19 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request, tenant str
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		daemon.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	m, err := d.SubmitAs(spec, tenant)
 	if errors.Is(err, ErrQuota) {
-		writeErr(w, http.StatusTooManyRequests, err)
+		daemon.WriteError(w, http.StatusTooManyRequests, err)
 		return
 	}
 	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, err)
+		daemon.WriteError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, m.Summary())
+	daemon.WriteJSON(w, http.StatusCreated, m.Summary())
 }
 
 // handleAdopt claims ownership of a study persisted in the shared state
@@ -112,17 +112,17 @@ func (d *Daemon) handleAdopt(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	m, err := d.Adopt(id)
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		daemon.WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, m.Summary())
+	daemon.WriteJSON(w, http.StatusOK, m.Summary())
 }
 
 func (d *Daemon) handleStudy(h func(http.ResponseWriter, *http.Request, *ManagedStudy)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		m, ok := d.store.Get(r.PathValue("id"))
 		if !ok {
-			writeErr(w, http.StatusNotFound, fmt.Errorf("no study %q", r.PathValue("id")))
+			daemon.WriteError(w, http.StatusNotFound, fmt.Errorf("no study %q", r.PathValue("id")))
 			return
 		}
 		h(w, r, m)
@@ -143,7 +143,7 @@ func (d *Daemon) serveFront(w http.ResponseWriter, r *http.Request, m *ManagedSt
 func serveBody(w http.ResponseWriter, body func() ([]byte, error)) {
 	b, err := body()
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		daemon.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	daemon.WriteBody(w, http.StatusOK, b)
@@ -167,12 +167,12 @@ func terminalStatus(s Status) bool {
 func (d *Daemon) serveEvents(w http.ResponseWriter, r *http.Request, m *ManagedStudy) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeErr(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported"))
+		daemon.WriteError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported"))
 		return
 	}
 	sub := d.bus.SubscribeNamed("sse", 256)
 	if sub == nil {
-		writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("daemon is shutting down"))
+		daemon.WriteError(w, http.StatusServiceUnavailable, fmt.Errorf("daemon is shutting down"))
 		return
 	}
 	defer d.bus.Unsubscribe(sub)
@@ -232,7 +232,7 @@ func writeSSE(w http.ResponseWriter, event string, v any) {
 func (d *Daemon) handleWorkers(w http.ResponseWriter, r *http.Request) {
 	// The daemon stamp lets the router's fleet-wide /workers view
 	// attribute each registry without guessing from the backend URL.
-	writeJSON(w, http.StatusOK, map[string]any{"daemon": d.cfg.Name, "workers": d.fleet.Workers()})
+	daemon.WriteJSON(w, http.StatusOK, map[string]any{"daemon": d.cfg.Name, "workers": d.fleet.Workers()})
 }
 
 // handleWorkerUpsert serves both registration and heartbeat: the payload
@@ -241,34 +241,28 @@ func (d *Daemon) handleWorkers(w http.ResponseWriter, r *http.Request) {
 func (d *Daemon) handleWorkerUpsert(w http.ResponseWriter, r *http.Request) {
 	var info executor.WorkerInfo
 	if err := json.NewDecoder(r.Body).Decode(&info); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		daemon.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	fresh, err := d.fleet.Upsert(info)
 	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, err)
+		daemon.WriteError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
 	if fresh {
 		d.cfg.Logf("studyd: worker %s joined (%s, %d slots)", info.Name, info.URL, info.Slots)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "fleet": d.fleet.Stats()})
+	daemon.WriteJSON(w, http.StatusOK, map[string]any{"ok": true, "fleet": d.fleet.Stats()})
 }
 
 func (d *Daemon) handleWorkerDeregister(w http.ResponseWriter, r *http.Request) {
 	var info executor.WorkerInfo
 	if err := json.NewDecoder(r.Body).Decode(&info); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		daemon.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if d.fleet.Remove(info.Name) {
 		d.cfg.Logf("studyd: worker %s left", info.Name)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "fleet": d.fleet.Stats()})
+	daemon.WriteJSON(w, http.StatusOK, map[string]any{"ok": true, "fleet": d.fleet.Stats()})
 }
-
-// The response helpers are the kernel's: every daemon in the fleet
-// answers with the same JSON envelope.
-func writeJSON(w http.ResponseWriter, status int, v any) { daemon.WriteJSON(w, status, v) }
-
-func writeErr(w http.ResponseWriter, status int, err error) { daemon.WriteError(w, status, err) }

@@ -3,6 +3,7 @@ package studyd
 import (
 	"net/http"
 
+	"rldecide/internal/daemon"
 	"rldecide/internal/obs"
 	"rldecide/internal/obs/span"
 )
@@ -112,5 +113,5 @@ func (d *Daemon) serveSpans(w http.ResponseWriter, r *http.Request, m *ManagedSt
 	col := d.spanCols[m.ID]
 	d.spanMu.Unlock()
 	tree.Dropped = col.Dropped()
-	writeJSON(w, http.StatusOK, tree)
+	daemon.WriteJSON(w, http.StatusOK, tree)
 }

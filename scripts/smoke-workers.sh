@@ -129,5 +129,24 @@ for i in 1 2; do
 done
 echo "metrics scrapes OK"
 
+# A worker keeps no spec bytes of its own: what its evaluator's prepared
+# spec cache cannot answer it refuses, in the daemons' error envelope. A
+# hash-only dispatch of a hash it holds nothing for is a 428; a spec sent
+# under another spec's hash is a 400.
+hash=$(printf '%s' '{"name":"never-submitted"}' | sha256sum | cut -d' ' -f1)
+run() {
+  curl -s -o "$DIR/run.json" -w '%{http_code}' -X POST "http://127.0.0.1:$W1_PORT/run" \
+    -H "Authorization: Bearer $TOKEN" -d "$1"
+}
+for check in \
+  "428 {\"study_id\":\"probe\",\"trial_id\":1,\"spec_hash\":\"$hash\",\"params\":{},\"seed\":1}" \
+  "400 {\"study_id\":\"probe\",\"trial_id\":2,\"spec\":{\"name\":\"forged\"},\"spec_hash\":\"$hash\",\"params\":{},\"seed\":1}"; do
+  want=${check%% *}
+  code=$(run "${check#* }")
+  { [ "$code" = "$want" ] && grep -q '"error"' "$DIR/run.json"; } ||
+    { echo "worker /run: got $code $(cat "$DIR/run.json"), want $want with an error" >&2; exit 1; }
+done
+echo "worker refusals OK"
+
 curl -sf "$base/studies/$id/front" | head -c 400; echo
 echo "worker smoke OK"
