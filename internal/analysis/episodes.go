@@ -1,14 +1,9 @@
 package analysis
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
-	"os"
 	"sort"
 	"sync"
 
@@ -17,22 +12,18 @@ import (
 )
 
 // EpisodeWriter journals recorded trajectories as JSON Lines — one
-// rl.Episode per line — with the same crash posture as trial journals:
-// each record is flushed on its own line boundary, so a crash tears at
-// most the final line, which ReadEpisodes tolerates. Safe for concurrent
-// use by parallel trials. The file opens lazily on the first Record
-// (append mode, so resumed studies extend their journal), and a writer
-// that never records creates nothing.
+// rl.Episode per line — through a journal.SegWriter, with the same crash
+// posture as trial journals: each episode is one write of one whole line,
+// so a crash tears at most the final line, which ReadEpisodes tolerates.
+// Safe for concurrent use by parallel trials. The file opens lazily on
+// the first Record (append mode, so resumed studies extend their
+// journal), and a writer that never records creates nothing.
 type EpisodeWriter struct {
 	path string
 
 	mu sync.Mutex
 	// guarded-by: mu
-	f *os.File
-	// guarded-by: mu
-	bw *bufio.Writer
-	// guarded-by: mu
-	enc *json.Encoder
+	w *journal.SegWriter
 	// guarded-by: mu
 	err error
 }
@@ -51,79 +42,37 @@ func (w *EpisodeWriter) Record(ep rl.Episode) {
 	if w.err != nil {
 		return
 	}
-	if w.f == nil {
-		f, err := os.OpenFile(w.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			w.err = err
-			return
-		}
-		w.f = f
-		w.bw = bufio.NewWriter(f)
-		w.enc = json.NewEncoder(w.bw)
-	}
-	if err := w.enc.Encode(ep); err != nil {
+	line, err := json.Marshal(ep)
+	if err != nil {
 		w.err = err
 		return
 	}
-	if err := w.bw.Flush(); err != nil {
+	if w.w == nil {
+		if w.w, err = journal.OpenSegmented(w.path, 0); err != nil {
+			w.err = err
+			return
+		}
+	}
+	if _, err := w.w.Write(append(line, '\n')); err != nil {
 		w.err = err
 	}
 }
 
-// Close flushes and closes the journal, returning the first error seen.
-// Idempotent and safe on a writer that never recorded.
+// Close closes the journal, returning the first error seen. Idempotent
+// and safe on a writer that never recorded.
 func (w *EpisodeWriter) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.f != nil {
-		if err := w.bw.Flush(); err != nil && w.err == nil {
+	if w.w != nil {
+		if err := w.w.Close(); err != nil && w.err == nil {
 			w.err = err
 		}
-		if err := w.f.Close(); err != nil && w.err == nil {
-			w.err = err
-		}
-		w.f = nil
+		w.w = nil
 	}
 	return w.err
 }
 
 var _ rl.EpisodeSink = (*EpisodeWriter)(nil)
-
-// ReadEpisodeStream decodes a trajectory journal with the journal
-// package's torn-tail tolerance: a malformed final line yields the valid
-// prefix plus an error wrapping journal.ErrTruncated; mid-stream
-// corruption fails the read.
-func ReadEpisodeStream(r io.Reader) ([]rl.Episode, error) {
-	var out []rl.Episode
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	line := 0
-	var badErr error
-	badLine := 0
-	for sc.Scan() {
-		line++
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
-		}
-		if badErr != nil {
-			return nil, fmt.Errorf("analysis: trajectory line %d: %w", badLine, badErr)
-		}
-		var ep rl.Episode
-		if err := json.Unmarshal(sc.Bytes(), &ep); err != nil {
-			badErr = err
-			badLine = line
-			continue
-		}
-		out = append(out, ep)
-	}
-	if err := sc.Err(); err != nil {
-		return out, err
-	}
-	if badErr != nil {
-		return out, fmt.Errorf("analysis: trajectory line %d: %v: %w", badLine, badErr, journal.ErrTruncated)
-	}
-	return out, nil
-}
 
 // ReadEpisodes loads a trajectory journal from disk and sorts it into
 // canonical (trial, index) order. Parallel trials append in completion
@@ -133,12 +82,7 @@ func ReadEpisodeStream(r io.Reader) ([]rl.Episode, error) {
 // journal.ErrTruncated); a missing file is an error — the caller decides
 // whether absence means "recording was off" or "something is wrong".
 func ReadEpisodes(path string) ([]rl.Episode, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	eps, err := ReadEpisodeStream(f)
+	eps, err := journal.ReadSegmentedLines(path, unmarshal[rl.Episode])
 	if err != nil && !errors.Is(err, journal.ErrTruncated) {
 		return nil, err
 	}
@@ -149,6 +93,11 @@ func ReadEpisodes(path string) ([]rl.Episode, error) {
 		return eps[i].Index < eps[j].Index
 	})
 	return eps, err
+}
+
+// unmarshal is json.Unmarshal as a journal line decoder.
+func unmarshal[T any](line []byte, v *T) error {
+	return json.Unmarshal(line, v)
 }
 
 // sinkKey is the context key carrying an rl.EpisodeSink through the

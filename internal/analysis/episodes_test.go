@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
@@ -85,6 +86,24 @@ func TestEpisodeWriterRoundTrip(t *testing.T) {
 	}
 	if len(got) != len(eps) {
 		t.Fatalf("torn tail: got %d episodes, want %d", len(got), len(eps))
+	}
+
+	// The bytes are encoding/json's: one Encoder.Encode per episode.
+	seq := filepath.Join(t.TempDir(), "seq.jsonl")
+	sw := NewEpisodeWriter(seq)
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	for _, ep := range eps {
+		sw.Record(ep)
+		if err := enc.Encode(ep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err := os.ReadFile(seq); err != nil || !bytes.Equal(raw, want.Bytes()) {
+		t.Fatalf("trajectory bytes differ from json.Encoder's (err=%v)", err)
 	}
 
 	// A writer that never records creates nothing and closes cleanly.

@@ -126,15 +126,15 @@ func TestReadTraceRotatedAndTorn(t *testing.T) {
 	dir := t.TempDir()
 	active := filepath.Join(dir, "trace.jsonl")
 
-	var sealed0, sealed1, live []obs.Event
+	var sealed1, sealed2, live []obs.Event
 	for i := 0; i < 3; i++ {
-		sealed0 = append(sealed0, obs.Event{Seq: uint64(i), Kind: obs.KindTrialStart, Study: "s1", Trial: i})
-		sealed1 = append(sealed1, obs.Event{Seq: uint64(10 + i), Kind: obs.KindTrialDone, Study: "s1", Trial: i})
+		sealed1 = append(sealed1, obs.Event{Seq: uint64(i), Kind: obs.KindTrialStart, Study: "s1", Trial: i})
+		sealed2 = append(sealed2, obs.Event{Seq: uint64(10 + i), Kind: obs.KindTrialDone, Study: "s1", Trial: i})
 		live = append(live, obs.Event{Seq: uint64(20 + i), Kind: obs.KindSpan, Name: obspan.NameTrial, Study: "s1", Trial: i})
 	}
-	// Segment files as obs.OpenTracerRotating seals them: <base>-<n>.<ext>.
-	writeLines(t, filepath.Join(dir, "trace-0.jsonl"), sealed0, "")
+	// Segment files as journal.SegWriter seals them: <base>-<n>.jsonl.
 	writeLines(t, filepath.Join(dir, "trace-1.jsonl"), sealed1, "")
+	writeLines(t, filepath.Join(dir, "trace-2.jsonl"), sealed2, "")
 	writeLines(t, active, live, `{"seq":99,"kind":"trial_`) // torn mid-flush
 
 	events, err := ReadTrace(active)
@@ -150,11 +150,11 @@ func TestReadTraceRotatedAndTorn(t *testing.T) {
 	}
 
 	// A torn line in a SEALED segment is corruption, not a tail.
-	writeLines(t, filepath.Join(dir, "trace-0.jsonl"), sealed0, "{torn")
+	writeLines(t, filepath.Join(dir, "trace-1.jsonl"), sealed1, "{torn")
 	if _, err := ReadTrace(active); err == nil || errors.Is(err, journal.ErrTruncated) {
 		t.Fatalf("sealed-segment corruption: err = %v, want a hard error", err)
 	}
-	writeLines(t, filepath.Join(dir, "trace-0.jsonl"), sealed0, "")
+	writeLines(t, filepath.Join(dir, "trace-1.jsonl"), sealed1, "")
 
 	// Mid-file corruption in the active file is also a hard error.
 	var b strings.Builder

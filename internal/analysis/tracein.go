@@ -1,88 +1,23 @@
 package analysis
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"os"
 
 	"rldecide/internal/journal"
 	"rldecide/internal/obs"
 )
 
-// ReadEvents decodes a JSONL trace stream with the journal's torn-tail
-// tolerance: a malformed final line (the signature of a crash mid-flush)
-// yields the valid event prefix plus an error wrapping
-// journal.ErrTruncated, while a malformed line followed by further
-// events is corruption and fails the read. Analyzers treat ErrTruncated
-// as "complete up to the crash" — a dying daemon never breaks analysis.
-func ReadEvents(r io.Reader) ([]obs.Event, error) {
-	var out []obs.Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	line := 0
-	var badErr error
-	badLine := 0
-	for sc.Scan() {
-		line++
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
-		}
-		if badErr != nil {
-			return nil, fmt.Errorf("analysis: trace line %d: %w", badLine, badErr)
-		}
-		var ev obs.Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			badErr = err
-			badLine = line
-			continue
-		}
-		out = append(out, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return out, err
-	}
-	if badErr != nil {
-		return out, fmt.Errorf("analysis: trace line %d: %v: %w", badLine, badErr, journal.ErrTruncated)
-	}
-	return out, nil
-}
-
-// ReadTrace loads a trace stream from disk including rotated segments
-// (obs.TraceFiles order: sealed <base>-<n>.jsonl, then the active file).
-// Rotation happens between tracer flushes, so only the last file can
-// carry a torn tail in practice; the tolerance is applied there, exactly
-// like journal.ReadSegmented. A missing path yields no events and no
-// error — a daemon that never traced is empty, not broken.
+// ReadTrace loads a trace stream from disk: journal.ReadSegmentedLines
+// over its sealed segments and active file, so a torn tail of the active
+// file yields the valid prefix plus an error wrapping journal.ErrTruncated
+// — a dying daemon never breaks analysis — while damage anywhere else
+// fails the read. A missing stream yields no events and no error — a
+// daemon that never traced is empty, not broken.
 func ReadTrace(path string) ([]obs.Event, error) {
-	files, err := obs.TraceFiles(path)
-	if err != nil {
-		return nil, err
+	events, err := journal.ReadSegmentedLines(path, unmarshal[obs.Event])
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
 	}
-	var out []obs.Event
-	for i, file := range files {
-		f, err := os.Open(file)
-		if err != nil {
-			return nil, err
-		}
-		evs, err := ReadEvents(f)
-		_ = f.Close()
-		out = append(out, evs...)
-		if err != nil {
-			if i == len(files)-1 && errors.Is(err, journal.ErrTruncated) {
-				// Torn tail of the active file: the valid prefix stands.
-				return out, fmt.Errorf("analysis: %s: %w", file, journal.ErrTruncated)
-			}
-			if errors.Is(err, journal.ErrTruncated) {
-				// A "tail" in a sealed segment is corruption, not a crash
-				// artifact — report it hard (%v strips the tolerable wrap).
-				return nil, fmt.Errorf("analysis: %s: sealed segment is truncated: %v", file, err)
-			}
-			return nil, fmt.Errorf("analysis: %s: %w", file, err)
-		}
-	}
-	return out, nil
+	return events, err
 }

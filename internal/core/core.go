@@ -341,17 +341,6 @@ func (s *Study) Resume(trials []Trial) error {
 	return nil
 }
 
-// Snapshot returns a copy of the trials finished so far, in ID order. It is
-// safe to call concurrently with a running study, which is how studyd
-// serves live results.
-func (s *Study) Snapshot() []Trial {
-	s.mu.Lock()
-	trials := append([]Trial(nil), s.trials...)
-	s.mu.Unlock()
-	sortTrialsByID(trials)
-	return trials
-}
-
 func sortTrialsByID(trials []Trial) {
 	sort.Slice(trials, func(i, j int) bool { return trials[i].ID < trials[j].ID })
 }

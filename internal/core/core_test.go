@@ -514,8 +514,8 @@ func TestIntermediateStopsOnCancel(t *testing.T) {
 	if recorded {
 		t.Fatal("interrupted trial must not reach OnTrial")
 	}
-	if got := s.Snapshot(); len(got) != 0 {
-		t.Fatalf("interrupted trial recorded: %v", got)
+	if len(s.trials) != 0 {
+		t.Fatalf("interrupted trial recorded: %v", s.trials)
 	}
 }
 
@@ -633,36 +633,5 @@ func TestResumeRejectsBadTrials(t *testing.T) {
 	}
 	if _, err := s.Run(1); err == nil {
 		t.Fatal("resumed ID beyond budget must fail the run")
-	}
-}
-
-func TestSnapshotDuringRun(t *testing.T) {
-	s := newStudy()
-	s.Parallelism = 2
-	gate := make(chan struct{})
-	var once sync.Once
-	s.Objective = func(a param.Assignment, seed uint64, rec *Recorder) error {
-		rec.Report("cost", a.Value("x").Float())
-		rec.Report("quality", 1)
-		once.Do(func() { close(gate) })
-		return nil
-	}
-	done := make(chan struct{})
-	go func() {
-		if _, err := s.Run(30); err != nil {
-			t.Error(err)
-		}
-		close(done)
-	}()
-	<-gate
-	snap := s.Snapshot()
-	for i := 1; i < len(snap); i++ {
-		if snap[i].ID <= snap[i-1].ID {
-			t.Fatal("snapshot not in ID order")
-		}
-	}
-	<-done
-	if len(s.Snapshot()) != 30 {
-		t.Fatalf("final snapshot %d", len(s.Snapshot()))
 	}
 }

@@ -3,6 +3,12 @@
 // re-running the training. A journal file is append-only: one record per
 // finished trial.
 //
+// The package is also the one implementation of an append-only JSON Lines
+// stream: SegWriter writes and rotates every stream a daemon keeps (trial
+// journals, the trace, trajectory journals), ReadLines and
+// ReadSegmentedLines read any of them back, and RepairLines mends any of
+// them, with one torn-tail rule.
+//
 // Both directions of the codec are specialised to the Record schema and
 // pinned to encoding/json, which stays the definition of the format:
 // AppendRecord (encode.go) writes exactly json.Encoder's bytes, and
@@ -14,13 +20,10 @@
 package journal
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"sync"
 
@@ -35,10 +38,8 @@ import (
 var (
 	metricAppends = obs.Default.NewCounter("rldecide_journal_appends_total",
 		"Trial records appended across all journals.")
-	metricFlushes = obs.Default.NewCounter("rldecide_journal_flushes_total",
-		"Journal buffer flushes to the underlying writer.")
 	metricAppendErrors = obs.Default.NewCounter("rldecide_journal_append_errors_total",
-		"Failed journal appends (encode or flush errors).")
+		"Failed journal appends (encode or write errors).")
 )
 
 // Record is the on-disk form of one trial. Worker attributes the trial to
@@ -187,23 +188,23 @@ func parseValue(p param.Param, raw string) (param.Value, error) {
 // for concurrent use by parallel studies. Each record is rendered into a
 // writer-owned scratch buffer by the arena encoder (AppendRecord —
 // byte-identical to what encoding/json produced for FromTrial, see
-// encode.go) and handed to the underlying writer as one whole line, so a
-// crash can tear at most the final record's tail mid-flush — down to
-// losing only its newline; RepairFile truncates the torn line away, or
+// encode.go) and handed to the underlying writer as one Write of one
+// whole line, so a crash can tear at most the final record's tail — down
+// to losing only its newline; RepairFile truncates the torn line away, or
 // supplies the newline, on resume. Steady-state appends allocate nothing:
 // the scratch buffer is reused across records.
 type Writer struct {
 	mu      sync.Mutex
-	buf     *bufio.Writer
+	w       io.Writer
 	scratch []byte
 }
 
 // NewWriter returns a Writer over w.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{buf: bufio.NewWriter(w)}
+	return &Writer{w: w}
 }
 
-// Append writes one trial and flushes it to the underlying writer.
+// Append writes one trial to the underlying writer.
 func (w *Writer) Append(t core.Trial) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -215,44 +216,12 @@ func (w *Writer) Append(t core.Trial) error {
 		return err
 	}
 	w.scratch = line
-	if _, err := w.buf.Write(line); err != nil {
-		metricAppendErrors.Inc()
-		return err
-	}
-	// Flush on the record boundary: everything before this record is
-	// already durable, and a crash during this flush tears at most the
-	// final line.
-	if err := w.buf.Flush(); err != nil {
+	if _, err := w.w.Write(line); err != nil {
 		metricAppendErrors.Inc()
 		return err
 	}
 	metricAppends.Inc()
-	metricFlushes.Inc()
 	return nil
-}
-
-// Flush forces any buffered bytes through to the underlying writer. Append
-// flushes on every record, so this is only needed defensively (e.g. before
-// closing the underlying file after an encode error).
-func (w *Writer) Flush() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.buf.Flush(); err != nil {
-		return err
-	}
-	metricFlushes.Inc()
-	return nil
-}
-
-// Observer returns a core.Study OnTrial hook that journals every finished
-// trial. Write errors are reported through errSink (losing records
-// silently would defeat the journal's purpose); pass nil to ignore them.
-func (w *Writer) Observer(errSink func(error)) func(core.Trial) {
-	return func(t core.Trial) {
-		if err := w.Append(t); err != nil && errSink != nil {
-			errSink(err)
-		}
-	}
 }
 
 // ErrTruncated reports that the journal's final record was cut short —
@@ -268,65 +237,20 @@ var ErrTruncated = errors.New("journal: truncated final record")
 // writer's own byte form are decoded directly (decodeRecord); every other
 // line, and so every verdict on a malformed one, is json.Unmarshal's.
 func Read(r io.Reader) ([]Record, error) {
-	records, _, _, err := scan(r)
-	return records, err
+	return ReadLines(r, decodeLine)
 }
 
-// scan is Read, and tells RepairFile what it needs to mend the input
-// without rewriting it: end is the length of the longest prefix holding
-// only whole records and blank lines — the offset of the torn line under
-// ErrTruncated, everything read otherwise — and open reports that this
-// prefix is not empty and does not end in a newline.
-func scan(r io.Reader) (records []Record, end int64, open bool, err error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
-		advance, token, err := bufio.ScanLines(data, atEOF)
-		if advance > 0 {
-			end += int64(advance)
-			open = data[advance-1] != '\n'
-		}
-		return advance, token, err
-	})
-	line := 0
-	var badErr error
-	var badLine int
-	var badStart int64
-	for start := end; sc.Scan(); start = end {
-		line++
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
-		}
-		if badErr != nil {
-			// The malformed line was not the last one: mid-file corruption.
-			return nil, 0, false, fmt.Errorf("journal: line %d: %w", badLine, badErr)
-		}
-		var rec Record
-		if !decodeRecord(sc.Bytes(), &rec) {
-			if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-				badErr, badLine, badStart = err, line, start
-				continue
-			}
-		}
-		records = append(records, rec)
+// decodeLine is Read's line decoder.
+func decodeLine(line []byte, rec *Record) error {
+	if decodeRecord(line, rec) {
+		return nil
 	}
-	if err := sc.Err(); err != nil {
-		return records, 0, false, err
-	}
-	if badErr != nil {
-		return records, badStart, false, fmt.Errorf("journal: line %d: %v: %w", badLine, badErr, ErrTruncated)
-	}
-	return records, end, open, nil
+	return json.Unmarshal(line, rec)
 }
 
 // ReadFile loads all records from path.
 func ReadFile(path string) ([]Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Read(f)
+	return readFile(path, decodeLine)
 }
 
 // RepairFile reads path tolerating a truncated final record and leaves the
@@ -338,36 +262,7 @@ func ReadFile(path string) ([]Record, error) {
 // missing file is an empty journal. Any other read error is returned as
 // is, with the file untouched.
 func RepairFile(path string) ([]Record, error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	records, end, open, err := scan(f)
-	_ = f.Close() // only read
-	switch {
-	case errors.Is(err, ErrTruncated):
-		return records, os.Truncate(path, end)
-	case err == nil && open:
-		return records, terminate(path)
-	default:
-		return records, err
-	}
-}
-
-// terminate appends the newline a whole but unterminated final record lacks.
-func terminate(path string) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		return err
-	}
-	if _, err := f.WriteString("\n"); err != nil {
-		_ = f.Close() // the write error is the one to report
-		return err
-	}
-	return f.Close()
+	return RepairLines(path, decodeLine)
 }
 
 // Trials converts records back into trials against space.

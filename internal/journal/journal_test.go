@@ -173,7 +173,7 @@ func TestStudyJournaling(t *testing.T) {
 			return nil
 		},
 		Seed:    4,
-		OnTrial: w.Observer(func(err error) { t.Errorf("journal write: %v", err) }),
+		OnTrial: journalHook(t, w),
 	}
 	if _, err := study.Run(10); err != nil {
 		t.Fatal(err)
@@ -197,6 +197,16 @@ func TestStudyJournaling(t *testing.T) {
 	for _, tr := range trials {
 		if tr.Values.At("m") > best.Values.At("m") {
 			t.Fatal("offline re-ranking wrong")
+		}
+	}
+}
+
+// journalHook is a core.Study OnTrial hook appending every finished trial
+// to w.
+func journalHook(t *testing.T, w *Writer) func(core.Trial) {
+	return func(tr core.Trial) {
+		if err := w.Append(tr); err != nil {
+			t.Errorf("journal write: %v", err)
 		}
 	}
 }
@@ -625,7 +635,7 @@ func TestConcurrentAppendUnderParallelStudy(t *testing.T) {
 			return nil
 		},
 		Seed:    11,
-		OnTrial: w.Observer(func(err error) { t.Errorf("journal write: %v", err) }),
+		OnTrial: journalHook(t, w),
 	}
 	if _, err := study.Run(64); err != nil {
 		t.Fatal(err)
@@ -681,7 +691,7 @@ func TestJournalResumeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := NewWriter(f)
-	if _, err := newStudy(w.Observer(nil)).Run(8); err != nil {
+	if _, err := newStudy(journalHook(t, w)).Run(8); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -139,33 +138,11 @@ func SegmentFiles(journalPath string) ([]string, error) {
 	return out, nil
 }
 
-// ReadSegmented loads every record of a possibly-rotated journal: sealed
-// segments in rotation order, then the active file. Sealed segments must
-// be intact (they were rotated on a record boundary, so any damage in
-// them is corruption, not a crash tail); only the active file gets the
-// torn-tail tolerance of Read, whose ErrTruncated passes through with the
-// valid prefix.
+// ReadSegmented loads every record of a possibly-rotated journal:
+// ReadSegmentedLines with Read's decoder, so a torn tail of the active
+// file passes through as ErrTruncated with the valid prefix.
 func ReadSegmented(journalPath string) ([]Record, error) {
-	segs, err := SegmentFiles(journalPath)
-	if err != nil {
-		return nil, err
-	}
-	var out []Record
-	for _, seg := range segs {
-		recs, err := ReadFile(seg)
-		if err != nil {
-			return nil, fmt.Errorf("journal: sealed segment %s: %w", seg, err)
-		}
-		out = append(out, recs...)
-	}
-	recs, err := ReadFile(journalPath)
-	out = append(out, recs...)
-	if errors.Is(err, os.ErrNotExist) && len(segs) > 0 {
-		// Rotation just sealed the last segment; the next append recreates
-		// the active file.
-		return out, nil
-	}
-	return out, err
+	return ReadSegmentedLines(journalPath, decodeLine)
 }
 
 // RepairSegmented is RepairFile for rotated journals: sealed segments are
@@ -173,98 +150,79 @@ func ReadSegmented(journalPath string) ([]Record, error) {
 // place, and the full record sequence returns. A journal with no files at
 // all is empty, not an error.
 func RepairSegmented(journalPath string) ([]Record, error) {
-	segs, err := SegmentFiles(journalPath)
-	if err != nil {
-		return nil, err
-	}
-	var out []Record
-	for _, seg := range segs {
-		recs, err := ReadFile(seg)
-		if err != nil {
-			return nil, fmt.Errorf("journal: sealed segment %s: %w", seg, err)
-		}
-		out = append(out, recs...)
-	}
-	recs, err := RepairFile(journalPath)
-	if err != nil {
-		return nil, err
-	}
-	return append(out, recs...), nil
+	return segmented(journalPath, decodeLine, RepairLines[Record])
 }
 
-// countingWriter tracks bytes written through to the underlying writer so
-// the segment writer knows when the active file crosses the rotation cap.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// SegWriter appends trial records to a size-capped, rotating journal.
-// When the active file crosses maxBytes after an append, it is sealed:
-// closed, renamed to the next <base>-<n>.jsonl segment, recorded in the
-// manifest, and a fresh active file opened. Rotation happens on record
-// boundaries only, so sealed segments always hold whole records and the
-// torn-tail repair logic stays confined to the active file. The rename
-// lands before the manifest rewrite — if the daemon dies between the two,
-// SegmentFiles adopts the stray segment from disk.
+// SegWriter appends to a size-capped, rotating JSON Lines stream: the
+// trial journals, the trace and the trajectory journals all go through
+// it. Every Write must be whole lines. When the active file crosses
+// maxBytes after a write, it is sealed: closed, renamed to the next
+// <base>-<n>.jsonl segment, recorded in the manifest, and a fresh active
+// file opened. So rotation happens on line boundaries only, sealed
+// segments always end in a newline, and the torn-tail repair logic stays
+// confined to the active file. The rename lands before the manifest
+// rewrite — if the process dies between the two, SegmentFiles adopts the
+// stray segment from disk.
 type SegWriter struct {
 	mu       sync.Mutex
 	path     string
 	maxBytes int64
-	file     *os.File
-	count    *countingWriter
-	w        *Writer
+	// guarded-by: mu
+	file *os.File
+	// guarded-by: mu
+	n int64
+	// rec encodes trial records for Append and hands each to Write.
+	rec *Writer
 }
 
-// OpenSegmented opens (appending) the rotating journal at journalPath.
-// maxBytes <= 0 disables rotation: the writer behaves like a plain
-// single-file journal.
-func OpenSegmented(journalPath string, maxBytes int64) (*SegWriter, error) {
-	s := &SegWriter{path: journalPath, maxBytes: maxBytes}
-	if err := s.open(); err != nil {
+// OpenSegmented opens (appending) the rotating stream at path. maxBytes
+// <= 0 disables rotation: the writer behaves like a plain single file.
+func OpenSegmented(path string, maxBytes int64) (*SegWriter, error) {
+	f, n, err := openActive(path)
+	if err != nil {
 		return nil, err
 	}
+	s := &SegWriter{path: path, maxBytes: maxBytes, file: f, n: n}
+	s.rec = NewWriter(s)
 	return s, nil
 }
 
-// open opens the active file and rebuilds the byte count from its size.
-// Caller holds s.mu (or is the constructor).
-func (s *SegWriter) open() error {
-	f, err := os.OpenFile(s.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+// openActive opens the active file at path for appending, with its size.
+func openActive(path string) (*os.File, int64, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
 	fi, err := f.Stat()
 	if err != nil {
 		_ = f.Close()
-		return err
+		return nil, 0, err
 	}
-	s.file = f
-	s.count = &countingWriter{w: f, n: fi.Size()}
-	s.w = NewWriter(s.count)
-	return nil
+	return f, fi.Size(), nil
 }
 
-// Append writes one trial, rotating the active file afterwards if it
-// crossed the size cap.
+// Append writes one trial record as one line.
 func (s *SegWriter) Append(t core.Trial) error {
+	return s.rec.Append(t)
+}
+
+// Write appends p, which must be whole lines, and rotates the active file
+// afterwards if it crossed the size cap: one oversized write still lands
+// in one piece, and the next starts a fresh segment.
+func (s *SegWriter) Write(p []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.w.Append(t); err != nil {
-		return err
+	n, err := s.file.Write(p)
+	s.n += int64(n)
+	if err != nil {
+		return n, err
 	}
-	if s.maxBytes > 0 && s.count.n >= s.maxBytes {
+	if s.maxBytes > 0 && s.n >= s.maxBytes {
 		if err := s.rotate(); err != nil {
-			return fmt.Errorf("journal: rotate %s: %w", s.path, err)
+			return n, fmt.Errorf("journal: rotate %s: %w", s.path, err)
 		}
 	}
-	return nil
+	return n, nil
 }
 
 // rotate seals the active file as the next segment. Caller holds s.mu.
@@ -294,26 +252,17 @@ func (s *SegWriter) rotate() error {
 	if err := SaveManifest(s.path, m); err != nil {
 		return err
 	}
-	return s.open()
-}
-
-// Observer returns a core.Study OnTrial hook journaling every finished
-// trial, mirroring Writer.Observer.
-func (s *SegWriter) Observer(errSink func(error)) func(core.Trial) {
-	return func(t core.Trial) {
-		if err := s.Append(t); err != nil && errSink != nil {
-			errSink(err)
-		}
+	f, n, err := openActive(s.path)
+	if err != nil {
+		return err
 	}
+	s.file, s.n = f, n
+	return nil
 }
 
-// Close flushes and closes the active file.
+// Close closes the active file.
 func (s *SegWriter) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ferr := s.w.Flush()
-	if err := s.file.Close(); err != nil && ferr == nil {
-		ferr = err
-	}
-	return ferr
+	return s.file.Close()
 }

@@ -1,11 +1,13 @@
 package journal
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"rldecide/internal/core"
+	"rldecide/internal/obs"
 )
 
 func segTrial(id int) core.Trial {
@@ -203,6 +205,63 @@ func TestSegmentedTornTail(t *testing.T) {
 	}
 	if _, err := RepairSegmented(path); err == nil {
 		t.Fatal("damaged sealed segment repaired silently")
+	}
+}
+
+// TestTracerOverSegWriter streams a tracer into a SegWriter capped far
+// below one batch: every sealed segment ends in a newline, and the rotated
+// stream reads back every event in publish order.
+func TestTracerOverSegWriter(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	w, err := OpenSegmented(path, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus := obs.NewBus()
+	defer bus.Close()
+	tr := obs.NewTracer(bus, w)
+	const n = 40
+	for i := 0; i < n; i++ {
+		bus.Publish(obs.Event{Kind: obs.KindTrialDone, Study: "s1", Trial: i, Status: "ok"})
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Dropped() != 0 {
+		t.Fatalf("tracer dropped %d events", tr.Dropped())
+	}
+	segs, err := SegmentFiles(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) == 0 {
+		t.Fatal("a 200-byte cap sealed no segment")
+	}
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) == 0 || data[len(data)-1] != '\n' {
+			t.Fatalf("sealed segment %s does not end in a newline", seg)
+		}
+	}
+	events, err := ReadSegmentedLines(path, func(line []byte, ev *obs.Event) error {
+		return json.Unmarshal(line, ev)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != n {
+		t.Fatalf("read %d events, want %d", len(events), n)
+	}
+	for i, ev := range events {
+		if ev.Trial != i {
+			t.Fatalf("event %d is trial %d: publish order broken", i, ev.Trial)
+		}
 	}
 }
 

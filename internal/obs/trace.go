@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"io"
 	"sync"
@@ -15,8 +14,7 @@ import (
 type Tracer struct {
 	bus  *Bus
 	sub  *Subscription
-	bw   *bufio.Writer
-	file io.Closer
+	w    io.Writer
 	done chan struct{}
 	once sync.Once
 	mu   sync.Mutex
@@ -24,13 +22,19 @@ type Tracer struct {
 	err error
 }
 
-// traceBuffer is the subscription depth for tracers: deep enough to ride
-// out fsync stalls at trial-event rates.
-const traceBuffer = 1024
+const (
+	// traceBuffer is the subscription depth for tracers: deep enough to
+	// ride out fsync stalls at trial-event rates.
+	traceBuffer = 1024
+	// traceBatch is the batch size, in bytes, at which the tracer writes
+	// even though more events are queued.
+	traceBatch = 64 * 1024
+)
 
 // NewTracer subscribes to bus and streams events to w until the
-// subscription is cancelled (Close) or the bus shuts down. Returns nil
-// if the bus is nil or closed.
+// subscription is cancelled (Close) or the bus shuts down. Every Write to
+// w is whole lines, so a journal.SegWriter can rotate between any two of
+// them. Returns nil if the bus is nil or closed.
 func NewTracer(bus *Bus, w io.Writer) *Tracer {
 	sub := bus.SubscribeNamed("tracer", traceBuffer)
 	if sub == nil {
@@ -39,50 +43,33 @@ func NewTracer(bus *Bus, w io.Writer) *Tracer {
 	t := &Tracer{
 		bus:  bus,
 		sub:  sub,
-		bw:   bufio.NewWriter(w),
+		w:    w,
 		done: make(chan struct{}),
 	}
 	go t.run()
 	return t
 }
 
-// run drains the subscription. The writer flushes whenever the queue
-// goes momentarily empty — batches under load, but a live daemon's
-// trace.jsonl is complete up to the last quiet moment, not held hostage
-// by the bufio buffer until shutdown.
+// run drains the subscription into a batch and writes it whenever the
+// queue goes momentarily empty or the batch reaches traceBatch — batches
+// under load, but a live daemon's trace is complete up to the last quiet
+// moment, not held back until shutdown.
 func (t *Tracer) run() {
 	defer close(t.done)
-	enc := json.NewEncoder(t.bw)
-	for {
-		ev, open := <-t.sub.Events()
-		if !open {
-			break
-		}
-		t.encode(enc, ev)
-	drain:
-		for {
-			select {
-			case ev, open := <-t.sub.Events():
-				if !open {
-					break drain
-				}
-				t.encode(enc, ev)
-			default:
-				break drain
-			}
-		}
-		if err := t.bw.Flush(); err != nil {
+	var batch []byte
+	for ev := range t.sub.Events() {
+		line, err := json.Marshal(ev)
+		if err != nil {
 			t.setErr(err)
+			continue
 		}
-	}
-	if err := t.bw.Flush(); err != nil {
-		t.setErr(err)
-	}
-}
-
-func (t *Tracer) encode(enc *json.Encoder, ev Event) {
-	if err := enc.Encode(ev); err != nil {
-		t.setErr(err)
+		batch = append(append(batch, line...), '\n')
+		if len(batch) >= traceBatch || len(t.sub.Events()) == 0 {
+			if _, err := t.w.Write(batch); err != nil {
+				t.setErr(err)
+			}
+			batch = batch[:0]
+		}
 	}
 }
 
@@ -103,10 +90,9 @@ func (t *Tracer) Dropped() uint64 {
 	return t.sub.Dropped()
 }
 
-// Close cancels the subscription, waits for the drain goroutine to flush
-// the remaining events, closes the underlying file (if OpenTracerRotating
-// created one), and returns the first write error seen. Nil-safe and
-// idempotent.
+// Close cancels the subscription, waits for the drain goroutine to write
+// the remaining events, and returns the first write error seen. The
+// writer stays open: whoever opened it closes it. Nil-safe and idempotent.
 func (t *Tracer) Close() error {
 	if t == nil {
 		return nil
@@ -114,11 +100,6 @@ func (t *Tracer) Close() error {
 	t.once.Do(func() {
 		t.bus.Unsubscribe(t.sub)
 		<-t.done
-		if t.file != nil {
-			if err := t.file.Close(); err != nil {
-				t.setErr(err)
-			}
-		}
 	})
 	t.mu.Lock()
 	defer t.mu.Unlock()

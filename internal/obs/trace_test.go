@@ -3,8 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -74,27 +72,6 @@ func TestTracerDrainsOnBusClose(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), `"kind":"x"`) {
 		t.Fatalf("event lost on bus close:\n%s", out.String())
-	}
-}
-
-func TestOpenTracer(t *testing.T) {
-	b := frozenBus()
-	defer b.Close()
-	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	tr, err := OpenTracerRotating(b, path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Publish(Event{Kind: KindStudyStart, Study: "s9"})
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"study":"s9"`) {
-		t.Fatalf("trace file contents:\n%s", data)
 	}
 }
 

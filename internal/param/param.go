@@ -101,6 +101,8 @@ type Param interface {
 	// Enumerate lists the parameter's grid values (discretizing continuous
 	// ranges).
 	Enumerate() []Value
+	// Count is len(Enumerate()), without building the list.
+	Count() int
 	// Contains reports whether v is a valid setting.
 	Contains(v Value) bool
 }
@@ -133,6 +135,9 @@ func (c Categorical) Enumerate() []Value {
 	}
 	return out
 }
+
+// Count implements Param.
+func (c Categorical) Count() int { return len(c.Options) }
 
 // Contains implements Param.
 func (c Categorical) Contains(v Value) bool {
@@ -177,6 +182,9 @@ func (p IntSet) Enumerate() []Value {
 	return out
 }
 
+// Count implements Param.
+func (p IntSet) Count() int { return len(p.Options) }
+
 // Contains implements Param.
 func (p IntSet) Contains(v Value) bool {
 	if v.Kind() != KindInt {
@@ -218,6 +226,9 @@ func (p IntRange) Enumerate() []Value {
 	}
 	return out
 }
+
+// Count implements Param.
+func (p IntRange) Count() int { return p.Hi - p.Lo + 1 }
 
 // Contains implements Param.
 func (p IntRange) Contains(v Value) bool {
@@ -263,10 +274,7 @@ func (p FloatRange) Sample(rng *rand.Rand) Value {
 
 // Enumerate implements Param.
 func (p FloatRange) Enumerate() []Value {
-	n := p.GridPoints
-	if n < 2 {
-		n = 2
-	}
+	n := p.Count()
 	out := make([]Value, n)
 	for i := 0; i < n; i++ {
 		t := float64(i) / float64(n-1)
@@ -278,6 +286,9 @@ func (p FloatRange) Enumerate() []Value {
 	}
 	return out
 }
+
+// Count implements Param: the grid has GridPoints points, at least 2.
+func (p FloatRange) Count() int { return max(p.GridPoints, 2) }
 
 // Contains implements Param.
 func (p FloatRange) Contains(v Value) bool {
@@ -468,12 +479,12 @@ func (s *Space) Contains(a Assignment) bool {
 	return true
 }
 
-// GridSize returns the number of grid points (product of Enumerate
-// lengths).
+// GridSize returns the number of grid points (product of the
+// parameters' counts).
 func (s *Space) GridSize() int {
 	n := 1
 	for _, p := range s.params {
-		n *= len(p.Enumerate())
+		n *= p.Count()
 	}
 	return n
 }

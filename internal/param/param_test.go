@@ -44,6 +44,21 @@ func TestSampleContainsProperty(t *testing.T) {
 	}
 }
 
+// TestCountMatchesEnumerate: Count is len(Enumerate()) for every kind,
+// which is what lets density and GridSize skip the enumeration.
+func TestCountMatchesEnumerate(t *testing.T) {
+	one := NewFloatRange("one", 0, 1)
+	one.GridPoints = 1
+	for _, p := range []Param{
+		NewIntSet("s", 3, 5, 8), NewCategorical("c", "a", "b"), NewIntRange("r", -3, 4),
+		NewFloatRange("f", 0, 1), NewLogFloatRange("l", 1e-3, 1), one,
+	} {
+		if p.Count() != len(p.Enumerate()) {
+			t.Errorf("%s: Count() = %d, len(Enumerate()) = %d", p.Name(), p.Count(), len(p.Enumerate()))
+		}
+	}
+}
+
 func TestGridMatchesSize(t *testing.T) {
 	s := space(t)
 	if s.GridSize() != 3*3*2*2*2 {

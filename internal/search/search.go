@@ -267,7 +267,7 @@ func density(p param.Param, v param.Value, obs []Observation) float64 {
 		}
 		return (s + 1e-3) / float64(len(obs)+1)
 	default:
-		k := len(p.Enumerate())
+		k := p.Count()
 		count := 0
 		for _, o := range obs {
 			if o.Assignment.Value(p.Name()).Equal(v) {

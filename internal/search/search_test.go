@@ -2,6 +2,7 @@ package search
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"rldecide/internal/mathx"
@@ -155,6 +156,31 @@ func TestTPEIgnoresFailedTrials(t *testing.T) {
 	tpe := TPE{MinTrials: 1}
 	if a, ok := tpe.Next(rng, space, hist); !ok || !space.Contains(a) {
 		t.Fatal("TPE should survive failed-only history")
+	}
+}
+
+// TestTPEIntRangeAllocCeiling: density used to enumerate every finite
+// parameter per candidate and per observation set, so one Next with a
+// 40-trial history over an IntRange of [0, 2e6] allocated 3.8 GB. Over
+// [0, 2^40] one Next must stay inside a ceiling enumeration cannot meet.
+func TestTPEIntRangeAllocCeiling(t *testing.T) {
+	const ceiling = 1 << 20
+	space := param.MustSpace(param.NewIntRange("n", 0, 1<<40), param.NewFloatRange("x", 0, 1))
+	rng := mathx.NewRand(3)
+	var hist []Observation
+	for i := 0; i < 40; i++ {
+		a := space.Sample(rng)
+		hist = append(hist, Observation{Assignment: a, Objective: a.Value("x").Float()})
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a, ok := TPE{}.Next(rng, space, hist)
+	runtime.ReadMemStats(&after)
+	if !ok || !space.Contains(a) {
+		t.Fatalf("TPE proposed %v (ok=%v) outside the space", a, ok)
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b > ceiling {
+		t.Fatalf("one TPE.Next allocated %d bytes, ceiling %d", b, ceiling)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"rldecide/internal/analysis"
 	"rldecide/internal/daemon"
 	"rldecide/internal/journal"
-	"rldecide/internal/obs"
 	"rldecide/internal/rl"
 )
 
@@ -36,12 +35,12 @@ func (d *Daemon) serveAnalysis(w http.ResponseWriter, r *http.Request, m *Manage
 	)
 	switch kind {
 	case AnalysisTraces:
-		files, err := obs.TraceFiles(d.tracePath)
+		segs, err := journal.SegmentFiles(d.tracePath)
 		if err != nil {
 			daemon.WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
-		inputs = files
+		inputs = append(segs, d.tracePath)
 		run = func() (any, error) {
 			events, err := analysis.ReadTrace(d.tracePath)
 			if err != nil && !errors.Is(err, journal.ErrTruncated) {

@@ -2,6 +2,7 @@ package studyd
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -14,6 +15,7 @@ import (
 	"rldecide/internal/analysis"
 	"rldecide/internal/daemon"
 	"rldecide/internal/executor"
+	"rldecide/internal/journal"
 	"rldecide/internal/obs"
 	"rldecide/internal/obs/span"
 	"rldecide/internal/power"
@@ -89,6 +91,8 @@ type Daemon struct {
 	// tracePath is where this daemon's trace stream lives (whether or
 	// not tracing is enabled) — the trace-analysis endpoint reads it.
 	tracePath string
+	// traceStream is the file the tracer writes, when Config.Trace is on.
+	traceStream *journal.SegWriter
 
 	// spanClock times spans when Config.Trace is on (nil otherwise —
 	// span scopes tolerate it, recording zero durations).
@@ -177,15 +181,33 @@ func New(cfg Config) (*Daemon, error) {
 	// endpoint summarizes whatever stream exists at it.
 	d.tracePath = filepath.Join(cfg.Dir, name)
 	if cfg.Trace {
-		tracer, err := obs.OpenTracerRotating(bus, d.tracePath, cfg.TraceMaxBytes)
+		// Appending, like every stream the daemon keeps: a restarted daemon
+		// extends its trace rather than replacing it. A crash can have torn
+		// the trace's last line; it is cut off first, as a trial journal's
+		// is, or it would become mid-file corruption that fails every later
+		// read. A trace that cannot be mended costs diagnostics only.
+		if _, err := journal.RepairLines(d.tracePath, validJSON); err != nil {
+			cfg.Logf("studyd: repairing trace stream: %v", err)
+		}
+		stream, err := journal.OpenSegmented(d.tracePath, cfg.TraceMaxBytes)
 		if err != nil {
 			cancel()
 			return nil, fmt.Errorf("studyd: opening trace stream: %w", err)
 		}
-		d.tracer = tracer
+		d.traceStream = stream
+		d.tracer = obs.NewTracer(bus, stream)
 		d.spanClock = power.StartStopwatch()
 	}
 	return d, nil
+}
+
+// validJSON is a line decoder that keeps nothing: it only checks that a
+// trace line is one JSON value, so a repair need not hold the trace.
+func validJSON(line []byte, _ *struct{}) error {
+	if !json.Valid(line) {
+		return errors.New("not a JSON value")
+	}
+	return nil
 }
 
 // Name returns the daemon's fleet identity ("" for single-daemon mode).
@@ -350,6 +372,11 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 		_ = d.bus.Close() // always nil
 		if err := d.tracer.Close(); err != nil {
 			d.cfg.Logf("studyd: closing trace stream: %v", err)
+		}
+		if d.traceStream != nil {
+			if err := d.traceStream.Close(); err != nil {
+				d.cfg.Logf("studyd: closing trace stream: %v", err)
+			}
 		}
 		d.epMu.Lock()
 		ids := make([]string, 0, len(d.epWriters))
