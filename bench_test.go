@@ -16,6 +16,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -333,7 +334,8 @@ func BenchmarkRank2000x3(b *testing.B) {
 
 // BenchmarkJournalRecover2000 is what studyd.New does per study on a
 // crashed state directory: a journal of 2000 sphere-shaped records with
-// half a record after them is repaired, read back and converted to trials.
+// half a record after them is repaired and read back into trials, in the
+// one pass of journal.RecoverSegmented.
 // Each iteration first puts the torn file back (repair mends it in place),
 // so the file write is inside the timing on both sides of any comparison.
 func BenchmarkJournalRecover2000(b *testing.B) {
@@ -370,13 +372,78 @@ func BenchmarkJournalRecover2000(b *testing.B) {
 		if err := os.WriteFile(path, torn, 0o644); err != nil {
 			b.Fatal(err)
 		}
-		records, err := journal.RepairSegmented(path)
+		trials, err := journal.RecoverSegmented(path, space)
+		if err != nil || len(trials) != n {
+			b.Fatalf("recovered %d trials, %v", len(trials), err)
+		}
+	}
+}
+
+// BenchmarkRestartToDone2200 is resume_replay's path for one study, without
+// the harness: a daemon started on a crashed state directory, whose
+// 2200-trial sphere study journaled 2000 trials and half of one more,
+// recovers it (studyd.New) and resumes it to done (Start). Each iteration
+// starts from a fresh copy of the crashed directory; the copy is inside
+// the timing.
+func BenchmarkRestartToDone2200(b *testing.B) {
+	const budget, kept = 2200, 2000
+	quiet := func(string, ...any) {}
+	crashed := b.TempDir()
+	d, err := studyd.New(studyd.Config{Dir: crashed, Workers: 2, Logf: quiet})
+	if err != nil {
+		b.Fatal(err)
+	}
+	d.Start()
+	m, err := d.Submit(benchSphereSpec(budget))
+	if err != nil {
+		b.Fatal(err)
+	}
+	<-m.Done()
+	if err := d.Shutdown(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	spec, err := os.ReadFile(filepath.Join(crashed, m.ID+".spec.json"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	full, err := os.ReadFile(filepath.Join(crashed, m.ID+".trials.jsonl"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cut := 0
+	for i := 0; i < kept; i++ {
+		cut += bytes.IndexByte(full[cut:], '\n') + 1
+	}
+	torn := full[:cut+bytes.IndexByte(full[cut:], '\n')/2]
+	root := b.TempDir()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dir := filepath.Join(root, strconv.Itoa(i))
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			b.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, m.ID+".spec.json"), spec, 0o644); err != nil {
+			b.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, m.ID+".trials.jsonl"), torn, 0o644); err != nil {
+			b.Fatal(err)
+		}
+		d, err := studyd.New(studyd.Config{Dir: dir, Workers: 2, Logf: quiet})
 		if err != nil {
 			b.Fatal(err)
 		}
-		trials, err := journal.Trials(records, space)
-		if err != nil || len(trials) != n {
-			b.Fatalf("recovered %d trials, %v", len(trials), err)
+		r, ok := d.Store().Get(m.ID)
+		if !ok {
+			b.Fatalf("study %s not recovered", m.ID)
+		}
+		d.Start()
+		<-r.Done()
+		if r.Status() != studyd.StatusDone || r.Summary().Finished != budget || r.Summary().Resumed != kept {
+			b.Fatalf("study %s: %+v", r.ID, r.Summary())
+		}
+		if err := d.Shutdown(context.Background()); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
@@ -455,7 +522,7 @@ func BenchmarkDispatch(b *testing.B) {
 
 // BenchmarkLocalStudy300 is read_mix's write side without the HTTP hop: a
 // 300-trial sphere study submitted to a local-executor daemon and run to
-// done (explorer, executor lease, evaluation, journal append, final rank).
+// done (explorer, executor lease, evaluation, journal append).
 func BenchmarkLocalStudy300(b *testing.B) {
 	d, err := studyd.New(studyd.Config{Dir: b.TempDir(), Workers: 2, Logf: func(string, ...any) {}})
 	if err != nil {

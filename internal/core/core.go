@@ -321,22 +321,34 @@ func (s *Study) finishedIntermediates() [][]float64 {
 // missing ones, so a campaign restarted with the same Seed and a
 // deterministic explorer (Random Search, Grid Search) produces exactly the
 // trials — and therefore the ranking — of an uninterrupted run.
+//
+// Resume checks the IDs (positive, none resumed or finished twice) and
+// keeps the trials without copying them, so the caller must not modify
+// them afterwards: the run copies them once, into a history sized for its
+// budget.
 func (s *Study) Resume(trials []Trial) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	seen := make(map[int]bool, len(s.trials))
-	for _, t := range s.trials {
-		seen[t.ID] = true
+	ids := make([]int, 0, len(s.trials)+len(trials))
+	for _, ts := range [][]Trial{s.trials, trials} {
+		for _, t := range ts {
+			ids = append(ids, t.ID)
+		}
 	}
-	for _, t := range trials {
-		if t.ID <= 0 {
-			return fmt.Errorf("core: resumed trial has invalid ID %d", t.ID)
+	slices.Sort(ids)
+	if len(ids) > 0 && ids[0] <= 0 {
+		return fmt.Errorf("core: resumed trial has invalid ID %d", ids[0])
+	}
+	for i := 1; i < len(ids); i++ {
+		if ids[i] == ids[i-1] {
+			return fmt.Errorf("core: duplicate resumed trial ID %d", ids[i])
 		}
-		if seen[t.ID] {
-			return fmt.Errorf("core: duplicate resumed trial ID %d", t.ID)
-		}
-		seen[t.ID] = true
-		s.trials = append(s.trials, t)
+	}
+	if len(s.trials) == 0 {
+		// Capped: the first append to the history copies it.
+		s.trials = trials[:len(trials):len(trials)]
+	} else {
+		s.trials = append(s.trials, trials...)
 	}
 	return nil
 }
@@ -348,21 +360,44 @@ func sortTrialsByID(trials []Trial) {
 // Run executes up to nTrials trials and returns the study report. It stops
 // early when the explorer is exhausted (e.g. a completed grid).
 func (s *Study) Run(nTrials int) (*Report, error) {
-	return s.RunContext(context.Background(), nTrials)
-}
-
-// RunContext is Run with cancellation: when ctx is cancelled the study
-// stops proposing trials, discards in-flight trials that observe the
-// cancellation (through Recorder.Context or Recorder.Intermediate), waits
-// for the workers to drain, and returns the partial report alongside
-// ctx's error. Discarded trials are re-proposed on the next run when the
-// study is reseeded with Resume, which is what makes campaigns crash-safe.
-func (s *Study) RunContext(ctx context.Context, nTrials int) (*Report, error) {
-	if err := s.validate(); err != nil {
+	if err := s.RunContext(context.Background(), nTrials); err != nil {
 		return nil, err
 	}
+	return s.report(), nil
+}
+
+// report ranks every finished trial, presented in ID order.
+func (s *Study) report() *Report {
+	s.mu.Lock()
+	trials := append([]Trial(nil), s.trials...)
+	s.mu.Unlock()
+	// Present trials in ID order regardless of completion order.
+	sortTrialsByID(trials)
+	rep := &Report{
+		CaseStudy: s.CaseStudy,
+		Metrics:   s.Metrics,
+		Trials:    trials,
+		Explorer:  s.Explorer.Name(),
+		Ranker:    s.Ranker.Name(),
+	}
+	rep.Ranking = s.Ranker.Rank(rep.completed(), s.Metrics)
+	return rep
+}
+
+// RunContext is Run with cancellation, and without the report: a caller
+// that keeps the trials (the daemon) takes each from OnTrial, and one that
+// wants the ranking calls Run. When ctx is cancelled the study stops
+// proposing trials, discards in-flight trials that observe the
+// cancellation (through Recorder.Context or Recorder.Intermediate), waits
+// for the workers to drain, and returns ctx's error. Discarded trials are
+// re-proposed on the next run when the study is reseeded with Resume,
+// which is what makes campaigns crash-safe.
+func (s *Study) RunContext(ctx context.Context, nTrials int) error {
+	if err := s.validate(); err != nil {
+		return err
+	}
 	if nTrials <= 0 {
-		return nil, fmt.Errorf("core: Run needs nTrials > 0")
+		return fmt.Errorf("core: Run needs nTrials > 0")
 	}
 	workers := s.Parallelism
 	if workers <= 0 {
@@ -378,23 +413,20 @@ func (s *Study) RunContext(ctx context.Context, nTrials int) (*Report, error) {
 		trialSeeds[i] = seeder.Next()
 	}
 
+	// The history grows to exactly nTrials entries; reserving it up front
+	// copies the resumed trials once and keeps append from reallocating
+	// mid-campaign.
 	s.mu.Lock()
-	finished := make(map[int]bool, len(s.trials))
+	if cap(s.trials) < nTrials {
+		s.trials = append(make([]Trial, 0, nTrials), s.trials...)
+	}
+	finished := make([]bool, nTrials+1)
 	for _, t := range s.trials {
-		finished[t.ID] = true
-	}
-	s.mu.Unlock()
-	for id := range finished {
-		if id > nTrials {
-			return nil, fmt.Errorf("core: resumed trial ID %d exceeds the %d-trial budget", id, nTrials)
+		if t.ID > nTrials {
+			s.mu.Unlock()
+			return fmt.Errorf("core: resumed trial ID %d exceeds the %d-trial budget", t.ID, nTrials)
 		}
-	}
-
-	// The trial history grows to exactly nTrials entries; reserving it up
-	// front keeps append from reallocating mid-campaign.
-	s.mu.Lock()
-	if n := nTrials - len(s.trials); n > 0 {
-		s.trials = slices.Grow(s.trials, n)
+		finished[t.ID] = true
 	}
 	s.mu.Unlock()
 
@@ -474,27 +506,9 @@ func (s *Study) RunContext(ctx context.Context, nTrials int) (*Report, error) {
 	close(jobs)
 	wg.Wait()
 	if spaceErr != nil {
-		return nil, spaceErr
+		return spaceErr
 	}
-
-	s.mu.Lock()
-	trials := append([]Trial(nil), s.trials...)
-	s.mu.Unlock()
-	// Present trials in ID order regardless of completion order.
-	sortTrialsByID(trials)
-
-	rep := &Report{
-		CaseStudy: s.CaseStudy,
-		Metrics:   s.Metrics,
-		Trials:    trials,
-		Explorer:  s.Explorer.Name(),
-	}
-	rep.Ranking = s.Ranker.Rank(rep.completed(), s.Metrics)
-	rep.Ranker = s.Ranker.Name()
-	if err := ctx.Err(); err != nil {
-		return rep, err
-	}
-	return rep, nil
+	return ctx.Err()
 }
 
 // slabTrials is how many trials' worth of storage one slab chunk holds

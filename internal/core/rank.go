@@ -18,28 +18,39 @@ type Report struct {
 }
 
 // completed returns the trials that produced all metrics (failed and
-// pruned trials are excluded from ranking but kept in Trials).
+// pruned trials are excluded from ranking but kept in Trials). When every
+// trial completed that is r.Trials itself, capacity-capped, not a copy.
 func (r *Report) completed() []Trial {
-	out := make([]Trial, 0, len(r.Trials))
-	for _, t := range r.Trials {
-		if t.Err != nil || t.Pruned {
+	for i, t := range r.Trials {
+		if r.complete(t) {
 			continue
 		}
-		ok := true
-		for _, m := range r.Metrics {
-			if !t.Values.Has(m.Name) {
-				ok = false
-				break
+		out := append(make([]Trial, 0, len(r.Trials)-1), r.Trials[:i]...)
+		for _, t := range r.Trials[i+1:] {
+			if r.complete(t) {
+				out = append(out, t)
 			}
 		}
-		if ok {
-			out = append(out, t)
+		return out
+	}
+	return r.Trials[:len(r.Trials):len(r.Trials)]
+}
+
+// complete reports whether t is one of the trials completed ranks.
+func (r *Report) complete(t Trial) bool {
+	if t.Err != nil || t.Pruned {
+		return false
+	}
+	for _, m := range r.Metrics {
+		if !t.Values.Has(m.Name) {
+			return false
 		}
 	}
-	return out
+	return true
 }
 
 // Completed exposes the ranked trial subset in ranking index order 0..n-1.
+// It may share its storage with Trials, so callers must not modify it.
 func (r *Report) Completed() []Trial { return r.completed() }
 
 // Points projects the completed trials onto the named metrics as Pareto

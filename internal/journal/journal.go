@@ -13,14 +13,16 @@
 // pinned to encoding/json, which stays the definition of the format:
 // AppendRecord (encode.go) writes exactly json.Encoder's bytes, and
 // decodeRecord (decode.go) reads back exactly those bytes, leaving any
-// other line to json.Unmarshal. Recovery is Read → []Record → Trials, the
-// one route from disk to core.Trial; RepairFile mends a crashed file in
-// place, by truncating or terminating its last line, without rewriting
-// the records before it.
+// other line to json.Unmarshal. A daemon recovers a study with
+// RecoverSegmented, which reads each line straight into a core.Trial
+// through the same walk of that byte form (trialDecoder) and mends the
+// journal in the same pass; Read → []Record → Trials is the route for
+// callers that want the records themselves. RepairFile mends a crashed
+// file in place, by truncating or terminating its last line, without
+// rewriting the records before it.
 package journal
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -122,18 +124,9 @@ func NewResolver(space *param.Space) *Resolver {
 
 // Trial converts one record back into the trial it was written from.
 func (rs *Resolver) Trial(r Record) (core.Trial, error) {
-	t := core.Trial{
-		ID:     r.ID,
-		Params: make(param.Assignment, 0, len(r.Params)),
-		Values: core.ValuesFromMap(r.Values),
-		Pruned: r.Pruned,
-		Seed:   r.Seed,
-		Worker: r.Worker,
-		WallMs: r.WallMs,
-	}
-	if r.Error != "" {
-		t.Err = fmt.Errorf("%s", r.Error)
-	}
+	t := r.head()
+	t.Params = make(param.Assignment, 0, len(r.Params))
+	t.Values = core.ValuesFromMap(r.Values)
 	for name, raw := range r.Params {
 		v, err := rs.value(name, raw)
 		if err != nil {
@@ -142,6 +135,16 @@ func (rs *Resolver) Trial(r Record) (core.Trial, error) {
 		t.Params.Set(name, v)
 	}
 	return t, nil
+}
+
+// head is the trial r was written from, but for its parameters and
+// metrics.
+func (r Record) head() core.Trial {
+	t := core.Trial{ID: r.ID, Pruned: r.Pruned, Seed: r.Seed, Worker: r.Worker, WallMs: r.WallMs}
+	if r.Error != "" {
+		t.Err = fmt.Errorf("%s", r.Error)
+	}
+	return t
 }
 
 // value resolves raw against the named parameter's table first: a raw
@@ -238,14 +241,6 @@ var ErrTruncated = errors.New("journal: truncated final record")
 // line, and so every verdict on a malformed one, is json.Unmarshal's.
 func Read(r io.Reader) ([]Record, error) {
 	return ReadLines(r, decodeLine)
-}
-
-// decodeLine is Read's line decoder.
-func decodeLine(line []byte, rec *Record) error {
-	if decodeRecord(line, rec) {
-		return nil
-	}
-	return json.Unmarshal(line, rec)
 }
 
 // ReadFile loads all records from path.

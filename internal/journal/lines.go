@@ -52,7 +52,11 @@ func segmented[T any](path string, decode func([]byte, *T) error,
 		out = append(out, vs...)
 	}
 	vs, err := active(path, decode)
-	out = append(out, vs...)
+	if out == nil {
+		out = vs // the one-file stream: no copy
+	} else {
+		out = append(out, vs...)
+	}
 	if errors.Is(err, os.ErrNotExist) && len(segs) > 0 {
 		return out, nil
 	}

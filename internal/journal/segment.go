@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"rldecide/internal/core"
+	"rldecide/internal/param"
 )
 
 // Manifest is the sidecar that makes a journal shardable: it names the
@@ -151,6 +152,32 @@ func ReadSegmented(journalPath string) ([]Record, error) {
 // all is empty, not an error.
 func RepairSegmented(journalPath string) ([]Record, error) {
 	return segmented(journalPath, decodeLine, RepairLines[Record])
+}
+
+// RecoverSegmented is RepairSegmented and Trials in one pass: it reads and
+// mends the journal as RepairSegmented does, but each line goes straight
+// into a trial of space (trialDecoder). A record that reads but does not
+// resolve — an unknown parameter, a rendering the space cannot take —
+// fails the recovery after the repair, as Trials fails on it after
+// RepairSegmented: it is never taken for a torn tail, even as the last
+// line.
+func RecoverSegmented(journalPath string, space *param.Space) ([]core.Trial, error) {
+	td := trialDecoder{rs: NewResolver(space)}
+	var resolveErr error
+	trials, err := segmented(journalPath, func(line []byte, t *core.Trial) error {
+		lineErr, err := td.decode(line, t)
+		if resolveErr == nil {
+			resolveErr = err
+		}
+		return lineErr
+	}, RepairLines[core.Trial])
+	if err == nil {
+		err = resolveErr
+	}
+	if err != nil {
+		return nil, err
+	}
+	return trials, nil
 }
 
 // SegWriter appends to a size-capped, rotating JSON Lines stream: the

@@ -230,7 +230,10 @@ func (m *ManagedStudy) front() (Front, bool, error) {
 	}
 	// The partition does not depend on input order and each front's IDs
 	// are sorted below, so the completed subset is filtered straight out of
-	// m.trials (completion order): one copy, no per-request sort.
+	// m.trials (completion order), with no per-request sort, and is m.trials
+	// itself when nothing is filtered out: the trials are only ever
+	// appended to, never modified, so the first len of them stay as they
+	// are after the lock is released.
 	m.mu.Lock()
 	completed := (&core.Report{Metrics: metrics, Trials: m.trials}).Completed()
 	done := m.status == StatusDone
@@ -319,7 +322,10 @@ func (m *ManagedStudy) run(ctx context.Context, wrap func(core.Objective) core.O
 	m.mu.Lock()
 	m.cancel = cancel
 	m.status = StatusRunning
-	seed := append([]core.Trial(nil), m.trials...)
+	// Resume keeps these without a copy, and the run copies them once
+	// before its first OnTrial appends to m.trials, which never modifies
+	// the first len of them anyway.
+	resumed := m.trials
 	m.mu.Unlock()
 
 	fail := func(err error) {
@@ -334,7 +340,7 @@ func (m *ManagedStudy) run(ctx context.Context, wrap func(core.Objective) core.O
 		fail(err)
 		return
 	}
-	if err := study.Resume(seed); err != nil {
+	if err := study.Resume(resumed); err != nil {
 		fail(err)
 		return
 	}
@@ -364,7 +370,7 @@ func (m *ManagedStudy) run(ctx context.Context, wrap func(core.Objective) core.O
 		m.mu.Unlock()
 	}
 
-	_, err = study.RunContext(ctx, m.Spec.Budget)
+	err = study.RunContext(ctx, m.Spec.Budget)
 	closeErr := jw.Close()
 
 	m.mu.Lock()
@@ -534,15 +540,11 @@ func (st *Store) load(id string) (*ManagedStudy, error) {
 	// Crash safety: a torn final record (append cut short by the crash)
 	// is truncated away so the journal is clean for both replay and the
 	// appends of the resumed run. Sealed rotation segments replay first.
-	records, err := journal.RepairSegmented(m.journalPath)
-	if err != nil {
-		return nil, err
-	}
 	space, err := spec.Space()
 	if err != nil {
 		return nil, err
 	}
-	trials, err := journal.Trials(records, space)
+	trials, err := journal.RecoverSegmented(m.journalPath, space)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -535,6 +536,51 @@ func appendBytes(path string, b []byte) error {
 		return err
 	}
 	return f.Close()
+}
+
+// TestUnresolvableLastRecordIsLoadError: a journal whose last line is
+// whole JSON naming a parameter the spec lacks, or holding a value it
+// cannot take, is not a crash tail. Loading fails, the error is not
+// journal.ErrTruncated, and the journal is left byte for byte as it was,
+// whether the line is in the writer's own form or needs encoding/json.
+func TestUnresolvableLastRecordIsLoadError(t *testing.T) {
+	for name, last := range map[string]string{
+		"fast/unknown":      `{"id":2,"params":{"x":"0.5","z":"1"},"values":{"cost":1,"f":1},"seed":7}`,
+		"fast/unparsable":   `{"id":2,"params":{"x":"abc","y":"0.5"},"values":{"cost":1,"f":1},"seed":7}`,
+		"json/unknown":      `{"id": 2, "params": {"x": "0.5", "z": "1"}, "seed": 7}`,
+		"json/unparsable":   `{"seed":7,"id":2,"params":{"x":"abc","y":"0.5"}}`,
+		"json/out-of-range": `{"params":{"x":"3","y":"0.5"},"id":2,"seed":7}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := OpenStore(dir, "", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := st.Submit(baseSpec("sphere"), "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := core.Trial{ID: 1, Seed: 3, Params: param.Assign(param.Bind("x", param.Float(0.25)), param.Bind("y", param.Float(-1)))}
+			first.Values.Set("f", 1.0625)
+			first.Values.Set("cost", 1.25)
+			journalBytes, err := journal.AppendRecord(nil, first)
+			if err != nil {
+				t.Fatal(err)
+			}
+			journalBytes = append(journalBytes, last+"\n"...)
+			if err := os.WriteFile(m.journalPath, journalBytes, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = OpenStore(dir, "", 0)
+			if err == nil || errors.Is(err, journal.ErrTruncated) {
+				t.Fatalf("load error %v, want a resolution error", err)
+			}
+			if got, _ := os.ReadFile(m.journalPath); !bytes.Equal(got, journalBytes) {
+				t.Fatalf("journal changed by the failed load:\n%q\nwas\n%q", got, journalBytes)
+			}
+		})
+	}
 }
 
 // TestStoreLoadMarksCompletedDone ensures finished campaigns are not

@@ -2,13 +2,13 @@
 # bench.sh — benchmark regression harness (see docs/perf.md).
 #
 # Full mode (the default) runs every benchmark with fixed -benchtime/-count
-# and records the folded results into BENCH_13.json via cmd/benchgate:
+# and records the folded results into BENCH_14.json via cmd/benchgate:
 #
 #   ./scripts/bench.sh                 # re-record the "current" block
 #   ./scripts/bench.sh --baseline pre.txt   # also record pre.txt as baseline
 #
 # Smoke mode runs a fast subset (skipping the multi-second campaign
-# benchmarks) and gates it against the committed BENCH_13.json. Time gates
+# benchmarks) and gates it against the committed BENCH_14.json. Time gates
 # are loose (tolerance factor, absorbs CI machine variance); allocs/op
 # gates are exact, because allocation counts are deterministic:
 #
@@ -19,11 +19,11 @@ cd "$(dirname "$0")/.."
 BENCHTIME="${BENCHTIME:-200ms}"
 COUNT="${COUNT:-3}"
 TOLERANCE="${TOLERANCE:-2.5}"
-OUT="${OUT:-BENCH_13.json}"
+OUT="${OUT:-BENCH_14.json}"
 
 # Fast subset for CI smoke: steady-state kernels and harness overhead, no
 # full-campaign benchmarks (those take tens of seconds per iteration).
-SMOKE_PATTERN='^(BenchmarkEnvEpisode|BenchmarkNNForwardBackward|BenchmarkStudyOverhead|BenchmarkReportTable|BenchmarkFigure4|BenchmarkRank2000|BenchmarkJournalRecover2000|BenchmarkEvaluateRequest|BenchmarkLocalStudy300|BenchmarkDispatch|BenchmarkServeFrontDone2000)$'
+SMOKE_PATTERN='^(BenchmarkEnvEpisode|BenchmarkNNForwardBackward|BenchmarkStudyOverhead|BenchmarkReportTable|BenchmarkFigure4|BenchmarkRank2000|BenchmarkJournalRecover2000|BenchmarkEvaluateRequest|BenchmarkLocalStudy300|BenchmarkDispatch|BenchmarkServeFrontDone2000|BenchmarkRestartToDone2200)$'
 
 # BenchmarkRouterList2000 is in the smoke subset too, at a fixed iteration
 # count: a run of it carries about 40 allocations that do not scale with
@@ -40,11 +40,12 @@ if [ "${1:-}" = "--smoke" ]; then
     -benchtime 50x -count 1 . | tee -a "$tmp"
   # The allocs ceilings are absolute contracts, not relative gates: the
   # 50-trial study harness, the 2000-trial rank, one evaluation of a
-  # prepared spec, one fleet dispatch round trip and one repeat /front of a
-  # done 2000-trial study must stay within their allocation budgets even if
-  # the golden record is re-ratcheted.
+  # prepared spec, one fleet dispatch round trip, one repeat /front of a
+  # done 2000-trial study and the recovery of a 2000-record journal must
+  # stay within their allocation budgets even if the golden record is
+  # re-ratcheted.
   go run ./cmd/benchgate check -golden "$OUT" -tolerance "$TOLERANCE" \
-    -max-allocs "${MAX_ALLOCS:-BenchmarkStudyOverhead=64,BenchmarkRank2000=8,BenchmarkEvaluateRequest=10,BenchmarkDispatch=119,BenchmarkServeFrontDone2000=8}" < "$tmp"
+    -max-allocs "${MAX_ALLOCS:-BenchmarkStudyOverhead=64,BenchmarkRank2000=8,BenchmarkEvaluateRequest=10,BenchmarkDispatch=119,BenchmarkServeFrontDone2000=8,BenchmarkJournalRecover2000=2200}" < "$tmp"
   exit 0
 fi
 
