@@ -332,6 +332,35 @@ func BenchmarkRank2000x3(b *testing.B) {
 	})
 }
 
+// BenchmarkFront2200 is resume_replay's front read: ManagedStudy.Front()
+// on a done 2200-trial sphere study, the call that benchmark times as
+// front_ms_p50 — the completed-trial filter, the Pareto rank and the
+// mapping of each front to sorted trial IDs, with no JSON encoding.
+func BenchmarkFront2200(b *testing.B) {
+	d, err := studyd.New(studyd.Config{Dir: b.TempDir(), Workers: 2, Logf: func(string, ...any) {}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	d.Start()
+	defer d.Shutdown(context.Background())
+	m, err := d.Submit(benchSphereSpec(2200))
+	if err != nil {
+		b.Fatal(err)
+	}
+	<-m.Done()
+	if m.Status() != studyd.StatusDone {
+		b.Fatalf("study %s: %s", m.ID, m.Status())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fr, err := m.Front()
+		if err != nil || fr.Completed != 2200 || len(fr.Fronts) == 0 {
+			b.Fatalf("front of %d completed trials in %d fronts, %v", fr.Completed, len(fr.Fronts), err)
+		}
+	}
+}
+
 // BenchmarkJournalRecover2000 is what studyd.New does per study on a
 // crashed state directory: a journal of 2000 sphere-shaped records with
 // half a record after them is repaired and read back into trials, in the

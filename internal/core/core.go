@@ -73,7 +73,9 @@ type Trial struct {
 // Recorder is handed to the objective to report metric values and
 // intermediate progress.
 type Recorder struct {
+	// study is nil for a standalone recorder (NewRecorder): no pruner.
 	study       *Study
+	metrics     []Metric
 	trial       *Trial
 	ctx         context.Context
 	mu          sync.Mutex
@@ -117,7 +119,7 @@ func (r *Recorder) SetWallMs(ms float64) {
 // accumulates the reported values.
 func NewRecorder(ctx context.Context, metrics []Metric) (*Recorder, *Trial) {
 	t := &Trial{Values: make(Values, 0, len(metrics))}
-	return &Recorder{study: &Study{Metrics: metrics}, trial: t, ctx: ctx}, t
+	return &Recorder{metrics: metrics, trial: t, ctx: ctx}, t
 }
 
 func (r *Recorder) wasInterrupted() bool {
@@ -129,7 +131,7 @@ func (r *Recorder) wasInterrupted() bool {
 // Report records the final value of a metric. Unknown metric names panic:
 // the metric list is the study's contract.
 func (r *Recorder) Report(metric string, value float64) {
-	if !r.study.hasMetric(metric) {
+	if !hasMetric(r.metrics, metric) {
 		panic(fmt.Sprintf("core: trial reported unknown metric %q", metric))
 	}
 	r.mu.Lock()
@@ -155,7 +157,7 @@ func (r *Recorder) Intermediate(value float64) bool {
 	step := len(r.trial.Intermediate)
 	r.trial.Intermediate = append(r.trial.Intermediate, value)
 	r.mu.Unlock()
-	if r.study.Pruner == nil {
+	if r.study == nil || r.study.Pruner == nil {
 		return true
 	}
 	hist := r.study.finishedIntermediates()
@@ -244,7 +246,7 @@ func (s *Study) validate() error {
 	if s.PrimaryMetric == "" {
 		s.PrimaryMetric = s.Metrics[0].Name
 	}
-	if !s.hasMetric(s.PrimaryMetric) {
+	if !hasMetric(s.Metrics, s.PrimaryMetric) {
 		return fmt.Errorf("core: primary metric %q is not in the metric list", s.PrimaryMetric)
 	}
 	seen := map[string]bool{}
@@ -260,8 +262,8 @@ func (s *Study) validate() error {
 	return nil
 }
 
-func (s *Study) hasMetric(name string) bool {
-	for _, m := range s.Metrics {
+func hasMetric(metrics []Metric, name string) bool {
+	for _, m := range metrics {
 		if m.Name == name {
 			return true
 		}
@@ -536,7 +538,7 @@ func (s *Study) runTrial(ctx context.Context, t Trial, tr *trialRunner) {
 	tr.vals = tr.vals[nm:]
 	tr.slot = t
 	rec := &tr.rec
-	rec.study = s
+	rec.study, rec.metrics = s, s.Metrics
 	rec.trial = &tr.slot
 	rec.ctx = ctx
 	rec.interrupted = false

@@ -21,14 +21,14 @@ type Report struct {
 // pruned trials are excluded from ranking but kept in Trials). When every
 // trial completed that is r.Trials itself, capacity-capped, not a copy.
 func (r *Report) completed() []Trial {
-	for i, t := range r.Trials {
-		if r.complete(t) {
+	for i := range r.Trials {
+		if r.complete(&r.Trials[i]) {
 			continue
 		}
 		out := append(make([]Trial, 0, len(r.Trials)-1), r.Trials[:i]...)
-		for _, t := range r.Trials[i+1:] {
-			if r.complete(t) {
-				out = append(out, t)
+		for j := i + 1; j < len(r.Trials); j++ {
+			if t := &r.Trials[j]; r.complete(t) {
+				out = append(out, *t)
 			}
 		}
 		return out
@@ -37,7 +37,7 @@ func (r *Report) completed() []Trial {
 }
 
 // complete reports whether t is one of the trials completed ranks.
-func (r *Report) complete(t Trial) bool {
+func (r *Report) complete(t *Trial) bool {
 	if t.Err != nil || t.Pruned {
 		return false
 	}
@@ -158,25 +158,25 @@ func (p ParetoRanker) Rank(trials []Trial, metrics []Metric) Ranking {
 			}
 		}
 	}
-	dirs := make([]pareto.Direction, len(objectives))
-	for i, m := range objectives {
-		dirs[i] = m.Direction
-	}
-	// One flat backing array for every point's values: the per-trial
-	// sub-slices share it, so projecting n trials costs two allocations
-	// instead of n+1.
-	pts := make([]pareto.Point, len(trials))
-	flat := make([]float64, len(trials)*len(objectives))
-	for i, t := range trials {
-		vals := flat[i*len(objectives) : (i+1)*len(objectives) : (i+1)*len(objectives)]
-		for j, m := range objectives {
-			vals[j] = t.Values.At(m.Name)
+	// One row-major matrix of normalized values, filled straight from the
+	// trials.
+	n, m := len(trials), len(objectives)
+	vals := make([]float64, n*m)
+	for i := range trials {
+		t := &trials[i]
+		for j, o := range objectives {
+			vals[i*m+j] = pareto.Normalize(t.Values.At(o.Name), o.Direction)
 		}
-		pts[i] = pareto.Point{ID: t.ID, Values: vals}
 	}
-	fronts := pareto.NonDominatedSort(pts, dirs)
+	fronts := pareto.NonDominatedSortRows(vals, n, m)
 	if p.Eps > 0 && len(fronts) > 0 {
-		fronts = widenFirstFront(fronts, pareto.EpsilonFront(pts, dirs, p.Eps), len(pts))
+		// The ε-front of the same rows: normalized, every objective is
+		// minimized, and Normalize leaves a normalized value as it is.
+		pts := make([]pareto.Point, n)
+		for i := range pts {
+			pts[i].Values = vals[i*m : (i+1)*m : (i+1)*m]
+		}
+		fronts = widenFirstFront(fronts, pareto.EpsilonFront(pts, make([]pareto.Direction, m), p.Eps), n)
 	}
 	return Ranking{Method: "pareto", Fronts: fronts}
 }

@@ -313,19 +313,13 @@ func (f *Fleet) lease(ctx context.Context) (*remoteWorker, WorkerInfo, error) {
 	for {
 		f.mu.Lock()
 		f.expireLocked()
-		names := make([]string, 0, len(f.workers))
-		for name := range f.workers {
-			names = append(names, name)
-		}
-		sort.Strings(names)
+		// The worker with the most free slots, ties to the smaller name.
 		var pick *remoteWorker
-		for _, name := range names {
-			w := f.workers[name]
-			if w.inFlight >= w.info.Slots {
-				continue
-			}
-			if pick == nil || w.info.Slots-w.inFlight > pick.info.Slots-pick.inFlight {
-				pick = w
+		most := 0
+		for name, w := range f.workers {
+			free := w.info.Slots - w.inFlight
+			if free > most || free == most && free > 0 && name < pick.info.Name {
+				pick, most = w, free
 			}
 		}
 		if pick != nil {

@@ -356,6 +356,29 @@ func TestNonDominatedSortMatchesPeeling(t *testing.T) {
 			t.Fatalf("chain m=%d: %d fronts, want 60", m, got)
 		}
 	}
+	// Long runs of tied first values, past the fuzz cap: every value is
+	// one of four integers, so each run holds about n/4 points.
+	for m := 2; m <= 3; m++ {
+		grid := mkPoints(1500, m, func(int, int) float64 { return float64(rng.Intn(4)) })
+		checkAgainstPeel(t, fmt.Sprintf("grid n=1500 m=%d", m), grid, make([]Direction, m))
+	}
+	// First values a few ulps apart across the radix sort's byte
+	// boundaries (a carry out of the low byte, out of the second), of both
+	// signs.
+	var edges []Point
+	for _, d := range []uint64{0xfe, 0xff, 0x100, 0x101, 0xffff, 0x10000} {
+		for _, sign := range []float64{1, -1} {
+			x := sign * math.Float64frombits(math.Float64bits(1)+d)
+			edges = append(edges, Point{ID: len(edges), Values: []float64{x, float64(len(edges) % 5)}})
+		}
+	}
+	checkAgainstPeel(t, "radix byte boundaries", edges, minmin)
+	// -0 and +0 are equal to <, so the second point dominates the first.
+	zeros := []Point{{ID: 0, Values: []float64{math.Copysign(0, -1), 5}}, {ID: 1, Values: []float64{0, 3}}}
+	checkAgainstPeel(t, "signed zeros", zeros, minmin)
+	if got := NonDominatedSort(zeros, minmin); len(got) != 2 || !slices.Equal(got[0], []int{1}) {
+		t.Fatalf("signed zeros: %v, want [[1] [0]]", got)
+	}
 	// One front holding everything: the line x+y = c and the plane
 	// x+y+z = c, in both visiting orders.
 	for _, flip := range []bool{false, true} {
@@ -385,8 +408,8 @@ func TestNonDominatedSortMatchesPeeling(t *testing.T) {
 
 // fuzzPoints decodes bytes into a sort input: the first byte picks 1–4
 // objectives, the second their directions, and every further byte is one
-// value on a coarse grid (so ties, duplicates and non-finite values are
-// common), row by row.
+// value on a coarse grid (so ties, duplicates, non-finite values and -0
+// against +0 are common), row by row.
 func fuzzPoints(data []byte) ([]Point, []Direction) {
 	if len(data) < 2 {
 		return nil, nil
@@ -406,6 +429,8 @@ func fuzzPoints(data []byte) ([]Point, []Direction) {
 			return math.Inf(1)
 		case 253:
 			return math.Inf(-1)
+		case 252:
+			return math.Copysign(0, -1)
 		default:
 			return float64(b%16) - 8
 		}
@@ -419,13 +444,14 @@ func FuzzNonDominatedSort(f *testing.F) {
 	f.Add([]byte{2, 5, 1, 2, 3, 3, 2, 1, 2, 2, 2, 255, 0, 0}) // 3-D with a NaN
 	f.Add([]byte{3, 10, 254, 0, 253, 1, 1, 253, 0, 254})      // 4-D with ±Inf
 	f.Add([]byte{0, 0, 5, 3, 5, 255, 1})                      // 1-D ties and a NaN
+	f.Add([]byte{1, 0, 252, 13, 8, 11})                       // 2-D, -0 against +0
 	f.Fuzz(func(t *testing.T, data []byte) {
 		points, dirs := fuzzPoints(data)
 		checkAgainstPeel(t, "fuzz", points, dirs)
 	})
 }
 
-// TestNaNRanksWorst pins the NaN contract of normalize for every entry
+// TestNaNRanksWorst pins the NaN contract of Normalize for every entry
 // point: a trial with a NaN metric is dominated by any NaN-free trial that
 // is no worse on the remaining objectives, so it leaves front 0.
 func TestNaNRanksWorst(t *testing.T) {

@@ -238,17 +238,19 @@ func (m *ManagedStudy) front() (Front, bool, error) {
 	completed := (&core.Report{Metrics: metrics, Trials: m.trials}).Completed()
 	done := m.status == StatusDone
 	m.mu.Unlock()
-	ranking := core.ParetoRanker{Eps: m.Spec.Eps}.Rank(completed, metrics)
-	fr := Front{Metrics: m.Spec.Metrics, Completed: len(completed), Fronts: make([][]int, len(ranking.Fronts))}
-	for i, front := range ranking.Fronts {
-		ids := make([]int, len(front))
+	// The ranking's fronts are windows into one n-int index array (the
+	// ε-front aside), so each index is turned into its trial's ID in place.
+	fronts := core.ParetoRanker{Eps: m.Spec.Eps}.Rank(completed, metrics).Fronts
+	for _, front := range fronts {
 		for j, idx := range front {
-			ids[j] = completed[idx].ID
+			front[j] = completed[idx].ID
 		}
-		sort.Ints(ids)
-		fr.Fronts[i] = ids
+		sort.Ints(front)
 	}
-	return fr, done, nil
+	if fronts == nil {
+		fronts = [][]int{} // "fronts": [], not null
+	}
+	return Front{Metrics: m.Spec.Metrics, Completed: len(completed), Fronts: fronts}, done, nil
 }
 
 // frontJSON returns the GET /front body, daemon.EncodeJSON of Front: the
