@@ -477,6 +477,48 @@ func BenchmarkRestartToDone2200(b *testing.B) {
 	}
 }
 
+// BenchmarkOpenStore is a daemon restart over the state directory a
+// service run leaves: studyd.New on 500 finished one-trial studies of a
+// named daemon (spec, journal and ownership manifest each), every one
+// loaded, none resumed. The directory is only read, so every iteration
+// opens the same one.
+func BenchmarkOpenStore(b *testing.B) {
+	const n = 500
+	quiet := func(string, ...any) {}
+	dir := b.TempDir()
+	d, err := studyd.New(studyd.Config{Dir: dir, Name: "d0", Workers: 2, Logf: quiet})
+	if err != nil {
+		b.Fatal(err)
+	}
+	d.Start()
+	for i := 0; i < n; i++ {
+		m, err := d.Submit(benchSphereSpec(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		<-m.Done()
+	}
+	if err := d.Shutdown(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := studyd.New(studyd.Config{Dir: dir, Name: "d0", Workers: 2, Logf: quiet})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := len(d.Store().List()); got != n {
+			b.Fatalf("%d studies loaded, want %d", got, n)
+		}
+		b.StopTimer()
+		if err := d.Shutdown(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
+
 // benchSphereSpec is the two-float, two-metric sphere study the service
 // benchmark (bench/) writes: the objective is nanoseconds, so everything
 // measured around it is control plane.

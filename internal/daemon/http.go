@@ -34,14 +34,23 @@ func EncodeJSON(v any) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// WriteBody answers status with body, a JSON document: one Write, an
-// explicit Content-Length. body is only read, so it may be a kept one.
-func WriteBody(w http.ResponseWriter, status int, body []byte) {
+// WriteBody answers status with a JSON document that is the concatenation
+// of parts: an explicit Content-Length, one Write per part. The parts are
+// only read, so they may be kept ones.
+func WriteBody(w http.ResponseWriter, status int, parts ...[]byte) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Header().Set("Content-Length", strconv.Itoa(n))
 	w.WriteHeader(status)
-	// A gone client is the only way this write fails.
-	_, _ = w.Write(body)
+	for _, p := range parts {
+		// A gone client is the only way this write fails.
+		if _, err := w.Write(p); err != nil {
+			return
+		}
+	}
 }
 
 // The study list — GET /studies on a serve daemon and on the router — is
@@ -79,14 +88,20 @@ func WriteStudyList(w http.ResponseWriter, elems []string) {
 		}
 		body = append(make([]byte, 0, size), StudyListOpen...)
 		for i, e := range elems {
-			if i > 0 {
-				body = append(body, ',')
-			}
-			body = append(append(body, StudyListSep...), e...)
+			body = AppendStudyListElem(body, i, e)
 		}
 		body = append(body, StudyListClose...)
 	}
 	WriteBody(w, http.StatusOK, body)
+}
+
+// AppendStudyListElem appends element i of the study list, elem, to a body
+// that holds StudyListOpen and elements 0 to i-1.
+func AppendStudyListElem(body []byte, i int, elem string) []byte {
+	if i > 0 {
+		body = append(body, ',')
+	}
+	return append(append(body, StudyListSep...), elem...)
 }
 
 // WriteError writes err in the APIError envelope.

@@ -29,18 +29,18 @@ func ReadLines[T any](r io.Reader, decode func(line []byte, v *T) error) ([]T, e
 // only the active file gets ReadLines' torn-tail tolerance. A stream with
 // no files at all is an error wrapping os.ErrNotExist.
 func ReadSegmentedLines[T any](path string, decode func(line []byte, v *T) error) ([]T, error) {
-	return segmented(path, decode, readFile[T])
-}
-
-// segmented reads the sealed segments of the stream at path strictly and
-// then its active file with active. A missing active file after sealed
-// segments is a rotation that just happened: the next write recreates it.
-func segmented[T any](path string, decode func([]byte, *T) error,
-	active func(string, func([]byte, *T) error) ([]T, error)) ([]T, error) {
 	segs, err := SegmentFiles(path)
 	if err != nil {
 		return nil, err
 	}
+	return segmented(path, segs, decode, readFile[T])
+}
+
+// segmented reads the sealed segments segs of the stream at path strictly
+// and then its active file with active. A missing active file after sealed
+// segments is a rotation that just happened: the next write recreates it.
+func segmented[T any](path string, segs []string, decode func([]byte, *T) error,
+	active func(string, func([]byte, *T) error) ([]T, error)) ([]T, error) {
 	var out []T
 	for _, seg := range segs {
 		vs, err := readFile(seg, decode)

@@ -110,6 +110,18 @@ func SegmentFiles(journalPath string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	onDisk, err := filepath.Glob(strings.TrimSuffix(journalPath, ".jsonl") + "-*.jsonl")
+	if err != nil {
+		return nil, err
+	}
+	return Segments(journalPath, m, onDisk), nil
+}
+
+// Segments is SegmentFiles from the journal's manifest, already read, and
+// the paths of files on disk that may be its segments; paths that are not
+// are ignored. A caller that lists a directory once for many journals
+// hands each journal that listing, or the part of it that is its own.
+func Segments(journalPath string, m Manifest, onDisk []string) []string {
 	dir := filepath.Dir(journalPath)
 	byIndex := map[int]string{}
 	for _, name := range m.Segments {
@@ -118,11 +130,7 @@ func SegmentFiles(journalPath string) ([]string, error) {
 			byIndex[n] = p
 		}
 	}
-	glob, err := filepath.Glob(strings.TrimSuffix(journalPath, ".jsonl") + "-*.jsonl")
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range glob {
+	for _, p := range onDisk {
 		if n, ok := segmentIndex(journalPath, p); ok {
 			byIndex[n] = p
 		}
@@ -136,7 +144,7 @@ func SegmentFiles(journalPath string) ([]string, error) {
 	for _, n := range indexes {
 		out = append(out, byIndex[n])
 	}
-	return out, nil
+	return out
 }
 
 // ReadSegmented loads every record of a possibly-rotated journal:
@@ -151,7 +159,11 @@ func ReadSegmented(journalPath string) ([]Record, error) {
 // place, and the full record sequence returns. A journal with no files at
 // all is empty, not an error.
 func RepairSegmented(journalPath string) ([]Record, error) {
-	return segmented(journalPath, decodeLine, RepairLines[Record])
+	segs, err := SegmentFiles(journalPath)
+	if err != nil {
+		return nil, err
+	}
+	return segmented(journalPath, segs, decodeLine, RepairLines[Record])
 }
 
 // RecoverSegmented is RepairSegmented and Trials in one pass: it reads and
@@ -162,9 +174,19 @@ func RepairSegmented(journalPath string) ([]Record, error) {
 // RepairSegmented: it is never taken for a torn tail, even as the last
 // line.
 func RecoverSegmented(journalPath string, space *param.Space) ([]core.Trial, error) {
+	segs, err := SegmentFiles(journalPath)
+	if err != nil {
+		return nil, err
+	}
+	return RecoverSegments(journalPath, segs, space)
+}
+
+// RecoverSegments is RecoverSegmented over the sealed segments segs, as
+// SegmentFiles or Segments lists them.
+func RecoverSegments(journalPath string, segs []string, space *param.Space) ([]core.Trial, error) {
 	td := trialDecoder{rs: NewResolver(space)}
 	var resolveErr error
-	trials, err := segmented(journalPath, func(line []byte, t *core.Trial) error {
+	trials, err := segmented(journalPath, segs, func(line []byte, t *core.Trial) error {
 		lineErr, err := td.decode(line, t)
 		if resolveErr == nil {
 			resolveErr = err

@@ -24,6 +24,10 @@ type Cursor struct {
 // returns is a substring of s.
 func NewCursor(s string) Cursor { return Cursor{s: s} }
 
+// NewCursorAt returns a cursor that has consumed the first i bytes of s,
+// for an owner that knows how a walk of them from the start would end.
+func NewCursorAt(s string, i int) Cursor { return Cursor{s: s, i: i} }
+
 // Done reports whether nothing was declined and all of the message was
 // consumed.
 func (d *Cursor) Done() bool { return !d.bad && d.i == len(d.s) }

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"encoding/json"
+	"sort"
 	"strings"
 
 	"rldecide/internal/daemon"
@@ -61,24 +62,55 @@ func decodeList(body, backend string, out []listEntry) ([]listEntry, error) {
 	return out, nil
 }
 
-// splitList appends body's elements to out in one pass over body, or
-// reports false (with out as it was) when the body is not in the serve
-// daemon's form. Entries are substrings of body.
-func splitList(body, backend string, out []listEntry) ([]listEntry, bool) {
+// listMemo is what a backend's last list body leaves for its next one: the
+// body, when the splitter took it whole, and the byte span of each of its
+// elements. The splitter walks left to right and its decision on an
+// element depends only on the bytes up to that element's end, so every
+// element that ends inside the part of the next body equal to this one is
+// split as it was, and the walk resumes after the last of them
+// (FuzzSplitListResume).
+type listMemo struct {
+	body  string
+	spans []elemSpan
+}
+
+// elemSpan locates one element and its "id" in a list body.
+type elemSpan struct {
+	start, end  int // the element
+	idAt, idEnd int // its "id" string, without the quotes
+}
+
+// splitList appends body's elements to out in one pass over the part of
+// body that differs from memo's, or reports false (with out as it was)
+// when the body is not in the serve daemon's form. Entries are substrings
+// of body. memo is then body's: its split if taken, empty if declined.
+func splitList(body, backend string, out []listEntry, memo *listMemo) ([]listEntry, bool) {
+	spans := memo.settled(body)
+	memo.body, memo.spans = "", nil // the old body is not kept past here
 	if body == daemon.StudyListEmpty {
+		memo.body, memo.spans = body, spans[:0]
 		return out, true
 	}
-	d := jsonbytes.NewCursor(body)
-	d.Expect(daemon.StudyListOpen)
 	entries := out
-	for {
+	for _, sp := range spans {
+		entries = append(entries, listEntry{id: body[sp.idAt:sp.idEnd], raw: body[sp.start:sp.end], backend: backend})
+	}
+	var d jsonbytes.Cursor
+	more := true
+	if n := len(spans); n > 0 {
+		d = jsonbytes.NewCursorAt(body, spans[n-1].end)
+		more = d.Accept(",")
+	} else {
+		d = jsonbytes.NewCursor(body)
+		d.Expect(daemon.StudyListOpen)
+	}
+	for more {
 		d.Expect(daemon.StudyListSep)
 		start := d.Pos()
-		id := element(&d)
+		id, at := element(&d)
 		entries = append(entries, listEntry{id: id, raw: body[start:d.Pos()], backend: backend})
-		if !d.Accept(",") {
-			break
-		}
+		spans = append(spans, elemSpan{start: start, end: d.Pos(), idAt: at, idEnd: at + len(id)})
+		more = d.Accept(",")
 	}
 	// A json.Decoder would not look past the closing brace; whatever else
 	// a body has there, encoding/json gets to say.
@@ -86,15 +118,38 @@ func splitList(body, backend string, out []listEntry) ([]listEntry, bool) {
 	if !d.Done() {
 		return out, false
 	}
+	memo.body, memo.spans = body, spans
 	return entries, true
 }
 
+// settled returns the spans of memo's elements that end inside the common
+// prefix of memo's body and body, which are body's own first elements.
+// They share memo's array.
+func (memo *listMemo) settled(body string) []elemSpan {
+	p := commonPrefix(memo.body, body)
+	n := sort.Search(len(memo.spans), func(i int) bool { return memo.spans[i].end > p })
+	return memo.spans[:n]
+}
+
+// commonPrefix returns the length of the longest common prefix of a and b,
+// comparing a block at a time while the blocks agree.
+func commonPrefix(a, b string) int {
+	n := min(len(a), len(b))
+	i := 0
+	for block := 4096; block >= 1; block /= 16 {
+		for i+block <= n && a[i:i+block] == b[i:i+block] {
+			i += block
+		}
+	}
+	return i
+}
+
 // element consumes one summary in the encoder's own layout and returns
-// its "id". Because keys are lower-case ASCII, "id" and "daemon" are the
-// only ones json.Unmarshal would match to summaryProbe's fields, and both
-// must hold what it would accept there: a string. A repeated "id" would be
-// last-one-wins in json.Unmarshal.
-func element(d *jsonbytes.Cursor) (id string) {
+// its "id" and where that starts in the body. Because keys are lower-case
+// ASCII, "id" and "daemon" are the only ones json.Unmarshal would match to
+// summaryProbe's fields, and both must hold what it would accept there: a
+// string. A repeated "id" would be last-one-wins in json.Unmarshal.
+func element(d *jsonbytes.Cursor) (id string, at int) {
 	d.Expect("{")
 	for {
 		d.Expect("\n      ")
@@ -107,6 +162,7 @@ func element(d *jsonbytes.Cursor) (id string) {
 			if id != "" {
 				d.Decline()
 			}
+			at = d.Pos() + len(`"`)
 			if id = d.Str(); strings.ContainsFunc(id, htmlOrNonASCII) {
 				d.Decline()
 			}
@@ -125,7 +181,7 @@ func element(d *jsonbytes.Cursor) (id string) {
 	if id == "" {
 		d.Decline()
 	}
-	return id
+	return id, at
 }
 
 // isKey reports whether k is one or more of [a-z0-9_].

@@ -8,9 +8,11 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -209,6 +211,70 @@ func TestRouterListMatchesWriteJSON(t *testing.T) {
 	if got, want := mustGet(t, tsR.URL+"/studies"), referenceList(t, body); !bytes.Equal(got, want) {
 		t.Fatalf("live:\n%s\nwant\n%s", got, want)
 	}
+
+	// Relisting resumes each backend's split where its body stops matching
+	// the last one: the same body; one middle element changed and two
+	// appended; the first element changed; a foreign body, which leaves
+	// no memo; the daemon's form again. The answer is the reference one
+	// every time, with the alpha entries in ID order (no sort) and out of
+	// it.
+	sorted := trickySummaries("alpha")
+	slices.SortFunc(sorted, func(a, b studyd.Summary) int { return strings.Compare(a.ID, b.ID) })
+	for name, tc := range map[string]struct {
+		base   []studyd.Summary
+		others [][]byte
+	}{
+		"one, in order":     {sorted, nil},
+		"one, out of order": {trickySummaries("alpha"), nil},
+		"two":               {sorted, [][]byte{beta}},
+	} {
+		middle := slices.Clone(tc.base)
+		middle[len(middle)/2].Status, middle[len(middle)/2].Finished = studyd.StatusRunning, 9
+		middle = append(middle, summary("alpha-s0011", "appended", studyd.StatusPending, 1),
+			summary("alpha-s0012", "appended", studyd.StatusRunning, 1))
+		first := slices.Clone(middle)
+		first[0].Finished = 3
+		stub := newSwapStub(t, nil)
+		backends := []Backend{{Name: "alpha", URL: stub.URL}}
+		for i, other := range tc.others {
+			backends = append(backends, Backend{Name: fmt.Sprintf("b%d", i), URL: listStub(t, http.StatusOK, other).URL})
+		}
+		rt, tsR := newRouter(t, Config{Backends: backends})
+		for i, body := range [][]byte{
+			daemonBody(tc.base...), daemonBody(tc.base...), daemonBody(middle...), daemonBody(first...),
+			[]byte(foreignBodies["compact"]), daemonBody(first...),
+		} {
+			stub.body.Store(&body)
+			if got, want := mustGet(t, tsR.URL+"/studies"), referenceList(t, append([][]byte{body}, tc.others...)...); !bytes.Equal(got, want) {
+				t.Fatalf("%s, listing %d:\n%s\nwant\n%s", name, i, got, want)
+			}
+			rt.listMu.Lock()
+			memo := rt.lists["alpha"]
+			rt.listMu.Unlock()
+			if split := checkSplit(t, body); split != (memo != nil) || split && memo.body != string(body) {
+				t.Fatalf("%s, listing %d: split %v, memo %+v", name, i, split, memo)
+			}
+		}
+	}
+}
+
+// swapStub is a backend whose GET /studies body can be replaced between
+// listings.
+type swapStub struct {
+	*httptest.Server
+	body atomic.Pointer[[]byte]
+}
+
+func newSwapStub(t *testing.T, body []byte) *swapStub {
+	t.Helper()
+	s := &swapStub{}
+	s.body.Store(&body)
+	s.Server = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(*s.body.Load())
+	}))
+	t.Cleanup(s.Close)
+	return s
 }
 
 // foreignBodies are list bodies no serve daemon writes but encoding/json
@@ -258,7 +324,10 @@ var tornBodies = []string{
 func checkSplit(t *testing.T, body []byte) bool {
 	t.Helper()
 	accepted, err := jsonbytes.Differential(body,
-		func(b []byte, e *[]listEntry) (ok bool) { *e, ok = splitList(string(b), "b", nil); return ok },
+		func(b []byte, e *[]listEntry) (ok bool) {
+			*e, ok = splitList(string(b), "b", nil, &listMemo{})
+			return ok
+		},
 		func(b []byte, e *[]listEntry) (err error) { *e, err = decodeList(string(b), "b", nil); return err })
 	if err != nil {
 		t.Fatal(err)
@@ -322,6 +391,109 @@ func FuzzSplitList(f *testing.F) {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) { checkSplit(t, body) })
+}
+
+// checkResume holds the split of b resumed from a's memo to the split of b
+// from the start: the same accept or decline, entries, spliced output and
+// memo.
+func checkResume(t *testing.T, a, b []byte) {
+	t.Helper()
+	memo := &listMemo{}
+	splitList(string(a), "b", nil, memo)
+	got, ok := splitList(string(b), "b", nil, memo)
+	fresh := &listMemo{}
+	want, wantOK := splitList(string(b), "b", nil, fresh)
+	switch {
+	case ok != wantOK:
+		t.Fatalf("resumed split took %q: %v, fresh: %v (after %q)", b, ok, wantOK, a)
+	case !slices.Equal(got, want):
+		t.Fatalf("resumed split of %q:\n%q\nfresh:\n%q\n(after %q)", b, got, want, a)
+	case ok && !bytes.Equal(spliceBody(got), spliceBody(want)):
+		t.Fatalf("resumed split of %q splices differently (after %q)", b, a)
+	case memo.body != fresh.body || !slices.Equal(memo.spans, fresh.spans):
+		t.Fatalf("memo after %q then %q: %+v, fresh: %+v", a, b, memo, fresh)
+	case !ok && (memo.body != "" || memo.spans != nil):
+		t.Fatalf("declined %q but kept a memo %+v", b, memo)
+	}
+}
+
+// resumePairs are the seeds of FuzzSplitListResume: a body, then the one
+// that follows it. The bodies are kept short, which keeps the fuzzer's
+// minimization of an input short: four of the tricky summaries.
+func resumePairs() [][2][]byte {
+	sums := trickySummaries("alpha")[:4]
+	grown := append(slices.Clone(sums), summary("alpha-s0011", "next", studyd.StatusPending, 1))
+	last := slices.Clone(sums)
+	last[len(last)-1].Status, last[len(last)-1].Finished = studyd.StatusRunning, 5
+	first := slices.Clone(sums)
+	first[0].Finished = 2
+	full := daemonBody(sums...)
+	return [][2][]byte{
+		{full, daemonBody(grown...)},
+		{full, daemonBody(last...)},
+		{full, daemonBody(first...)},
+		{[]byte(foreignBodies["compact"]), full},
+		{full, full[:len(full)-len(daemon.StudyListClose)-5]},
+		{full, bytes.Replace(full, []byte("\n    },"), []byte("\n    ],"), 1)}, // the first element's last byte
+		{full, full},
+		{daemonBody(), full},
+		{full, daemonBody()},
+	}
+}
+
+func TestSplitListResume(t *testing.T) {
+	for _, p := range resumePairs() {
+		checkResume(t, p[0], p[1])
+	}
+}
+
+func FuzzSplitListResume(f *testing.F) {
+	for _, p := range resumePairs() {
+		f.Add(p[0], p[1])
+	}
+	f.Fuzz(checkResume)
+}
+
+// BenchmarkSplitListResume3500 splits a list of 3500 done studies and then
+// the same list with four more, each resuming from the memo of the body
+// before it (resumed) or from an empty memo, as a router's first listing
+// does (fresh). In head, the first element of the shorter body differs
+// too, so every split resumes from a memo that matches none of it: a body
+// that changes near its head. An iteration is the two splits.
+func BenchmarkSplitListResume3500(b *testing.B) {
+	sums := make([]studyd.Summary, 3504)
+	for i := range sums {
+		sums[i] = summary(fmt.Sprintf("d0-s%04d", i+1), "bench", studyd.StatusDone, 1)
+	}
+	changed := slices.Clone(sums[:3500])
+	changed[0].Finished = 2
+	grown := [2]string{string(daemonBody(sums[:3500]...)), string(daemonBody(sums...))}
+	for _, c := range []struct {
+		name   string
+		bodies [2]string
+		resume bool
+	}{
+		{"fresh", grown, false},
+		{"resumed", grown, true},
+		{"head", [2]string{string(daemonBody(changed...)), grown[1]}, true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			memo := &listMemo{}
+			entries := make([]listEntry, 0, len(sums))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, body := range c.bodies {
+					if !c.resume {
+						memo = &listMemo{}
+					}
+					var ok bool
+					if entries, ok = splitList(body, "d0", entries[:0], memo); !ok {
+						b.Fatal("declined")
+					}
+				}
+			}
+		})
+	}
 }
 
 // TestRouterListSkipsFailingBackend: a backend answering GET /studies with

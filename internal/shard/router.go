@@ -105,6 +105,12 @@ type Router struct {
 	// guarded-by: mu
 	down map[string]bool
 
+	listMu sync.Mutex
+	// lists holds each backend's listMemo: at most one list body per
+	// configured backend.
+	// guarded-by: listMu
+	lists map[string]*listMemo
+
 	spanMu sync.Mutex
 	// placeSpans holds the router's own placement spans per study so
 	// GET /studies/{id}/spans can splice them into the owning daemon's
@@ -142,6 +148,7 @@ func New(cfg Config) (*Router, error) {
 		placements: map[string]string{},
 		placed:     map[string]int{},
 		down:       map[string]bool{},
+		lists:      map[string]*listMemo{},
 		placeSpans: map[string][]span.Span{},
 	}
 	names := make([]string, 0, len(cfg.Backends))
@@ -425,8 +432,11 @@ func (rt *Router) listStudies(ctx context.Context) ([]string, error) {
 	if reached == 0 && lastErr != nil {
 		return nil, lastErr
 	}
-	// Stable, so that summaries of one ID stay in backend name order.
-	slices.SortStableFunc(entries, func(a, b listEntry) int { return strings.Compare(a.id, b.id) })
+	byID := func(a, b listEntry) int { return strings.Compare(a.id, b.id) }
+	if !slices.IsSortedFunc(entries, byID) {
+		// Stable, so that summaries of one ID stay in backend name order.
+		slices.SortStableFunc(entries, byID)
+	}
 	kept := entries[:0]
 	for _, e := range entries {
 		if n := len(kept); n > 0 && kept[n-1].id == e.id {
@@ -450,7 +460,9 @@ func (rt *Router) listStudies(ctx context.Context) ([]string, error) {
 	return out, nil
 }
 
-// appendList appends the summaries one backend lists to entries.
+// appendList appends the summaries one backend lists to entries. The
+// splitter resumes from the backend's last body it took whole (listMemo);
+// a body it declines leaves the backend no memo.
 func (rt *Router) appendList(ctx context.Context, b Backend, entries []listEntry) ([]listEntry, error) {
 	ctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
 	defer cancel()
@@ -479,7 +491,19 @@ func (rt *Router) appendList(ctx context.Context, b Backend, entries []listEntry
 		// against 0.3 MB and a sixth of the split's time.
 		entries = make([]listEntry, 0, len(body)/250+1)
 	}
-	if split, ok := splitList(body, b.Name, entries); ok {
+	// The memo is taken out while in use: a listing running beside this
+	// one splits its body from the start.
+	rt.listMu.Lock()
+	memo := rt.lists[b.Name]
+	delete(rt.lists, b.Name)
+	rt.listMu.Unlock()
+	if memo == nil {
+		memo = &listMemo{}
+	}
+	if split, ok := splitList(body, b.Name, entries, memo); ok {
+		rt.listMu.Lock()
+		rt.lists[b.Name] = memo
+		rt.listMu.Unlock()
 		return split, nil
 	}
 	return decodeList(body, b.Name, entries)

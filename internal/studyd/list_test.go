@@ -27,7 +27,7 @@ func fakeStudy(id, name string, status Status, finished int) *ManagedStudy {
 func putStudy(st *Store, m *ManagedStudy) {
 	st.mu.Lock()
 	st.studies[m.ID] = m
-	st.order = append(st.order, m.ID)
+	st.order = append(st.order, m)
 	st.mu.Unlock()
 }
 
@@ -88,6 +88,50 @@ func TestListMatchesWriteJSON(t *testing.T) {
 			t.Fatalf("pass %d:\n%s\nwant\n%s", pass, got, want)
 		}
 	}
+}
+
+// TestListSettledHead: the kept start of the body follows the leading run
+// of done studies in submission order. It stops at the first study not
+// done, takes in the ones behind it once that one is done, and the body
+// is the reflection encoder's every time.
+func TestListSettledHead(t *testing.T) {
+	d, err := New(Config{Dir: t.TempDir(), Logf: testLogf(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	running := fakeStudy("s0003", "running", StatusRunning, 2)
+	for _, m := range []*ManagedStudy{
+		fakeStudy("s0001", "done", StatusDone, 16),
+		fakeStudy("s0002", "<done> & co", StatusDone, 16),
+		running,
+		fakeStudy("s0004", "done", StatusDone, 16),
+	} {
+		putStudy(d.store, m)
+	}
+	listed := func(settled int) {
+		t.Helper()
+		if got, want := getList(t, d), wantListBody(d.store.List()); !bytes.Equal(got, want) {
+			t.Fatalf("list:\n%s\nwant\n%s", got, want)
+		}
+		d.store.listMu.Lock()
+		got := d.store.listed
+		d.store.listMu.Unlock()
+		if got != settled {
+			t.Fatalf("%d studies in the kept head, want %d", got, settled)
+		}
+	}
+	listed(2)
+	running.mu.Lock()
+	running.trials = append(running.trials, core.Trial{})
+	running.mu.Unlock()
+	listed(2)
+	running.mu.Lock()
+	running.status = StatusDone
+	running.mu.Unlock()
+	listed(4)
+	putStudy(d.store, fakeStudy("s0005", "pending", StatusPending, 0))
+	putStudy(d.store, fakeStudy("s0006", "done", StatusDone, 16))
+	listed(4)
 }
 
 // TestListFollowsStudy: a listing reflects the study as it is now — while

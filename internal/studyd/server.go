@@ -76,12 +76,8 @@ func (d *Daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Daemon) handleList(w http.ResponseWriter, r *http.Request) {
-	studies := d.store.List()
-	elems := make([]string, len(studies))
-	for i, m := range studies {
-		elems[i] = m.listElement()
-	}
-	daemon.WriteStudyList(w, elems)
+	head, tail := d.store.listBody()
+	daemon.WriteBody(w, http.StatusOK, head, tail)
 }
 
 func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request, tenant string) {

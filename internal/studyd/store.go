@@ -1,12 +1,14 @@
 package studyd
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -79,10 +81,11 @@ type ManagedStudy struct {
 
 	// listed and listElem memoize the study's element of the GET /studies
 	// body: listElem is the indented encoding of listed, good for as long
-	// as the study's summary still equals it — for a finished study, for
-	// ever. The comparison is the whole invalidation; nothing on the trial,
-	// status or adopt paths knows the memo exists. listElem is a string,
-	// so a handler may keep reading one after the lock is released.
+	// as the study's summary still equals it. The comparison is the whole
+	// invalidation; nothing on the trial, status or adopt paths knows the
+	// memo exists. Once listed is of the done study it is final, like
+	// frontBody, and is no longer compared. listElem is a string, so a
+	// handler may keep reading one after the lock is released.
 	// guarded-by: mu
 	listed Summary
 	// guarded-by: mu
@@ -167,16 +170,21 @@ func (m *ManagedStudy) Summary() Summary {
 
 // listElement returns the study's summary as GET /studies lists it
 // (daemon.StudyListElem), encoding it only if it changed since the last
-// listing.
-func (m *ManagedStudy) listElement() string {
+// listing, and whether it is final: the summary of the done study. Done
+// is terminal, and the run sets a journal error in the same critical
+// section as the status, so nothing in a done study's summary changes.
+func (m *ManagedStudy) listElement() (elem string, final bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.listElem != "" && m.listed.Status == StatusDone {
+		return m.listElem, true
+	}
 	if sum := m.summaryLocked(); m.listElem == "" || sum != m.listed {
 		// A struct of strings and integers always encodes.
 		m.listElem, _ = daemon.StudyListElem(sum)
 		m.listed = sum
 	}
-	return m.listElem
+	return m.listElem, m.listed.Status == StatusDone
 }
 
 func (m *ManagedStudy) summaryLocked() Summary {
@@ -412,10 +420,22 @@ type Store struct {
 	mu sync.Mutex
 	// guarded-by: mu
 	studies map[string]*ManagedStudy
+	// order is every study in submission order. It is only appended to.
 	// guarded-by: mu
-	order []string
+	order []*ManagedStudy
 	// guarded-by: mu
 	nextID int
+
+	listMu sync.Mutex
+	// listHead is the start of the GET /studies body up to the element of
+	// the last study of the leading run of done studies in order: the
+	// list's opening, then each one's separator and final element,
+	// listed of them. It is only appended to, so a handler may write a
+	// prefix of it after the lock is released.
+	// guarded-by: listMu
+	listHead []byte
+	// guarded-by: listMu
+	listed int
 }
 
 // OpenStore opens (creating if needed) the state directory and loads every
@@ -434,44 +454,50 @@ func OpenStore(dir, owner string, journalMax int64) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ids []string
+	// One listing of the directory serves every study: its IDs, and the
+	// files that may be sealed segments of its journal, which a rotation
+	// cut short by a crash can have left out of the manifest.
+	type minted struct {
+		id, minter string // minter is the ID's "<daemon>-" prefix, if any
+		counter    int
+	}
+	var ids []minted
+	segFiles := map[string][]string{}
 	for _, e := range entries {
-		if name, ok := strings.CutSuffix(e.Name(), ".spec.json"); ok {
-			ids = append(ids, name)
+		name := e.Name()
+		if id, ok := strings.CutSuffix(name, ".spec.json"); ok {
+			n, _ := counter(id)
+			ids = append(ids, minted{id, id[:strings.LastIndex(id, "-")+1], n})
+		} else if i := strings.LastIndex(name, ".trials-"); i >= 0 && strings.HasSuffix(name, ".jsonl") {
+			segFiles[name[:i]] = append(segFiles[name[:i]], filepath.Join(dir, name))
 		}
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		mine, err := st.owns(id)
+	// The IDs one daemon minted in submission order (s9999 before s10000),
+	// and, as a restart cannot know when each was adopted, the minters in
+	// name order, unprefixed IDs first: s0002, alpha-s0001, beta-s0001.
+	slices.SortFunc(ids, func(a, b minted) int {
+		return cmp.Or(strings.Compare(a.minter, b.minter), cmp.Compare(a.counter, b.counter), strings.Compare(a.id, b.id))
+	})
+	for _, s := range ids {
+		id := s.id
+		mf, _, err := journal.LoadManifest(st.journalPath(id))
 		if err != nil {
 			return nil, fmt.Errorf("studyd: manifest for study %s: %w", id, err)
 		}
-		if !mine {
+		// Another daemon's study is left on disk until adopted; an unowned
+		// one (no manifest, or the legacy layout) is anyone's.
+		if mf.Daemon != "" && st.owner != "" && mf.Daemon != st.owner {
 			continue
 		}
-		m, err := st.load(id)
+		m, err := st.load(id, mf, journal.Segments(st.journalPath(id), mf, segFiles[id]))
 		if err != nil {
 			return nil, fmt.Errorf("studyd: loading study %s: %w", id, err)
 		}
 		st.studies[id] = m
-		st.order = append(st.order, id)
+		st.order = append(st.order, m)
 		st.bumpNext(id)
 	}
 	return st, nil
-}
-
-// owns reports whether this store may load the study: it is unowned (no
-// manifest, or a manifest without a daemon — the legacy layout), owned by
-// this daemon, or the store is in single-daemon mode.
-func (st *Store) owns(id string) (bool, error) {
-	m, ok, err := journal.LoadManifest(st.journalPath(id))
-	if err != nil {
-		return false, err
-	}
-	if !ok || m.Daemon == "" || st.owner == "" {
-		return true, nil
-	}
-	return m.Daemon == st.owner, nil
 }
 
 func (st *Store) journalPath(id string) string {
@@ -483,18 +509,24 @@ func (st *Store) journalPath(id string) string {
 // minting daemon's name (alpha-s0001); the trailing segment carries the
 // counter.
 func (st *Store) bumpNext(id string) {
-	tail := id
-	if i := strings.LastIndex(id, "-"); i >= 0 {
-		tail = id[i+1:]
-	}
-	var n int
-	if _, err := fmt.Sscanf(tail, "s%d", &n); err == nil {
+	if n, ok := counter(id); ok {
 		st.mu.Lock()
 		if n >= st.nextID {
 			st.nextID = n + 1
 		}
 		st.mu.Unlock()
 	}
+}
+
+// counter returns the ID counter a study ID was minted with.
+func counter(id string) (int, bool) {
+	tail := id
+	if i := strings.LastIndex(id, "-"); i >= 0 {
+		tail = id[i+1:]
+	}
+	var n int
+	_, err := fmt.Sscanf(tail, "s%d", &n)
+	return n, err == nil
 }
 
 // wireForm returns a persisted spec exactly as encoding/json sends it
@@ -507,7 +539,9 @@ func wireForm(persisted []byte) ([]byte, error) {
 	return json.Marshal(json.RawMessage(persisted))
 }
 
-func (st *Store) load(id string) (*ManagedStudy, error) {
+// load reads a study back from its spec and its journal, whose manifest
+// (zero if there is none) and sealed segments the caller has read.
+func (st *Store) load(id string, mf journal.Manifest, segs []string) (*ManagedStudy, error) {
 	raw, err := os.ReadFile(filepath.Join(st.dir, id+".spec.json"))
 	if err != nil {
 		return nil, err
@@ -531,13 +565,9 @@ func (st *Store) load(id string) (*ManagedStudy, error) {
 		journalMax:  st.journalMax,
 		status:      StatusPending,
 		done:        make(chan struct{}),
-	}
-	if mf, ok, err := journal.LoadManifest(m.journalPath); err != nil {
-		return nil, err
-	} else if ok {
-		m.Tenant = mf.Tenant
-		m.Daemon = mf.Daemon
-		m.Generation = mf.Generation
+		Tenant:      mf.Tenant,
+		Daemon:      mf.Daemon,
+		Generation:  mf.Generation,
 	}
 	// Crash safety: a torn final record (append cut short by the crash)
 	// is truncated away so the journal is clean for both replay and the
@@ -546,7 +576,7 @@ func (st *Store) load(id string) (*ManagedStudy, error) {
 	if err != nil {
 		return nil, err
 	}
-	trials, err := journal.RecoverSegmented(m.journalPath, space)
+	trials, err := journal.RecoverSegments(m.journalPath, segs, space)
 	if err != nil {
 		return nil, err
 	}
@@ -607,7 +637,7 @@ func (st *Store) Submit(spec Spec, tenant string) (*ManagedStudy, error) {
 	}
 	st.mu.Lock()
 	st.studies[id] = m
-	st.order = append(st.order, id)
+	st.order = append(st.order, m)
 	st.mu.Unlock()
 	return m, nil
 }
@@ -639,7 +669,11 @@ func (st *Store) Adopt(id string) (m *ManagedStudy, fresh bool, err error) {
 	if err := journal.SaveManifest(jp, mf); err != nil {
 		return nil, false, err
 	}
-	m, err = st.load(id)
+	segs, err := journal.SegmentFiles(jp)
+	if err != nil {
+		return nil, false, err
+	}
+	m, err = st.load(id, mf, segs)
 	if err != nil {
 		return nil, false, err
 	}
@@ -649,7 +683,7 @@ func (st *Store) Adopt(id string) (m *ManagedStudy, fresh bool, err error) {
 		return raced, false, nil
 	}
 	st.studies[id] = m
-	st.order = append(st.order, id)
+	st.order = append(st.order, m)
 	st.mu.Unlock()
 	st.bumpNext(id)
 	return m, true, nil
@@ -679,11 +713,38 @@ func (st *Store) Get(id string) (*ManagedStudy, bool) {
 func (st *Store) List() []*ManagedStudy {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	out := make([]*ManagedStudy, 0, len(st.order))
-	for _, id := range st.order {
-		out = append(out, st.studies[id])
+	return slices.Clone(st.order)
+}
+
+// listBody returns the GET /studies body, daemon.WriteStudyList's of the
+// studies' list elements, in two parts: the kept bytes up to the last
+// study of the leading run of done studies, which each listing extends by
+// the studies that joined the run since the last, and the rest.
+func (st *Store) listBody() (head, tail []byte) {
+	st.mu.Lock()
+	studies := st.order[:len(st.order):len(st.order)] // only ever appended to
+	st.mu.Unlock()
+	if len(studies) == 0 {
+		return []byte(daemon.StudyListEmpty), nil
 	}
-	return out
+	st.listMu.Lock()
+	if st.listHead == nil {
+		st.listHead = []byte(daemon.StudyListOpen)
+	}
+	for ; st.listed < len(studies); st.listed++ {
+		elem, final := studies[st.listed].listElement()
+		if !final {
+			break
+		}
+		st.listHead = daemon.AppendStudyListElem(st.listHead, st.listed, elem)
+	}
+	head, listed := st.listHead, st.listed
+	st.listMu.Unlock()
+	for i := listed; i < len(studies); i++ {
+		elem, _ := studies[i].listElement()
+		tail = daemon.AppendStudyListElem(tail, i, elem)
+	}
+	return head, append(tail, daemon.StudyListClose...)
 }
 
 // Resumable returns the loaded studies that still have budget left and are

@@ -624,6 +624,112 @@ func TestStoreLoadMarksCompletedDone(t *testing.T) {
 	}
 }
 
+// TestReopenListsInSubmissionOrder: a reopened store lists the studies one
+// daemon minted in the order it minted them, past s9999 too, as the live
+// store did; IDs with a daemon's prefix, from a named daemon or adopted
+// from one, come after the unprefixed ones, grouped by that daemon's name.
+func TestReopenListsInSubmissionOrder(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := st.Submit(baseSpec("sphere"), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := os.ReadFile(filepath.Join(dir, m.ID+".spec.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopen := func(want string, ids ...string) *Store {
+		t.Helper()
+		for _, id := range ids {
+			if err := os.WriteFile(filepath.Join(dir, id+".spec.json"), spec, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := OpenStore(dir, "", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var listed []string
+		for _, m := range st.List() {
+			listed = append(listed, m.ID)
+		}
+		if got := fmt.Sprint(listed); got != want {
+			t.Fatalf("reopened store lists %s, want %s", got, want)
+		}
+		return st
+	}
+	st = reopen("[s0001 s9999 s10000]", "s9999", "s10000")
+	next, err := st.Submit(baseSpec("sphere"), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.ID != "s10001" {
+		t.Fatalf("next study minted as %s, want s10001", next.ID)
+	}
+	reopen("[s0001 s9999 s10000 s10001 alpha-s0002 alpha-s9999 alpha-s10000 beta-s0001]",
+		"beta-s0001", "alpha-s10000", "alpha-s0002", "alpha-s9999")
+}
+
+// TestReopenAdoptsStraySegment: a daemon restarted after a crash between a
+// rotation's rename and its manifest rewrite replays the sealed segment
+// the manifest lacks, taken from the one listing of the state directory,
+// and no other study's segments.
+func TestReopenAdoptsStraySegment(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Dir: dir, Name: "alpha", Workers: 2, JournalMaxBytes: 300, Logf: testLogf(t)}
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Start()
+	var want [][]core.Trial
+	var studies []*ManagedStudy
+	for i := 0; i < 2; i++ {
+		sp := baseSpec("sphere")
+		sp.Budget, sp.Seed = 12, uint64(i+1)
+		m, err := d.Submit(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitStatus(t, m, StatusDone)
+		studies = append(studies, m)
+		want = append(want, m.Trials())
+	}
+	if err := d.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	jp := filepath.Join(dir, studies[0].ID+".trials.jsonl")
+	mf, ok, err := journal.LoadManifest(jp)
+	if err != nil || !ok || len(mf.Segments) < 2 {
+		t.Fatalf("need >= 2 sealed segments: %v %v %v", mf.Segments, ok, err)
+	}
+	mf.Segments = mf.Segments[:len(mf.Segments)-1]
+	if err := journal.SaveManifest(jp, mf); err != nil {
+		t.Fatal(err)
+	}
+
+	d, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown(context.Background())
+	for i, m := range studies {
+		r, ok := d.Store().Get(m.ID)
+		if !ok {
+			t.Fatalf("study %s not reloaded", m.ID)
+		}
+		if got := r.Trials(); r.Status() != StatusDone || !slices.EqualFunc(got, want[i], func(a, b core.Trial) bool {
+			return a.ID == b.ID && a.Seed == b.Seed
+		}) {
+			t.Fatalf("study %s reloaded %s with %d trials, want done with %d", m.ID, r.Status(), len(got), len(want[i]))
+		}
+	}
+}
+
 func TestCancelEndpointLeavesStudyResumable(t *testing.T) {
 	var blockMu sync.Mutex
 	blocked := 0
