@@ -51,12 +51,12 @@ type Trial struct {
 	Params param.Assignment
 	// Values holds the recorded metrics (name-sorted).
 	Values Values
-	// Intermediate holds the trial's intermediate objective reports (used
-	// by pruners).
-	Intermediate []float64
-	Pruned       bool
-	Err          error
-	Seed         uint64
+	// Pruned marks a trial an objective stopped early. Nothing in this
+	// repository prunes; journals that carry the flag still load, and TPE
+	// leaves such trials out of its model.
+	Pruned bool
+	Err    error
+	Seed   uint64
 	// Worker names the executor that evaluated the trial ("local", or a
 	// remote worker's registered name). Attribution only: replay and
 	// ranking ignore it, so a campaign resumes identically whether its
@@ -70,16 +70,12 @@ type Trial struct {
 	WallMs float64
 }
 
-// Recorder is handed to the objective to report metric values and
-// intermediate progress.
+// Recorder is handed to the objective to report metric values.
 type Recorder struct {
-	// study is nil for a standalone recorder (NewRecorder): no pruner.
-	study       *Study
-	metrics     []Metric
-	trial       *Trial
-	ctx         context.Context
-	mu          sync.Mutex
-	interrupted bool
+	metrics []Metric
+	trial   *Trial
+	ctx     context.Context
+	mu      sync.Mutex
 }
 
 // Context returns the run context of the trial. Long-running objectives
@@ -122,12 +118,6 @@ func NewRecorder(ctx context.Context, metrics []Metric) (*Recorder, *Trial) {
 	return &Recorder{metrics: metrics, trial: t, ctx: ctx}, t
 }
 
-func (r *Recorder) wasInterrupted() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.interrupted
-}
-
 // Report records the final value of a metric. Unknown metric names panic:
 // the metric list is the study's contract.
 func (r *Recorder) Report(metric string, value float64) {
@@ -138,40 +128,6 @@ func (r *Recorder) Report(metric string, value float64) {
 	defer r.mu.Unlock()
 	r.trial.Values.Set(metric, value)
 }
-
-// Intermediate reports a progress value of the study's primary metric and
-// returns false when the pruner decides the trial should stop. Objectives
-// that support pruning should return early (ErrPruned) when it returns
-// false.
-func (r *Recorder) Intermediate(value float64) bool {
-	if r.ctx != nil && r.ctx.Err() != nil {
-		// The run was cancelled: stop the objective through the same
-		// early-return path pruning uses. The trial is discarded, not
-		// recorded as pruned.
-		r.mu.Lock()
-		r.interrupted = true
-		r.mu.Unlock()
-		return false
-	}
-	r.mu.Lock()
-	step := len(r.trial.Intermediate)
-	r.trial.Intermediate = append(r.trial.Intermediate, value)
-	r.mu.Unlock()
-	if r.study == nil || r.study.Pruner == nil {
-		return true
-	}
-	hist := r.study.finishedIntermediates()
-	prune := r.study.Pruner.ShouldPrune(step, value, r.study.primary().Direction == pareto.Maximize, hist)
-	if prune {
-		r.mu.Lock()
-		r.trial.Pruned = true
-		r.mu.Unlock()
-	}
-	return !prune
-}
-
-// ErrPruned is returned by objectives that stop after a pruning decision.
-var ErrPruned = fmt.Errorf("core: trial pruned")
 
 // Objective runs one learning configuration and reports its metrics.
 type Objective func(a param.Assignment, seed uint64, rec *Recorder) error
@@ -201,12 +157,9 @@ type Study struct {
 	Ranker    Ranker
 	Objective Objective
 
-	// PrimaryMetric is the metric single-objective explorers and pruners
-	// optimize (default: the first metric).
+	// PrimaryMetric is the metric single-objective explorers optimize
+	// (default: the first metric).
 	PrimaryMetric string
-
-	// Pruner optionally stops unpromising trials early.
-	Pruner search.Pruner
 
 	// Parallelism is the number of trials evaluated concurrently
 	// (default 1; with more, history-dependent explorers see whatever has
@@ -303,19 +256,6 @@ func (s *Study) history() []search.Observation {
 	return out
 }
 
-// finishedIntermediates snapshots finished trials' intermediate curves.
-func (s *Study) finishedIntermediates() [][]float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out [][]float64
-	for _, t := range s.trials {
-		if len(t.Intermediate) > 0 && !t.Pruned && t.Err == nil {
-			out = append(out, t.Intermediate)
-		}
-	}
-	return out
-}
-
 // Resume seeds the study with previously finished trials (typically loaded
 // from a journal) before Run/RunContext is called. Resumed trials count
 // against the trial budget and are visible to the explorer as history;
@@ -390,7 +330,7 @@ func (s *Study) report() *Report {
 // that keeps the trials (the daemon) takes each from OnTrial, and one that
 // wants the ranking calls Run. When ctx is cancelled the study stops
 // proposing trials, discards in-flight trials that observe the
-// cancellation (through Recorder.Context or Recorder.Intermediate), waits
+// cancellation (through Recorder.Context), waits
 // for the workers to drain, and returns ctx's error. Discarded trials are
 // re-proposed on the next run when the study is reseeded with Resume,
 // which is what makes campaigns crash-safe.
@@ -452,7 +392,7 @@ func (s *Study) RunContext(ctx context.Context, nTrials int) error {
 		}()
 	}
 
-	// History-free explorers (plain random search, grid, LHS) never read
+	// History-free explorers (plain random search, grid) never read
 	// the observation list, so skip the per-proposal O(n) conversion —
 	// O(n²) over a campaign — entirely.
 	historyFree := false
@@ -538,10 +478,9 @@ func (s *Study) runTrial(ctx context.Context, t Trial, tr *trialRunner) {
 	tr.vals = tr.vals[nm:]
 	tr.slot = t
 	rec := &tr.rec
-	rec.study, rec.metrics = s, s.Metrics
+	rec.metrics = s.Metrics
 	rec.trial = &tr.slot
 	rec.ctx = ctx
-	rec.interrupted = false
 	err := func() (err error) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -553,11 +492,11 @@ func (s *Study) runTrial(ctx context.Context, t Trial, tr *trialRunner) {
 	if ctx.Err() != nil {
 		// Distinguish "failed" from "interrupted": a trial cut short by
 		// cancellation is dropped entirely so resume re-runs it.
-		if rec.wasInterrupted() || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return
 		}
 	}
-	if err != nil && err != ErrPruned {
+	if err != nil {
 		tr.slot.Err = err
 	}
 	s.mu.Lock()

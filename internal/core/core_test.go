@@ -191,46 +191,6 @@ func TestUnknownMetricPanics(t *testing.T) {
 	}
 }
 
-func TestPruning(t *testing.T) {
-	s := newStudy()
-	s.PrimaryMetric = "quality"
-	s.Pruner = search.ThresholdPruner{Bound: 0.5}
-	s.Objective = func(a param.Assignment, seed uint64, rec *Recorder) error {
-		// Low-x trials report high intermediate quality, high-x low.
-		q := 1 - a.Value("x").Float()
-		for i := 0; i < 3; i++ {
-			if !rec.Intermediate(q) {
-				return ErrPruned
-			}
-		}
-		rec.Report("cost", a.Value("x").Float())
-		rec.Report("quality", q)
-		return nil
-	}
-	rep, err := s.Run(30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pruned := 0
-	for _, tr := range rep.Trials {
-		if tr.Pruned {
-			pruned++
-			if tr.Err != nil {
-				t.Fatal("pruned trial must not be marked failed")
-			}
-			if len(tr.Values) != 0 {
-				t.Fatal("pruned trial should carry no final metrics")
-			}
-		}
-	}
-	if pruned == 0 {
-		t.Fatal("threshold pruner never fired")
-	}
-	if len(rep.Completed())+pruned != 30 {
-		t.Fatalf("completed %d + pruned %d != 30", len(rep.Completed()), pruned)
-	}
-}
-
 func TestGridExhaustionStopsEarly(t *testing.T) {
 	s := newStudy()
 	s.Space = param.MustSpace(param.NewIntSet("x", 1, 2), param.NewIntSet("y", 1, 2))
@@ -314,28 +274,6 @@ func TestSortedRanker(t *testing.T) {
 	}
 }
 
-func TestWeightedRanker(t *testing.T) {
-	trials := []Trial{
-		{ID: 1, Values: ValuesFromMap(map[string]float64{"q": 1, "c": 10})},
-		{ID: 2, Values: ValuesFromMap(map[string]float64{"q": 0.9, "c": 1})},
-		{ID: 3, Values: ValuesFromMap(map[string]float64{"q": 0, "c": 10})},
-	}
-	ms := []Metric{
-		{Name: "q", Direction: pareto.Maximize},
-		{Name: "c", Direction: pareto.Minimize},
-	}
-	rk := WeightedRanker{Weights: map[string]float64{"q": 1, "c": 1}}.Rank(trials, ms)
-	if rk.Ordered[0] != 1 {
-		t.Fatalf("trial 2 should win the balanced weighting: %v", rk.Ordered)
-	}
-	if trials[rk.Ordered[len(rk.Ordered)-1]].ID != 3 {
-		t.Fatalf("trial 3 should be last: %v", rk.Ordered)
-	}
-	if got := (WeightedRanker{}).Rank(nil, ms); got.Method != "weighted" {
-		t.Fatal("empty rank")
-	}
-}
-
 func TestParetoRankerEps(t *testing.T) {
 	trials := []Trial{
 		{ID: 1, Values: ValuesFromMap(map[string]float64{"q": 1.00, "c": 100})},
@@ -406,27 +344,6 @@ func TestParetoRankerCoversEachTrialOnce(t *testing.T) {
 	}
 }
 
-func TestIntermediateWithoutPruner(t *testing.T) {
-	s := newStudy()
-	s.Objective = func(a param.Assignment, seed uint64, rec *Recorder) error {
-		for i := 0; i < 3; i++ {
-			if !rec.Intermediate(float64(i)) {
-				t.Error("no pruner: Intermediate must always continue")
-			}
-		}
-		rec.Report("cost", 1)
-		rec.Report("quality", 1)
-		return nil
-	}
-	rep, err := s.Run(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Trials[0].Intermediate) != 3 {
-		t.Fatal("intermediates not recorded")
-	}
-}
-
 func TestNaNObjectiveStillRecorded(t *testing.T) {
 	s := newStudy()
 	s.Objective = func(a param.Assignment, seed uint64, rec *Recorder) error {
@@ -492,21 +409,21 @@ func TestRunContextCancelKeepsPartialTrials(t *testing.T) {
 	}
 }
 
-func TestIntermediateStopsOnCancel(t *testing.T) {
+// TestCancelledTrialIsDiscarded: an objective that stops on its
+// Recorder.Context and returns the (wrapped) cancellation is neither
+// recorded nor passed to OnTrial, so a resumed campaign runs it again.
+func TestCancelledTrialIsDiscarded(t *testing.T) {
 	s := newStudy()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	recorded := false
 	s.OnTrial = func(Trial) { recorded = true }
 	s.Objective = func(a param.Assignment, seed uint64, rec *Recorder) error {
-		for rec.Intermediate(0) {
-			t.Fatal("Intermediate must return false once the context is cancelled")
-		}
-		return ErrPruned
+		<-rec.Context().Done()
+		return fmt.Errorf("training stopped: %w", rec.Context().Err())
 	}
 	// The proposal loop observes the cancelled context before submitting
 	// anything, so drive runTrial directly.
-	s.PrimaryMetric = "quality"
 	if err := s.validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -239,53 +239,3 @@ func (s SortedRanker) Rank(trials []Trial, metrics []Metric) Ranking {
 	})
 	return Ranking{Method: "sorted", Ordered: order}
 }
-
-// WeightedRanker ranks trials by a weighted sum of normalized metrics
-// (each metric min-max normalized to [0,1] in its "better" direction).
-type WeightedRanker struct {
-	Weights map[string]float64
-}
-
-// Name implements Ranker.
-func (w WeightedRanker) Name() string { return "weighted" }
-
-// Rank implements Ranker.
-func (w WeightedRanker) Rank(trials []Trial, metrics []Metric) Ranking {
-	if len(trials) == 0 {
-		return Ranking{Method: "weighted"}
-	}
-	scores := make([]float64, len(trials))
-	for _, m := range metrics {
-		weight, ok := w.Weights[m.Name]
-		if !ok {
-			continue
-		}
-		lo, hi := trials[0].Values.At(m.Name), trials[0].Values.At(m.Name)
-		for _, t := range trials[1:] {
-			v := t.Values.At(m.Name)
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		span := hi - lo
-		for i, t := range trials {
-			if span == 0 {
-				continue
-			}
-			norm := (t.Values.At(m.Name) - lo) / span
-			if m.Direction == pareto.Minimize {
-				norm = 1 - norm
-			}
-			scores[i] += weight * norm
-		}
-	}
-	order := make([]int, len(trials))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return scores[order[a]] > scores[order[b]] })
-	return Ranking{Method: "weighted", Ordered: order}
-}

@@ -722,3 +722,68 @@ func TestJournalResumeRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestFileReadMatchesStreamRead: a file's first read buffer is sized from
+// the file, so reading a file must give its lines exactly as reading the
+// same bytes as a stream does, for sizes on both sides of the 64 kB cap, a
+// line longer than the first buffer, an unterminated last line and a torn
+// one.
+func TestFileReadMatchesStreamRead(t *testing.T) {
+	decode := func(line []byte, v *string) error {
+		if line[0] != '{' || line[len(line)-1] != '}' {
+			return fmt.Errorf("not a value")
+		}
+		*v = string(line)
+		return nil
+	}
+	line := func(n int) string { return "{" + strings.Repeat("x", n-2) + "}" } // n bytes
+	const kb64 = 64 * 1024
+	for name, body := range map[string]string{
+		"empty":          "",
+		"small":          line(30) + "\n" + line(40) + "\n",
+		"unterminated":   line(30) + "\n" + line(40),
+		"torn":           line(30) + "\n{xx",
+		"cap-1":          line(kb64-2) + "\n",
+		"cap":            line(kb64-1) + "\n",
+		"cap+1":          line(kb64) + "\n",
+		"cap unterm":     line(kb64),
+		"long line":      line(100) + "\n" + line(3*kb64) + "\n" + line(50) + "\n",
+		"long then torn": line(2*kb64) + "\n{" + strings.Repeat("y", kb64),
+	} {
+		path := filepath.Join(t.TempDir(), "lines.jsonl")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// The values are the non-empty lines; a last one that is not a
+		// value is a torn tail.
+		var want []string
+		var wantErr error
+		for _, l := range strings.Split(body, "\n") {
+			if l == "" {
+				continue
+			}
+			if decode([]byte(l), new(string)) != nil {
+				wantErr = ErrTruncated
+				break
+			}
+			want = append(want, l)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotErr := ReadLines(f, decode)
+		f.Close()
+		stream, streamErr := ReadLines(strings.NewReader(body), decode)
+		if !errors.Is(gotErr, wantErr) || fmt.Sprint(gotErr) != fmt.Sprint(streamErr) ||
+			len(got) != len(want) || len(stream) != len(want) {
+			t.Fatalf("%s: file read %d values, %v; stream read %d, %v; want %d, %v",
+				name, len(got), gotErr, len(stream), streamErr, len(want), wantErr)
+		}
+		for i := range want {
+			if got[i] != want[i] || stream[i] != want[i] {
+				t.Fatalf("%s: value %d differs", name, i)
+			}
+		}
+	}
+}

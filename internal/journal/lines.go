@@ -115,9 +115,19 @@ func terminate(path string) error {
 // prefix is not empty and does not end in a newline. Each value is decoded
 // in place in out, so a decoder reached through a func value costs no
 // allocation of its own per line.
+//
+// The first buffer is 64 kB, or the size of a smaller file plus the one
+// byte that lets its last read see the end: a state directory holds many
+// short journals. A line longer than the buffer grows it, up to maxLine.
 func scan[T any](r io.Reader, decode func([]byte, *T) error) (out []T, end int64, open bool, err error) {
+	size := int64(64 * 1024)
+	if f, ok := r.(*os.File); ok {
+		if fi, err := f.Stat(); err == nil && fi.Size() < size {
+			size = fi.Size() + 1
+		}
+	}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
+	sc.Buffer(make([]byte, 0, size), maxLine)
 	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
 		advance, token, err := bufio.ScanLines(data, atEOF)
 		if advance > 0 {

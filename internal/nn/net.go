@@ -84,6 +84,7 @@ type Dense struct {
 	dx      *tensor.Mat
 	dz, dw  *tensor.Mat
 	wt      *tensor.Mat // packed Wᵀ scratch for the forward product
+	xt, dzt *tensor.Mat // xᵀ and packed dzᵀ scratch for the weight gradient
 }
 
 // ensureMat is tensor.Ensure: reuse scratch when capacity allows, so
@@ -197,11 +198,14 @@ func (d *Dense) Backward(dy *tensor.Mat) *tensor.Mat {
 	d.dz = ensureMat(d.dz, dy.R, dy.C)
 	dz := d.dz
 	activationDeriv(d.Act, dz.Data, dy.Data, d.z.Data, d.y.Data)
-	// Accumulate parameter grads.
+	// Accumulate parameter grads. dW = xᵀ @ dz is the forward product's
+	// form on xᵀ: ascending batch index, zero entries of x skipped.
 	if d.dw == nil {
 		d.dw = tensor.New(d.In, d.Out)
 	}
-	tensor.MulTransAInto(d.dw, d.x, dz)
+	d.xt = ensureMat(d.xt, d.In, dz.R)
+	tensor.TransposeInto(d.xt, d.x)
+	d.dzt = tensor.MulIntoPacked(d.dw, d.xt, dz, d.dzt)
 	d.DW.Add(d.dw)
 	for r := 0; r < dz.R; r++ {
 		row := dz.Row(r)

@@ -1,8 +1,8 @@
 // Package search implements the exploratory methods of step (c) of the
 // paper's methodology: Random Search (used in the paper's campaign), Grid
-// Search, and a Tree-of-Parzen-Estimators sampler plus trial pruners in
-// the style of the Hyperopt/Optuna frameworks the paper cites as the
-// alternative implementation route.
+// Search, and a Tree-of-Parzen-Estimators sampler in the style of the
+// Hyperopt/Optuna frameworks the paper cites as the alternative
+// implementation route.
 package search
 
 import (

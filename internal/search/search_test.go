@@ -184,58 +184,6 @@ func TestTPEIntRangeAllocCeiling(t *testing.T) {
 	}
 }
 
-func TestMedianPruner(t *testing.T) {
-	history := [][]float64{
-		{1, 2, 3},
-		{1, 2, 3},
-		{1, 2, 3},
-		{1, 2, 3},
-	}
-	p := MedianPruner{}
-	// maximizing trial below the median at step 1 → prune
-	if !p.ShouldPrune(1, 1.0, true, history) {
-		t.Error("should prune below-median maximizer")
-	}
-	if p.ShouldPrune(1, 3.0, true, history) {
-		t.Error("should keep above-median maximizer")
-	}
-	// minimizing: above median → prune
-	if !p.ShouldPrune(1, 5.0, false, history) {
-		t.Error("should prune above-median minimizer")
-	}
-	// warmup suppresses
-	pw := MedianPruner{WarmupSteps: 2}
-	if pw.ShouldPrune(1, -100, true, history) {
-		t.Error("warmup should suppress pruning")
-	}
-	// not enough finished trials
-	if p.ShouldPrune(1, -100, true, history[:2]) {
-		t.Error("too few trials should suppress pruning")
-	}
-	if p.Name() != "median" {
-		t.Error("name")
-	}
-}
-
-func TestThresholdPruner(t *testing.T) {
-	p := ThresholdPruner{Bound: -2, WarmupSteps: 1}
-	if p.ShouldPrune(0, -5, true, nil) {
-		t.Error("warmup should suppress")
-	}
-	if !p.ShouldPrune(2, -5, true, nil) {
-		t.Error("below bound maximizer should prune")
-	}
-	if p.ShouldPrune(2, -1, true, nil) {
-		t.Error("above bound maximizer should survive")
-	}
-	if !p.ShouldPrune(2, 5, false, nil) {
-		t.Error("minimizer above bound should prune")
-	}
-	if p.Name() != "threshold" {
-		t.Error("name")
-	}
-}
-
 func TestExplorerNames(t *testing.T) {
 	if (RandomSearch{}).Name() != "random" || (&GridSearch{}).Name() != "grid" || (TPE{}).Name() != "tpe" {
 		t.Fatal("names wrong")

@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// TestProductsAllocsZero pins the four products at zero allocations once
-// the packed scratch exists, at a batch (128×64×64) larger than any the
-// campaign trains — there is no size past which a product allocates.
+// TestProductsAllocsZero pins the products at zero allocations once the
+// packed scratch exists, at a batch (128×64×64) larger than any the
+// campaign trains, and with them the transpose a weight gradient takes.
 //
 // testing.AllocsPerRun measures under GOMAXPROCS(1), so it cannot tell
 // whether the contract holds off one P; this counts mallocs at the ambient
@@ -21,6 +21,7 @@ func TestProductsAllocsZero(t *testing.T) {
 	w := randMatSparse(rng, 64, 64)
 	dst := New(128, 64)
 	dw := New(64, 64)
+	at := New(64, 128)
 	bt := MulIntoPacked(dst, a, w, nil) // warm up: sizes the scratch
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -28,7 +29,8 @@ func TestProductsAllocsZero(t *testing.T) {
 	for i := 0; i < passes; i++ {
 		MulInto(dst, a, w)
 		bt = MulIntoPacked(dst, a, w, bt)
-		MulTransAInto(dw, a, dst)
+		TransposeInto(at, a)
+		bt = MulIntoPacked(dw, at, dst, bt)
 		MulTransBInto(dst, a, w)
 	}
 	runtime.ReadMemStats(&after)

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 )
 
 // Mat is a dense row-major matrix of float64.
@@ -159,50 +160,52 @@ func Ensure(m *Mat, r, c int) *Mat {
 }
 
 // TransposeInto writes mᵀ into dst (dst must be m.C×m.R and must not alias
-// m). The j-outer loop streams dst sequentially; m is read with stride C,
-// which for the weight matrices this packs (tens of KiB) stays cache
-// resident.
+// m). Eight rows of m are read side by side, so every read streams a row
+// and every write fills eight adjacent elements (a cache line) of a dst
+// row.
 func TransposeInto(dst, m *Mat) {
 	if dst.R != m.C || dst.C != m.R {
 		panic("tensor: TransposeInto dst shape mismatch")
 	}
+	if dst == m {
+		panic("tensor: TransposeInto dst aliases input")
+	}
 	r, c := m.R, m.C
-	for j := 0; j < c; j++ {
-		drow := dst.Data[j*r : (j+1)*r]
-		for i := range drow {
-			drow[i] = m.Data[i*c+j]
+	i := 0
+	for ; i+7 < r; i += 8 {
+		m0 := m.Data[i*c : (i+1)*c]
+		m1 := m.Data[(i+1)*c : (i+2)*c][:len(m0)]
+		m2 := m.Data[(i+2)*c : (i+3)*c][:len(m0)]
+		m3 := m.Data[(i+3)*c : (i+4)*c][:len(m0)]
+		m4 := m.Data[(i+4)*c : (i+5)*c][:len(m0)]
+		m5 := m.Data[(i+5)*c : (i+6)*c][:len(m0)]
+		m6 := m.Data[(i+6)*c : (i+7)*c][:len(m0)]
+		m7 := m.Data[(i+7)*c : (i+8)*c][:len(m0)]
+		for j, v := range m0 {
+			d := dst.Data[j*r+i : j*r+i+8]
+			d[0], d[1], d[2], d[3] = v, m1[j], m2[j], m3[j]
+			d[4], d[5], d[6], d[7] = m4[j], m5[j], m6[j], m7[j]
+		}
+	}
+	for ; i < r; i++ {
+		for j, v := range m.Data[i*c : (i+1)*c] {
+			dst.Data[j*r+i] = v
 		}
 	}
 }
 
-// packRowThreshold is the minimum number of output rows for which
-// MulIntoPacked packs bᵀ: the O(n·p) transpose is amortized over the
-// a.R×n×p multiply, so below this many rows the pack overhead outweighs
-// the wide-kernel win and the plain kernel is used instead.
+// packRowThreshold is the fewest output rows that repay MulIntoPacked's
+// transpose of b: acting on one observation runs faster on the plain
+// kernel than packing W on every call.
 const packRowThreshold = 8
 
-// packMinK is the minimum inner dimension worth packing: below it the
-// transpose and per-group loop overhead outweigh the wide kernel (the
-// first policy layer, whose fan-in is the observation size, stays on the
-// plain kernel).
-const packMinK = 16
-
-// packMaxK caps the inner dimension of the packed kernel: the per-row
-// nonzero-index scratch lives on the stack (packMaxK*4 bytes), so larger
-// inner dims fall back to the plain kernel rather than allocate.
-const packMaxK = 1024
-
-// MulIntoPacked computes dst = a @ b like MulInto, but through a
-// caller-provided transposed-B scratch buffer: b is packed as bᵀ into bt
-// (grown via Ensure and returned for reuse), turning every output element
-// into a contiguous dot product that the 8-column kernel evaluates with
-// independent accumulator chains. Each element's chain applies the same
-// ascending-k additions with the same zero-skips as mulRowsPlain, so the
-// result is bit-identical to MulInto — the packing changes memory layout,
-// never arithmetic. Shapes outside the three pack gates fall back to
-// MulInto untouched.
+// MulIntoPacked computes dst = a @ b like MulInto, bit for bit, through a
+// caller-provided scratch: b is packed as bᵀ into bt (grown via Ensure and
+// returned for reuse) for mulRowsPacked. Products of fewer than
+// packRowThreshold rows go to MulInto. A dense layer takes its forward
+// product here, and its weight gradient dW = xᵀ @ dz on xᵀ.
 func MulIntoPacked(dst, a, b, bt *Mat) *Mat {
-	if a.R < packRowThreshold || a.C < packMinK || a.C > packMaxK {
+	if a.R < packRowThreshold {
 		MulInto(dst, a, b)
 		return bt
 	}
@@ -221,35 +224,56 @@ func MulIntoPacked(dst, a, b, bt *Mat) *Mat {
 	return bt
 }
 
-// mulRowsPacked computes dst = a @ btᵀ where bt is the packed transpose
-// of b (bt row j = b column j). Eight output columns are
-// evaluated per pass: eight independent accumulator chains (one serial FP
-// chain per output element) hide the add latency a single chain is bound
-// by, and arow is read once per octet instead of once per column.
+// mulRowsPacked computes dst = a @ btᵀ, where row j of bt is column j of
+// the right operand: a dense layer's forward product and weight gradient
+// after MulIntoPacked's pack, and dx = dz @ Wᵀ on W as stored. Each output
+// element is one serial FP chain in ascending k; the kernel only chooses
+// which chains run side by side to hide the add latency one chain is
+// bound by.
 //
-// The zero-skip of mulRowsPlain is part of the bit contract (s + 0·x is
-// not always s, and NaN/Inf must propagate identically), but testing
-// arow[k] inside the 8-wide loop mispredicts badly on ReLU-sparse inputs.
-// Instead the nonzero k indices are collected once per row — amortized
-// over all p/8 column groups — so the inner loop is branch-free yet
-// applies exactly mulRowsPlain's add sequence: ascending k, zeros
-// skipped, one strictly sequential chain per output element, with the
-// nonzero list walked pairwise (two loads per stream per iteration, two
-// sequential adds per chain).
+// Columns in groups of eight go row by row, eight chains along the row.
+// Zero entries of a are skipped, as in mulRowsPlain, but testing arow[k]
+// inside the 8-wide loop mispredicts badly on ReLU-sparse rows, so such a
+// row's nonzero k are listed once and walked pairwise (two loads per
+// stream, two sequential adds per chain). A row with no zero walks k
+// directly, which spares it the index loads and the bounds checks the
+// compiler cannot drop on b0[nz[t]].
+//
+// The p mod 8 columns left go column by column, four rows at a time. They
+// add a's zero terms instead of skipping them, which changes no bit while
+// the column is finite: each chain starts at +0 and never reaches −0, and
+// s + (±0) = s. A column holding Inf or NaN takes the skipping loop. So
+// the skip shows only where bt is not finite — for dx, a W holding Inf or
+// NaN, a diverged net — and there a skipped 0·Inf keeps an element finite
+// that would otherwise be NaN.
 func mulRowsPacked(dst, a, bt *Mat) {
 	n, p := a.C, bt.R
-	var idxBuf [packMaxK]int32
-	for i := 0; i < a.R; i++ {
+	p8 := p &^ 7
+	// The nonzero list lives on the stack for rows of up to 1024; a
+	// longer row costs one allocation per call.
+	var idxBuf [1024]int32
+	idx := idxBuf[:]
+	if n > len(idx) && p8 > 0 {
+		idx = make([]int32, n)
+	}
+	for i := 0; i < a.R && p8 > 0; i++ {
 		arow := a.Data[i*n : (i+1)*n]
 		drow := dst.Data[i*p : (i+1)*p]
-		nz := idxBuf[:0]
-		for k, av := range arow {
-			if av != 0 {
-				nz = append(nz, int32(k))
+		dense := !slices.Contains(arow, 0)
+		var nz []int32
+		if !dense {
+			// Every k is written and the count advances past the nonzero
+			// ones only: a conditional move, no branch to mispredict.
+			c := 0
+			for k, av := range arow {
+				idx[c] = int32(k)
+				if av != 0 {
+					c++
+				}
 			}
+			nz = idx[:c]
 		}
-		j := 0
-		for ; j+7 < p; j += 8 {
+		for j := 0; j < p8; j += 8 {
 			b0 := bt.Data[j*n : (j+1)*n][:len(arow)]
 			b1 := bt.Data[(j+1)*n : (j+2)*n][:len(arow)]
 			b2 := bt.Data[(j+2)*n : (j+3)*n][:len(arow)]
@@ -259,12 +283,9 @@ func mulRowsPacked(dst, a, bt *Mat) {
 			b6 := bt.Data[(j+6)*n : (j+7)*n][:len(arow)]
 			b7 := bt.Data[(j+7)*n : (j+8)*n][:len(arow)]
 			var s0, s1, s2, s3, s4, s5, s6, s7 float64
-			if len(nz) == n {
-				// Dense row: sequential k, no index indirection (and no
-				// bounds checks on the b streams). The skip set is empty,
-				// so this is the same add sequence as the indexed loop.
+			if dense {
 				k := 0
-				for ; k+1 < n; k += 2 {
+				for ; k < len(arow)-1; k += 2 {
 					a0, a1 := arow[k], arow[k+1]
 					s0 += a0 * b0[k]
 					s0 += a1 * b0[k+1]
@@ -283,7 +304,7 @@ func mulRowsPacked(dst, a, bt *Mat) {
 					s7 += a0 * b7[k]
 					s7 += a1 * b7[k+1]
 				}
-				if k < n {
+				if k < len(arow) {
 					av := arow[k]
 					s0 += av * b0[k]
 					s1 += av * b1[k]
@@ -294,66 +315,75 @@ func mulRowsPacked(dst, a, bt *Mat) {
 					s6 += av * b6[k]
 					s7 += av * b7[k]
 				}
-				drow[j] = s0
-				drow[j+1] = s1
-				drow[j+2] = s2
-				drow[j+3] = s3
-				drow[j+4] = s4
-				drow[j+5] = s5
-				drow[j+6] = s6
-				drow[j+7] = s7
-				continue
+			} else {
+				t := 0
+				for ; t+1 < len(nz); t += 2 {
+					k0, k1 := int(nz[t]), int(nz[t+1])
+					a0, a1 := arow[k0], arow[k1]
+					s0 += a0 * b0[k0]
+					s0 += a1 * b0[k1]
+					s1 += a0 * b1[k0]
+					s1 += a1 * b1[k1]
+					s2 += a0 * b2[k0]
+					s2 += a1 * b2[k1]
+					s3 += a0 * b3[k0]
+					s3 += a1 * b3[k1]
+					s4 += a0 * b4[k0]
+					s4 += a1 * b4[k1]
+					s5 += a0 * b5[k0]
+					s5 += a1 * b5[k1]
+					s6 += a0 * b6[k0]
+					s6 += a1 * b6[k1]
+					s7 += a0 * b7[k0]
+					s7 += a1 * b7[k1]
+				}
+				if t < len(nz) {
+					k := int(nz[t])
+					av := arow[k]
+					s0 += av * b0[k]
+					s1 += av * b1[k]
+					s2 += av * b2[k]
+					s3 += av * b3[k]
+					s4 += av * b4[k]
+					s5 += av * b5[k]
+					s6 += av * b6[k]
+					s7 += av * b7[k]
+				}
 			}
-			t := 0
-			for ; t+1 < len(nz); t += 2 {
-				k0, k1 := int(nz[t]), int(nz[t+1])
-				a0, a1 := arow[k0], arow[k1]
-				s0 += a0 * b0[k0]
-				s0 += a1 * b0[k1]
-				s1 += a0 * b1[k0]
-				s1 += a1 * b1[k1]
-				s2 += a0 * b2[k0]
-				s2 += a1 * b2[k1]
-				s3 += a0 * b3[k0]
-				s3 += a1 * b3[k1]
-				s4 += a0 * b4[k0]
-				s4 += a1 * b4[k1]
-				s5 += a0 * b5[k0]
-				s5 += a1 * b5[k1]
-				s6 += a0 * b6[k0]
-				s6 += a1 * b6[k1]
-				s7 += a0 * b7[k0]
-				s7 += a1 * b7[k1]
-			}
-			if t < len(nz) {
-				k := int(nz[t])
-				av := arow[k]
-				s0 += av * b0[k]
-				s1 += av * b1[k]
-				s2 += av * b2[k]
-				s3 += av * b3[k]
-				s4 += av * b4[k]
-				s5 += av * b5[k]
-				s6 += av * b6[k]
-				s7 += av * b7[k]
-			}
-			drow[j] = s0
-			drow[j+1] = s1
-			drow[j+2] = s2
-			drow[j+3] = s3
-			drow[j+4] = s4
-			drow[j+5] = s5
-			drow[j+6] = s6
-			drow[j+7] = s7
+			d := drow[j : j+8]
+			d[0], d[1], d[2], d[3] = s0, s1, s2, s3
+			d[4], d[5], d[6], d[7] = s4, s5, s6, s7
 		}
-		for ; j < p; j++ {
-			brow := bt.Data[j*n : (j+1)*n][:len(arow)]
-			s := 0.0
-			for _, ki := range nz {
-				k := int(ki)
-				s += arow[k] * brow[k]
+	}
+	for j := p8; j < p; j++ {
+		bcol := bt.Data[j*n : (j+1)*n]
+		// v - v is NaN exactly when v is Inf or NaN.
+		finite := !slices.ContainsFunc(bcol, func(v float64) bool { return v-v != 0 })
+		i := 0
+		for ; finite && i+3 < a.R; i += 4 {
+			a0 := a.Data[i*n : (i+1)*n][:len(bcol)]
+			a1 := a.Data[(i+1)*n : (i+2)*n][:len(bcol)]
+			a2 := a.Data[(i+2)*n : (i+3)*n][:len(bcol)]
+			a3 := a.Data[(i+3)*n : (i+4)*n][:len(bcol)]
+			var s0, s1, s2, s3 float64
+			for k, bv := range bcol {
+				s0 += a0[k] * bv
+				s1 += a1[k] * bv
+				s2 += a2[k] * bv
+				s3 += a3[k] * bv
 			}
-			drow[j] = s
+			dst.Data[i*p+j], dst.Data[(i+1)*p+j] = s0, s1
+			dst.Data[(i+2)*p+j], dst.Data[(i+3)*p+j] = s2, s3
+		}
+		for ; i < a.R; i++ {
+			arow := a.Data[i*n : (i+1)*n][:len(bcol)]
+			s := 0.0
+			for k, av := range arow {
+				if av != 0 {
+					s += av * bcol[k]
+				}
+			}
+			dst.Data[i*p+j] = s
 		}
 	}
 }
@@ -365,67 +395,10 @@ func Mul(a, b *Mat) *Mat {
 	return dst
 }
 
-// MulTransAInto computes dst = aᵀ @ b (a is n×r, dst is r×c, b is n×c).
-// Used for weight gradients: dW = xᵀ @ dy.
-func MulTransAInto(dst, a, b *Mat) {
-	if a.R != b.R {
-		panic(fmt.Sprintf("tensor: MulTransAInto rows %d vs %d", a.R, b.R))
-	}
-	if dst.R != a.C || dst.C != b.C {
-		panic("tensor: MulTransAInto dst shape mismatch")
-	}
-	if dst == a || dst == b {
-		panic("tensor: MulTransAInto dst aliases input")
-	}
-	dst.Zero()
-	// Adjacent k rows are applied in pairs per output row: element (i,j)
-	// still gets its k then k+1 updates as two sequential adds in ascending
-	// order, so this is bit-identical to the one-k-at-a-time loop (see
-	// mulRowsPlain for the same pattern) while halving dst row traffic.
-	n := a.R
-	k := 0
-	for ; k+1 < n; k += 2 {
-		arow0 := a.Data[k*a.C : (k+1)*a.C]
-		arow1 := a.Data[(k+1)*a.C : (k+2)*a.C]
-		brow0 := b.Data[k*b.C : (k+1)*b.C]
-		brow1 := b.Data[(k+1)*b.C : (k+2)*b.C]
-		for i, av0 := range arow0 {
-			av1 := arow1[i]
-			if av0 == 0 && av1 == 0 {
-				continue
-			}
-			drow := dst.Data[i*dst.C : (i+1)*dst.C]
-			if av0 == 0 || av1 == 0 {
-				if av0 != 0 {
-					axpyRow(drow, av0, brow0)
-				}
-				if av1 != 0 {
-					axpyRow(drow, av1, brow1)
-				}
-				continue
-			}
-			b0 := brow0[:len(drow)]
-			b1 := brow1[:len(drow)]
-			for j := range drow {
-				s := drow[j] + av0*b0[j]
-				drow[j] = s + av1*b1[j]
-			}
-		}
-	}
-	if k < n {
-		arow := a.Data[k*a.C : (k+1)*a.C]
-		brow := b.Data[k*b.C : (k+1)*b.C]
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			axpyRow(dst.Data[i*dst.C:(i+1)*dst.C], av, brow)
-		}
-	}
-}
-
-// MulTransBInto computes dst = a @ bᵀ (a is n×c, b is m×c, dst is n×m).
-// Used for input gradients: dx = dy @ Wᵀ.
+// MulTransBInto computes dst = a @ bᵀ (a is n×c, b is m×c, dst is n×m)
+// through mulRowsPacked, whose layout b already is: a dense layer's
+// dx = dz @ Wᵀ. Zero entries of a are skipped (see mulRowsPacked for where
+// that shows in the bits).
 func MulTransBInto(dst, a, b *Mat) {
 	if a.C != b.C {
 		panic(fmt.Sprintf("tensor: MulTransBInto cols %d vs %d", a.C, b.C))
@@ -436,86 +409,7 @@ func MulTransBInto(dst, a, b *Mat) {
 	if dst == a || dst == b {
 		panic("tensor: MulTransBInto dst aliases input")
 	}
-	mulTransBRows(dst, a, b)
-}
-
-// mulTransBRows computes dst = a @ bᵀ. Each output element is one dot
-// product evaluated in ascending-k order. Eight output columns are computed
-// per pass: the eight accumulator chains are independent (one per output
-// element, each a single serial ascending-k chain), which hides the add
-// latency a lone chain is bound by
-// and reads arow once per octet instead of once per column. Within a
-// chain, k advances pairwise — two loads per b stream per iteration,
-// applied as two strictly sequential adds — which keeps the chain serial
-// (never a re-grouped sum) while halving loop overhead. Unlike the MulInto
-// family there is no zero-skip here: this product never had one, and
-// adding one would change the bits (s + 0·x is not always s).
-func mulTransBRows(dst, a, b *Mat) {
-	m, c := b.R, b.C
-	for i := 0; i < a.R; i++ {
-		arow := a.Data[i*a.C : (i+1)*a.C]
-		drow := dst.Data[i*dst.C : (i+1)*dst.C]
-		n := len(arow)
-		j := 0
-		for ; j+7 < m; j += 8 {
-			b0 := b.Data[j*c : (j+1)*c][:n]
-			b1 := b.Data[(j+1)*c : (j+2)*c][:n]
-			b2 := b.Data[(j+2)*c : (j+3)*c][:n]
-			b3 := b.Data[(j+3)*c : (j+4)*c][:n]
-			b4 := b.Data[(j+4)*c : (j+5)*c][:n]
-			b5 := b.Data[(j+5)*c : (j+6)*c][:n]
-			b6 := b.Data[(j+6)*c : (j+7)*c][:n]
-			b7 := b.Data[(j+7)*c : (j+8)*c][:n]
-			var s0, s1, s2, s3, s4, s5, s6, s7 float64
-			k := 0
-			for ; k+1 < n; k += 2 {
-				a0, a1 := arow[k], arow[k+1]
-				s0 += a0 * b0[k]
-				s0 += a1 * b0[k+1]
-				s1 += a0 * b1[k]
-				s1 += a1 * b1[k+1]
-				s2 += a0 * b2[k]
-				s2 += a1 * b2[k+1]
-				s3 += a0 * b3[k]
-				s3 += a1 * b3[k+1]
-				s4 += a0 * b4[k]
-				s4 += a1 * b4[k+1]
-				s5 += a0 * b5[k]
-				s5 += a1 * b5[k+1]
-				s6 += a0 * b6[k]
-				s6 += a1 * b6[k+1]
-				s7 += a0 * b7[k]
-				s7 += a1 * b7[k+1]
-			}
-			if k < n {
-				av := arow[k]
-				s0 += av * b0[k]
-				s1 += av * b1[k]
-				s2 += av * b2[k]
-				s3 += av * b3[k]
-				s4 += av * b4[k]
-				s5 += av * b5[k]
-				s6 += av * b6[k]
-				s7 += av * b7[k]
-			}
-			drow[j] = s0
-			drow[j+1] = s1
-			drow[j+2] = s2
-			drow[j+3] = s3
-			drow[j+4] = s4
-			drow[j+5] = s5
-			drow[j+6] = s6
-			drow[j+7] = s7
-		}
-		for ; j < m; j++ {
-			brow := b.Data[j*c : (j+1)*c][:n]
-			s := 0.0
-			for k, av := range arow {
-				s += av * brow[k]
-			}
-			drow[j] = s
-		}
-	}
+	mulRowsPacked(dst, a, b)
 }
 
 // AddBias adds the bias row vector to every row of m in place.

@@ -73,19 +73,24 @@ func TestMulTransA(t *testing.T) {
 	b := New(7, 4)
 	a.Randomize(rng, 1)
 	b.Randomize(rng, 1)
+	// aᵀ @ b the way a dense layer takes its weight gradient: both
+	// operands transposed, then the transposed-B product.
+	at, bt := New(3, 7), New(4, 7)
+	TransposeInto(at, a)
+	TransposeInto(bt, b)
 	dst := New(3, 4)
-	MulTransAInto(dst, a, b)
-	// Reference: transpose a explicitly.
-	at := New(3, 7)
+	MulTransBInto(dst, at, bt)
+	// Reference: transpose a element by element.
+	ref := New(3, 7)
 	for i := 0; i < 7; i++ {
 		for j := 0; j < 3; j++ {
-			at.Set(j, i, a.At(i, j))
+			ref.Set(j, i, a.At(i, j))
 		}
 	}
-	want := naiveMul(at, b)
+	want := naiveMul(ref, b)
 	for i := range dst.Data {
 		if !almostEq(dst.Data[i], want.Data[i], 1e-9) {
-			t.Fatal("MulTransAInto mismatch")
+			t.Fatal("aᵀ @ b mismatch")
 		}
 	}
 }
@@ -170,15 +175,15 @@ func TestShapePanics(t *testing.T) {
 	// guard can reject it.
 	sq := New(3, 3)
 	for name, fn := range map[string]func(){
-		"mul-inner":      func() { Mul(New(2, 3), New(4, 2)) },
-		"addbias-len":    func() { New(2, 2).AddBias([]float64{1}) },
-		"add-shape":      func() { New(2, 2).Add(New(3, 2)) },
-		"dot-len":        func() { Dot([]float64{1}, []float64{1, 2}) },
-		"fromslice":      func() { FromSlice(2, 2, []float64{1}) },
-		"transa-alias-a": func() { MulTransAInto(sq, sq, New(3, 3)) },
-		"transa-alias-b": func() { MulTransAInto(sq, New(3, 3), sq) },
-		"transb-alias-a": func() { MulTransBInto(sq, sq, New(3, 3)) },
-		"transb-alias-b": func() { MulTransBInto(sq, New(3, 3), sq) },
+		"mul-inner":       func() { Mul(New(2, 3), New(4, 2)) },
+		"addbias-len":     func() { New(2, 2).AddBias([]float64{1}) },
+		"add-shape":       func() { New(2, 2).Add(New(3, 2)) },
+		"dot-len":         func() { Dot([]float64{1}, []float64{1, 2}) },
+		"fromslice":       func() { FromSlice(2, 2, []float64{1}) },
+		"transpose-alias": func() { TransposeInto(sq, sq) },
+		"transpose-shape": func() { TransposeInto(New(2, 3), New(2, 3)) },
+		"transb-alias-a":  func() { MulTransBInto(sq, sq, New(3, 3)) },
+		"transb-alias-b":  func() { MulTransBInto(sq, New(3, 3), sq) },
 	} {
 		func() {
 			defer func() {
