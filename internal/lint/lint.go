@@ -28,6 +28,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -201,8 +202,8 @@ func Load(root string, patterns []string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// loadDir parses one directory's non-test files into the shared fset,
-// returning nil when it holds none.
+// loadDir parses one directory's non-test files for the host's GOOS and
+// GOARCH into the shared fset, returning nil when it holds none.
 func loadDir(fset *token.FileSet, root, module, dir string) (*Package, error) {
 	entries, err := os.ReadDir(dir) // sorted by name
 	if err != nil {
@@ -211,6 +212,11 @@ func loadDir(fset *token.FileSet, root, module, dir string) (*Package, error) {
 	var files []*ast.File
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		// A file for another GOARCH or GOOS (mat_generic.go beside
+		// mat_amd64.go) is not part of this build of the package.
+		if ok, err := build.Default.MatchFile(dir, e.Name()); err != nil || !ok {
 			continue
 		}
 		name := filepath.Join(dir, e.Name())

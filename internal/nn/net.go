@@ -83,8 +83,7 @@ type Dense struct {
 	x, z, y *tensor.Mat
 	dx      *tensor.Mat
 	dz, dw  *tensor.Mat
-	wt      *tensor.Mat // packed Wᵀ scratch for the forward product
-	xt, dzt *tensor.Mat // xᵀ and packed dzᵀ scratch for the weight gradient
+	xt, wt  *tensor.Mat // xᵀ for the weight gradient, Wᵀ for the input gradient
 }
 
 // ensureMat is tensor.Ensure: reuse scratch when capacity allows, so
@@ -115,12 +114,8 @@ func (d *Dense) Forward(x *tensor.Mat) *tensor.Mat {
 	if d.z == nil || d.z.R != x.R {
 		d.z = ensureMat(d.z, x.R, d.Out)
 		d.y = ensureMat(d.y, x.R, d.Out)
-		d.dx = ensureMat(d.dx, x.R, d.In)
 	}
-	// The packed product is bit-identical to MulInto (same ascending-k
-	// order, same zero-skips); the Wᵀ scratch is layer-owned and reused, so
-	// steady-state batches stay allocation-free.
-	d.wt = tensor.MulIntoPacked(d.z, x, d.W, d.wt)
+	tensor.MulInto(d.z, x, d.W)
 	d.z.AddBias(d.B)
 	applyActivation(d.Act, d.y.Data, d.z.Data)
 	return d.y
@@ -187,7 +182,11 @@ func activationDeriv(act Activation, dz, dy, z, y []float64) {
 // Backward takes dL/dy for the cached batch, accumulates dL/dW and dL/db
 // into DW/DB, and returns dL/dx. The returned matrix is reused across
 // calls.
-func (d *Dense) Backward(dy *tensor.Mat) *tensor.Mat {
+func (d *Dense) Backward(dy *tensor.Mat) *tensor.Mat { return d.backward(dy, true) }
+
+// backward is Backward; it computes dL/dx only if wantDx, and returns nil
+// otherwise.
+func (d *Dense) backward(dy *tensor.Mat, wantDx bool) *tensor.Mat {
 	if d.x == nil {
 		panic("nn: Dense backward before forward")
 	}
@@ -198,14 +197,14 @@ func (d *Dense) Backward(dy *tensor.Mat) *tensor.Mat {
 	d.dz = ensureMat(d.dz, dy.R, dy.C)
 	dz := d.dz
 	activationDeriv(d.Act, dz.Data, dy.Data, d.z.Data, d.y.Data)
-	// Accumulate parameter grads. dW = xᵀ @ dz is the forward product's
-	// form on xᵀ: ascending batch index, zero entries of x skipped.
+	// Accumulate parameter grads. dW = xᵀ @ dz: ascending batch index,
+	// zero entries of x skipped.
 	if d.dw == nil {
 		d.dw = tensor.New(d.In, d.Out)
 	}
 	d.xt = ensureMat(d.xt, d.In, dz.R)
 	tensor.TransposeInto(d.xt, d.x)
-	d.dzt = tensor.MulIntoPacked(d.dw, d.xt, dz, d.dzt)
+	tensor.MulInto(d.dw, d.xt, dz)
 	d.DW.Add(d.dw)
 	for r := 0; r < dz.R; r++ {
 		row := dz.Row(r)
@@ -213,8 +212,14 @@ func (d *Dense) Backward(dy *tensor.Mat) *tensor.Mat {
 			d.DB[j] += v
 		}
 	}
-	// dx = dz @ Wᵀ
-	tensor.MulTransBInto(d.dx, dz, d.W)
+	if !wantDx {
+		return nil
+	}
+	// dx = dz @ Wᵀ, zero entries of dz skipped.
+	d.wt = ensureMat(d.wt, d.Out, d.In)
+	tensor.TransposeInto(d.wt, d.W)
+	d.dx = ensureMat(d.dx, dz.R, d.In)
+	tensor.MulInto(d.dx, dz, d.wt)
 	return d.dx
 }
 
@@ -303,14 +308,15 @@ func (m *MLP) Forward1(x []float64) []float64 {
 }
 
 // Backward backpropagates dL/dout through all layers, accumulating
-// parameter gradients, and returns dL/din.
-func (m *MLP) Backward(dout *tensor.Mat) *tensor.Mat {
+// parameter gradients. No caller reads dL/din, so the first layer does
+// not compute it.
+func (m *MLP) Backward(dout *tensor.Mat) {
 	metricBackward.Inc()
 	g := dout
-	for i := len(m.Layers) - 1; i >= 0; i-- {
+	for i := len(m.Layers) - 1; i > 0; i-- {
 		g = m.Layers[i].Backward(g)
 	}
-	return g
+	m.Layers[0].backward(g, false)
 }
 
 // ZeroGrad clears all accumulated gradients.

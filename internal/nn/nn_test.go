@@ -77,26 +77,27 @@ func TestMLPGradientsReLU(t *testing.T) {
 	}
 }
 
+// TestInputGradient checks a hidden layer's dL/dx, the gradient one layer
+// hands the one below it, against finite differences of the loss in the
+// hidden activations.
 func TestInputGradient(t *testing.T) {
 	rng := newRng(5, 6)
-	m := NewMLP(rng, []int{3, 5, 2}, Tanh{}, 1.0)
-	xdata := []float64{0.3, -0.2, 0.7}
-	x := tensor.FromSlice(1, 3, append([]float64(nil), xdata...))
-	m.ZeroGrad()
-	out := m.Forward(x)
-	_, dout := scalarLoss(out)
-	dx := m.Backward(dout)
+	m := NewMLP(rng, []int{3, 5, 4, 2}, Tanh{}, 1.0)
+	x := tensor.FromSlice(2, 3, []float64{0.3, -0.2, 0.7, -0.5, 0.1, 0.4})
+	h := m.Layers[0].Forward(x).Clone()
+	rest := func(h *tensor.Mat) *tensor.Mat { return m.Layers[2].Forward(m.Layers[1].Forward(h)) }
+	_, dout := scalarLoss(rest(h))
+	dh := m.Layers[1].Backward(m.Layers[2].Backward(dout)).Clone()
 	const eps = 1e-6
-	for j := range xdata {
-		xp := append([]float64(nil), xdata...)
-		xp[j] += eps
-		lp, _ := scalarLoss(m.Forward(tensor.FromSlice(1, 3, xp)))
-		xm := append([]float64(nil), xdata...)
-		xm[j] -= eps
-		lm, _ := scalarLoss(m.Forward(tensor.FromSlice(1, 3, xm)))
+	for j := range h.Data {
+		hp, hm := h.Clone(), h.Clone()
+		hp.Data[j] += eps
+		hm.Data[j] -= eps
+		lp, _ := scalarLoss(rest(hp))
+		lm, _ := scalarLoss(rest(hm))
 		numeric := (lp - lm) / (2 * eps)
-		if math.Abs(numeric-dx.At(0, j)) > 1e-5*(1+math.Abs(numeric)) {
-			t.Fatalf("dx[%d]: analytic %g vs numeric %g", j, dx.At(0, j), numeric)
+		if math.Abs(numeric-dh.Data[j]) > 1e-5*(1+math.Abs(numeric)) {
+			t.Fatalf("dh[%d]: analytic %g vs numeric %g", j, dh.Data[j], numeric)
 		}
 	}
 }

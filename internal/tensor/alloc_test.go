@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// TestProductsAllocsZero pins the products at zero allocations once the
-// packed scratch exists, at a batch (128×64×64) larger than any the
-// campaign trains, and with them the transpose a weight gradient takes.
+// TestProductsAllocsZero pins a dense layer's three products at zero
+// allocations, at a batch (128×64×64) larger than any the campaign trains,
+// with the transposes the two gradients take, and a one-row product of a
+// three-wide head.
 //
 // testing.AllocsPerRun measures under GOMAXPROCS(1), so it cannot tell
 // whether the contract holds off one P; this counts mallocs at the ambient
@@ -21,17 +22,18 @@ func TestProductsAllocsZero(t *testing.T) {
 	w := randMatSparse(rng, 64, 64)
 	dst := New(128, 64)
 	dw := New(64, 64)
-	at := New(64, 128)
-	bt := MulIntoPacked(dst, a, w, nil) // warm up: sizes the scratch
+	at, wt := New(64, 128), New(64, 64)
+	x1, head, y1 := randMatSparse(rng, 1, 64), randMatSparse(rng, 64, 3), New(1, 3)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	const passes = 100
 	for i := 0; i < passes; i++ {
 		MulInto(dst, a, w)
-		bt = MulIntoPacked(dst, a, w, bt)
 		TransposeInto(at, a)
-		bt = MulIntoPacked(dw, at, dst, bt)
-		MulTransBInto(dst, a, w)
+		MulInto(dw, at, dst)
+		TransposeInto(wt, w)
+		MulInto(dst, a, wt)
+		MulInto(y1, x1, head)
 	}
 	runtime.ReadMemStats(&after)
 	if n := (after.Mallocs - before.Mallocs) / passes; n != 0 {

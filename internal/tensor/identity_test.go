@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 )
 
@@ -20,7 +21,7 @@ func randMatSparse(rng *rand.Rand, r, c int) *Mat {
 		case 3:
 			m.Data[i] = math.Copysign(0, -1)
 		case 4:
-			m.Data[i] = (rng.Float64() - 0.5) * 1e12
+			m.Data[i] = (float64(rng.Float64()) - 0.5) * 1e12
 		default:
 			m.Data[i] = rng.NormFloat64()
 		}
@@ -42,11 +43,36 @@ func bitsEqual(t *testing.T, label string, want, got *Mat) {
 	}
 }
 
+// mulAdd returns s + a·b, rounded after the multiply and after the add,
+// with the NaN an SSE2 multiply and add return when the first operand is
+// the destination: a NaN operand comes through, the first one if both are
+// NaN. rowAxpy computes a·b and then accumulator + product in that order.
+// The rule is written out because the compiler picks the operand order of
+// a Go s += a*b by register allocation, differently with -race.
+func mulAdd(s, a, b float64) float64 {
+	var p float64
+	switch {
+	case a != a:
+		p = a
+	case b != b:
+		p = b
+	default:
+		p = float64(a * b)
+	}
+	if s != s || p != p {
+		if s != s {
+			return s
+		}
+		return p
+	}
+	return s + p
+}
+
 // The three reference products: one scalar accumulator per output element,
-// ascending k. refMul and refMulTransA skip a zero left operand, the skip
-// set every kernel applies; refMulTransB never skips, and MulTransBInto
-// matches it bit for bit wherever b is finite (see mulRowsPacked). None of
-// them shares code with a kernel.
+// ascending k, each term added by mulAdd. refMul and refMulTransA skip a
+// zero left operand, the skip set every kernel applies; refMulTransB never
+// skips, and a dense layer's dx matches it bit for bit wherever b is
+// finite (see mulTail). None of them shares code with a kernel.
 
 func refMul(a, b *Mat) *Mat {
 	out := New(a.R, b.C)
@@ -55,7 +81,7 @@ func refMul(a, b *Mat) *Mat {
 			s := 0.0
 			for k := 0; k < a.C; k++ {
 				if av := a.At(i, k); av != 0 {
-					s += av * b.At(k, j)
+					s = mulAdd(s, av, b.At(k, j))
 				}
 			}
 			out.Set(i, j, s)
@@ -71,7 +97,7 @@ func refMulTransA(a, b *Mat) *Mat {
 			s := 0.0
 			for k := 0; k < a.R; k++ {
 				if av := a.At(k, i); av != 0 {
-					s += av * b.At(k, j)
+					s = mulAdd(s, av, b.At(k, j))
 				}
 			}
 			out.Set(i, j, s)
@@ -86,7 +112,7 @@ func refMulTransB(a, b *Mat) *Mat {
 		for j := 0; j < b.R; j++ {
 			s := 0.0
 			for k := 0; k < a.C; k++ {
-				s += a.At(i, k) * b.At(j, k)
+				s = mulAdd(s, a.At(i, k), b.At(j, k))
 			}
 			out.Set(i, j, s)
 		}
@@ -100,11 +126,12 @@ func transposed(m *Mat) *Mat {
 	return t
 }
 
-// checkProducts holds the products of an r×n by n×p shape to the
-// references: the forward product (a @ b) through MulInto and
-// MulIntoPacked, dx = a @ btᵀ through MulTransBInto, and dW = atᵀ @ b the
-// way a dense layer takes it, through transposes and then MulTransBInto or
-// MulIntoPacked.
+// checkProducts holds a dense layer's three products of an r×n by n×p
+// shape to the references, each the way the layer takes it: the forward
+// product a @ b through MulInto, dx = a @ btᵀ through MulInto on a
+// transpose of bt, and dW = atᵀ @ b through MulInto on a transpose of at.
+// The forward product is also held to mulRowsPlain, and the two wrappers
+// the service benchmark calls to the products they stand for.
 func checkProducts(t *testing.T, a, b, at, bt *Mat) {
 	t.Helper()
 	r, n, p := a.R, a.C, b.C
@@ -113,26 +140,25 @@ func checkProducts(t *testing.T, a, b, at, bt *Mat) {
 	got := New(r, p)
 	MulInto(got, a, b)
 	bitsEqual(t, label("MulInto"), wantMul, got)
-	got.Zero()
-	scratch := MulIntoPacked(got, a, b, nil)
+	mulRowsPlain(got, a, b)
+	bitsEqual(t, label("mulRowsPlain"), wantMul, got)
+	got.Fill(1)
+	MulIntoPacked(got, a, b, nil)
 	bitsEqual(t, label("MulIntoPacked"), wantMul, got)
-	// MulIntoPacked leaves the scratch alone exactly when it fell back.
-	if packed := r >= packRowThreshold; (scratch != nil) != packed {
-		t.Fatalf("%s: packed kernel taken = %v, want %v", label("MulIntoPacked"), scratch != nil, packed)
-	}
+	wantDx := refMulTransB(a, bt)
+	MulInto(got, a, transposed(bt))
+	bitsEqual(t, label("dx by MulInto"), wantDx, got)
+	got.Fill(1)
 	MulTransBInto(got, a, bt)
-	bitsEqual(t, label("MulTransBInto"), refMulTransB(a, bt), got)
-	wantTransA := refMulTransA(at, b)
-	MulTransBInto(got, transposed(at), transposed(b))
-	bitsEqual(t, label("dW by MulTransBInto"), wantTransA, got)
-	MulIntoPacked(got, transposed(at), b, nil)
-	bitsEqual(t, label("dW by MulIntoPacked"), wantTransA, got)
+	bitsEqual(t, label("dx by MulTransBInto"), wantDx, got)
+	MulInto(got, transposed(at), b)
+	bitsEqual(t, label("dW by MulInto"), refMulTransA(at, b), got)
 }
 
-// TestKernelBitIdentitySweep is the determinism proof for the kernels: over
-// randomized sparse shapes plus ones chosen to land on each side of the
-// pack gate, every product must reproduce the scalar references bit for
-// bit.
+// TestKernelBitIdentitySweep is the determinism proof for the kernel: over
+// randomized sparse shapes, plus ones that fill every register tile, leave
+// each tail width, and run a row across several nonzero-list chunks, every
+// product must reproduce the scalar references bit for bit.
 func TestKernelBitIdentitySweep(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 2026))
 
@@ -142,8 +168,8 @@ func TestKernelBitIdentitySweep(t *testing.T) {
 	}
 	shapes = append(shapes,
 		[3]int{48, 40, 40}, [3]int{130, 33, 31},
-		[3]int{24, 300, 260}, // packed, with b far larger than the policy shapes
-		[3]int{9, 1025, 11},  // a row longer than the stack's nonzero list
+		[3]int{24, 300, 260}, // b far larger than the policy shapes
+		[3]int{9, 1025, 11},  // a row over four nonzero-list chunks
 	)
 
 	for _, sh := range shapes {
@@ -154,9 +180,11 @@ func TestKernelBitIdentitySweep(t *testing.T) {
 }
 
 // TestKernelCensusShapes runs checkProducts at the campaign's shapes with
-// fewer than eight output columns or a one-wide inner dimension — the
-// kernel's column-by-column tail and its odd-k ends — once with dense
-// operands (a tanh net) and once with half of them zero (a ReLU net).
+// fewer than eight output columns, an eight-column tile, or a one-wide
+// inner dimension — mulTail's four-row groups and its side-by-side rows,
+// rowAxpy's 8-column tile and its one-term chains — once with dense
+// operands (a tanh net) and once with half of them zero (a ReLU net). The
+// one-row heads are the products of acting on one observation.
 func TestKernelCensusShapes(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 43))
 	fill := func(r, c int, sparse bool) *Mat {
@@ -173,6 +201,8 @@ func TestKernelCensusShapes(t *testing.T) {
 		{64, 32, 3}, {64, 128, 1}, // dW of the heads
 		{32, 1, 64}, {128, 1, 64}, // dx of the value head
 		{32, 64, 3}, {129, 64, 1}, // forward through the heads
+		{1, 64, 3}, {1, 64, 1}, {1, 10, 64}, {1, 64, 64}, // acting
+		{3, 64, 7}, {32, 64, 24}, // side-by-side tail rows; a 16- and an 8-column tile
 	} {
 		r, n, p := sh[0], sh[1], sh[2]
 		for _, sparse := range []bool{false, true} {
@@ -181,18 +211,18 @@ func TestKernelCensusShapes(t *testing.T) {
 	}
 }
 
-// TestTransBNonFiniteB pins the one place MulTransBInto's zero-skip shows:
-// a b holding Inf or NaN, for dx = dz @ Wᵀ a diverged net's W. A term whose
-// a entry is zero is skipped, so an element meets the non-finite value only
-// through a nonzero entry; without the skip every element of that column
-// would be NaN. Both the eight-column groups and the column-by-column tail
-// are covered (13 columns: one octet and five more), and 13 rows leave one
-// past the tail's groups of four.
+// TestTransBNonFiniteB pins the one place the zero-skip shows in a dense
+// layer's dx = dz @ Wᵀ: a W holding Inf or NaN, a diverged net. A term
+// whose a entry is zero is skipped, so an element meets the non-finite
+// value only through a nonzero entry; without the skip every element of
+// that column would be NaN. Both the 8-column tile and the tail are
+// covered (13 columns: one tile and five more), and 13 rows leave one past
+// the tail's groups of four.
 func TestTransBNonFiniteB(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 43))
 	a := randMatSparse(rng, 13, 20)
 	b := randMatSparse(rng, 13, 20)
-	b.Set(2, 4, math.Inf(1))   // an octet column
+	b.Set(2, 4, math.Inf(1))   // a tile column
 	b.Set(10, 7, math.NaN())   // a tail column
 	b.Set(12, 3, math.Inf(-1)) // the last tail column
 	for i := 0; i < a.R; i += 2 {
@@ -201,8 +231,8 @@ func TestTransBNonFiniteB(t *testing.T) {
 		a.Set(i, 3, 0)
 	}
 	got := New(13, 13)
-	MulTransBInto(got, a, b)
-	bitsEqual(t, "MulTransBInto", refMul(a, transposed(b)), got)
+	MulInto(got, a, transposed(b))
+	bitsEqual(t, "dx by MulInto", refMul(a, transposed(b)), got)
 	noSkip := refMulTransB(a, b)
 	for _, j := range []int{2, 10, 12} {
 		for i := 0; i < a.R; i += 2 {
@@ -211,6 +241,90 @@ func TestTransBNonFiniteB(t *testing.T) {
 			}
 			if !math.IsNaN(noSkip.At(i, j)) {
 				t.Errorf("(%d,%d): the reference without the skip should read NaN", i, j)
+			}
+		}
+	}
+}
+
+// TestKernelMatchesGo is the differential test of the amd64 kernel against
+// the Go loops it replaces. In the columns rowAxpy computes, MulInto must
+// equal refMul bit for bit, NaN payloads included (see mulAdd). The p mod 8
+// tail columns, and every column off amd64, are Go, and there the compiler
+// picks each instruction's operand order, so where two NaN payloads meet
+// only the NaN is compared. On finite operands MulInto
+// must also equal mulRowsPlain. The shapes run p from 1 to 40 over
+// operands that start at odd offsets in their backing arrays (no load may
+// assume 16-byte alignment), with rows of a that have no nonzero, are all
+// −0, or run past 1 024 entries, and with Inf and NaN of two payloads in a,
+// in b, and in both.
+func TestKernelMatchesGo(t *testing.T) {
+	rng := rand.New(rand.NewPCG(45, 1))
+	nan2 := math.Float64frombits(0xfff8_0000_0000_0abc) // another payload, negative
+	// at returns an r×c matrix whose data starts off elements into a
+	// backing array that carries guard values on both sides.
+	at := func(r, c, off int) *Mat {
+		buf := make([]float64, r*c+off+3)
+		for i := range buf {
+			buf[i] = math.NaN()
+		}
+		return FromSlice(r, c, buf[off:off+r*c])
+	}
+	for p := 1; p <= 40; p++ {
+		for _, nonFinite := range []int{0, 1, 2, 3} { // none, in b, in a, in both
+			r, n := 1+rng.IntN(13), 1+rng.IntN(70)
+			if p%13 == 0 {
+				n = 1025 + rng.IntN(40)
+			}
+			a, b := at(r, n, rng.IntN(3)), at(n, p, rng.IntN(3))
+			copy(a.Data, randMatSparse(rng, r, n).Data)
+			copy(b.Data, randMatSparse(rng, n, p).Data)
+			row := a.Data[(r/2)*n : (r/2+1)*n] // a row with no nonzero
+			for k := range row {
+				row[k] = 0
+			}
+			if r > 2 {
+				row = a.Data[(r-1)*n:] // a row of −0 only
+				for k := range row {
+					row[k] = math.Copysign(0, -1)
+				}
+			}
+			poison := func(m *Mat) {
+				for range 1 + m.R*m.C/50 {
+					switch v := &m.Data[rng.IntN(len(m.Data))]; rng.IntN(4) {
+					case 0:
+						*v = math.Inf(1)
+					case 1:
+						*v = math.Inf(-1)
+					case 2:
+						*v = math.NaN()
+					default:
+						*v = nan2
+					}
+				}
+			}
+			if nonFinite&1 != 0 {
+				poison(b)
+			}
+			if nonFinite&2 != 0 {
+				poison(a)
+			}
+			label := fmt.Sprintf("%dx%dx%d non-finite %d", r, n, p, nonFinite)
+			dst := at(r, p, rng.IntN(3))
+			MulInto(dst, a, b)
+			want, asmCols := refMul(a, b), 0
+			if runtime.GOARCH == "amd64" {
+				asmCols = p &^ 7
+			}
+			for e, w := range want.Data {
+				g := dst.Data[e]
+				if math.Float64bits(w) != math.Float64bits(g) && (e%p < asmCols || !math.IsNaN(w) || !math.IsNaN(g)) {
+					t.Fatalf("%s vs refMul: element %d differs in bits: %x vs %x", label, e, math.Float64bits(w), math.Float64bits(g))
+				}
+			}
+			if nonFinite == 0 {
+				plain := New(r, p)
+				mulRowsPlain(plain, a, b)
+				bitsEqual(t, label+" vs mulRowsPlain", plain, dst)
 			}
 		}
 	}

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"slices"
 )
 
 // Mat is a dense row-major matrix of float64.
@@ -69,7 +68,7 @@ func (m *Mat) Fill(v float64) {
 // Randomize fills m with uniform values in [-scale, scale].
 func (m *Mat) Randomize(rng *rand.Rand, scale float64) {
 	for i := range m.Data {
-		m.Data[i] = (rng.Float64()*2 - 1) * scale
+		m.Data[i] = (float64(float64(rng.Float64())*2) - 1) * scale
 	}
 }
 
@@ -93,11 +92,12 @@ func MulInto(dst, a, b *Mat) {
 	if dst == a || dst == b {
 		panic("tensor: MulInto dst aliases input")
 	}
-	mulRowsPlain(dst, a, b)
+	mulRows(dst, a, b)
 }
 
 // mulRowsPlain computes dst = a @ b using an ikj loop order that streams b
-// rows through cache. Adjacent k rows are applied in pairs —
+// rows through cache: the kernel off amd64 and the reference the amd64
+// kernel is tested against. Adjacent k rows are applied in pairs —
 // each output element still receives its updates one at a time in ascending
 // k order (two sequential adds, never a re-grouped sum), so the result is
 // bit-identical to the unpaired loop while halving the dst row traffic. The
@@ -126,8 +126,8 @@ func mulRowsPlain(dst, a, b *Mat) {
 			b0 := b.Data[k*p : (k+1)*p][:len(drow)]
 			b1 := b.Data[(k+1)*p : (k+2)*p][:len(drow)]
 			for j := range drow {
-				s := drow[j] + a0*b0[j]
-				drow[j] = s + a1*b1[j]
+				s := drow[j] + float64(a0*b0[j])
+				drow[j] = s + float64(a1*b1[j])
 			}
 		}
 		if k < n {
@@ -142,7 +142,7 @@ func mulRowsPlain(dst, a, b *Mat) {
 func axpyRow(drow []float64, a float64, brow []float64) {
 	brow = brow[:len(drow)]
 	for j := range drow {
-		drow[j] += a * brow[j]
+		drow[j] += float64(a * brow[j])
 	}
 }
 
@@ -194,198 +194,12 @@ func TransposeInto(dst, m *Mat) {
 	}
 }
 
-// packRowThreshold is the fewest output rows that repay MulIntoPacked's
-// transpose of b: acting on one observation runs faster on the plain
-// kernel than packing W on every call.
-const packRowThreshold = 8
-
-// MulIntoPacked computes dst = a @ b like MulInto, bit for bit, through a
-// caller-provided scratch: b is packed as bᵀ into bt (grown via Ensure and
-// returned for reuse) for mulRowsPacked. Products of fewer than
-// packRowThreshold rows go to MulInto. A dense layer takes its forward
-// product here, and its weight gradient dW = xᵀ @ dz on xᵀ.
+// MulIntoPacked is MulInto, bit for bit; it returns bt untouched. It
+// stays only so the service benchmark's tensor probes compile, and has no
+// caller outside bench/ and tests.
 func MulIntoPacked(dst, a, b, bt *Mat) *Mat {
-	if a.R < packRowThreshold {
-		MulInto(dst, a, b)
-		return bt
-	}
-	if a.C != b.R {
-		panic(fmt.Sprintf("tensor: MulIntoPacked inner dims %d vs %d", a.C, b.R))
-	}
-	if dst.R != a.R || dst.C != b.C {
-		panic("tensor: MulIntoPacked dst shape mismatch")
-	}
-	if dst == a || dst == b {
-		panic("tensor: MulIntoPacked dst aliases input")
-	}
-	bt = Ensure(bt, b.C, b.R)
-	TransposeInto(bt, b)
-	mulRowsPacked(dst, a, bt)
+	MulInto(dst, a, b)
 	return bt
-}
-
-// mulRowsPacked computes dst = a @ btᵀ, where row j of bt is column j of
-// the right operand: a dense layer's forward product and weight gradient
-// after MulIntoPacked's pack, and dx = dz @ Wᵀ on W as stored. Each output
-// element is one serial FP chain in ascending k; the kernel only chooses
-// which chains run side by side to hide the add latency one chain is
-// bound by.
-//
-// Columns in groups of eight go row by row, eight chains along the row.
-// Zero entries of a are skipped, as in mulRowsPlain, but testing arow[k]
-// inside the 8-wide loop mispredicts badly on ReLU-sparse rows, so such a
-// row's nonzero k are listed once and walked pairwise (two loads per
-// stream, two sequential adds per chain). A row with no zero walks k
-// directly, which spares it the index loads and the bounds checks the
-// compiler cannot drop on b0[nz[t]].
-//
-// The p mod 8 columns left go column by column, four rows at a time. They
-// add a's zero terms instead of skipping them, which changes no bit while
-// the column is finite: each chain starts at +0 and never reaches −0, and
-// s + (±0) = s. A column holding Inf or NaN takes the skipping loop. So
-// the skip shows only where bt is not finite — for dx, a W holding Inf or
-// NaN, a diverged net — and there a skipped 0·Inf keeps an element finite
-// that would otherwise be NaN.
-func mulRowsPacked(dst, a, bt *Mat) {
-	n, p := a.C, bt.R
-	p8 := p &^ 7
-	// The nonzero list lives on the stack for rows of up to 1024; a
-	// longer row costs one allocation per call.
-	var idxBuf [1024]int32
-	idx := idxBuf[:]
-	if n > len(idx) && p8 > 0 {
-		idx = make([]int32, n)
-	}
-	for i := 0; i < a.R && p8 > 0; i++ {
-		arow := a.Data[i*n : (i+1)*n]
-		drow := dst.Data[i*p : (i+1)*p]
-		dense := !slices.Contains(arow, 0)
-		var nz []int32
-		if !dense {
-			// Every k is written and the count advances past the nonzero
-			// ones only: a conditional move, no branch to mispredict.
-			c := 0
-			for k, av := range arow {
-				idx[c] = int32(k)
-				if av != 0 {
-					c++
-				}
-			}
-			nz = idx[:c]
-		}
-		for j := 0; j < p8; j += 8 {
-			b0 := bt.Data[j*n : (j+1)*n][:len(arow)]
-			b1 := bt.Data[(j+1)*n : (j+2)*n][:len(arow)]
-			b2 := bt.Data[(j+2)*n : (j+3)*n][:len(arow)]
-			b3 := bt.Data[(j+3)*n : (j+4)*n][:len(arow)]
-			b4 := bt.Data[(j+4)*n : (j+5)*n][:len(arow)]
-			b5 := bt.Data[(j+5)*n : (j+6)*n][:len(arow)]
-			b6 := bt.Data[(j+6)*n : (j+7)*n][:len(arow)]
-			b7 := bt.Data[(j+7)*n : (j+8)*n][:len(arow)]
-			var s0, s1, s2, s3, s4, s5, s6, s7 float64
-			if dense {
-				k := 0
-				for ; k < len(arow)-1; k += 2 {
-					a0, a1 := arow[k], arow[k+1]
-					s0 += a0 * b0[k]
-					s0 += a1 * b0[k+1]
-					s1 += a0 * b1[k]
-					s1 += a1 * b1[k+1]
-					s2 += a0 * b2[k]
-					s2 += a1 * b2[k+1]
-					s3 += a0 * b3[k]
-					s3 += a1 * b3[k+1]
-					s4 += a0 * b4[k]
-					s4 += a1 * b4[k+1]
-					s5 += a0 * b5[k]
-					s5 += a1 * b5[k+1]
-					s6 += a0 * b6[k]
-					s6 += a1 * b6[k+1]
-					s7 += a0 * b7[k]
-					s7 += a1 * b7[k+1]
-				}
-				if k < len(arow) {
-					av := arow[k]
-					s0 += av * b0[k]
-					s1 += av * b1[k]
-					s2 += av * b2[k]
-					s3 += av * b3[k]
-					s4 += av * b4[k]
-					s5 += av * b5[k]
-					s6 += av * b6[k]
-					s7 += av * b7[k]
-				}
-			} else {
-				t := 0
-				for ; t+1 < len(nz); t += 2 {
-					k0, k1 := int(nz[t]), int(nz[t+1])
-					a0, a1 := arow[k0], arow[k1]
-					s0 += a0 * b0[k0]
-					s0 += a1 * b0[k1]
-					s1 += a0 * b1[k0]
-					s1 += a1 * b1[k1]
-					s2 += a0 * b2[k0]
-					s2 += a1 * b2[k1]
-					s3 += a0 * b3[k0]
-					s3 += a1 * b3[k1]
-					s4 += a0 * b4[k0]
-					s4 += a1 * b4[k1]
-					s5 += a0 * b5[k0]
-					s5 += a1 * b5[k1]
-					s6 += a0 * b6[k0]
-					s6 += a1 * b6[k1]
-					s7 += a0 * b7[k0]
-					s7 += a1 * b7[k1]
-				}
-				if t < len(nz) {
-					k := int(nz[t])
-					av := arow[k]
-					s0 += av * b0[k]
-					s1 += av * b1[k]
-					s2 += av * b2[k]
-					s3 += av * b3[k]
-					s4 += av * b4[k]
-					s5 += av * b5[k]
-					s6 += av * b6[k]
-					s7 += av * b7[k]
-				}
-			}
-			d := drow[j : j+8]
-			d[0], d[1], d[2], d[3] = s0, s1, s2, s3
-			d[4], d[5], d[6], d[7] = s4, s5, s6, s7
-		}
-	}
-	for j := p8; j < p; j++ {
-		bcol := bt.Data[j*n : (j+1)*n]
-		// v - v is NaN exactly when v is Inf or NaN.
-		finite := !slices.ContainsFunc(bcol, func(v float64) bool { return v-v != 0 })
-		i := 0
-		for ; finite && i+3 < a.R; i += 4 {
-			a0 := a.Data[i*n : (i+1)*n][:len(bcol)]
-			a1 := a.Data[(i+1)*n : (i+2)*n][:len(bcol)]
-			a2 := a.Data[(i+2)*n : (i+3)*n][:len(bcol)]
-			a3 := a.Data[(i+3)*n : (i+4)*n][:len(bcol)]
-			var s0, s1, s2, s3 float64
-			for k, bv := range bcol {
-				s0 += a0[k] * bv
-				s1 += a1[k] * bv
-				s2 += a2[k] * bv
-				s3 += a3[k] * bv
-			}
-			dst.Data[i*p+j], dst.Data[(i+1)*p+j] = s0, s1
-			dst.Data[(i+2)*p+j], dst.Data[(i+3)*p+j] = s2, s3
-		}
-		for ; i < a.R; i++ {
-			arow := a.Data[i*n : (i+1)*n][:len(bcol)]
-			s := 0.0
-			for k, av := range arow {
-				if av != 0 {
-					s += av * bcol[k]
-				}
-			}
-			dst.Data[i*p+j] = s
-		}
-	}
 }
 
 // Mul returns a new matrix a @ b.
@@ -396,20 +210,17 @@ func Mul(a, b *Mat) *Mat {
 }
 
 // MulTransBInto computes dst = a @ bᵀ (a is n×c, b is m×c, dst is n×m)
-// through mulRowsPacked, whose layout b already is: a dense layer's
-// dx = dz @ Wᵀ. Zero entries of a are skipped (see mulRowsPacked for where
-// that shows in the bits).
+// by MulInto on a fresh transpose of b, so it allocates. It stays only so
+// the service benchmark's tensor probes compile, and has no caller outside
+// bench/ and tests; a dense layer takes dx = dz @ Wᵀ through a transpose
+// into its own scratch.
 func MulTransBInto(dst, a, b *Mat) {
-	if a.C != b.C {
-		panic(fmt.Sprintf("tensor: MulTransBInto cols %d vs %d", a.C, b.C))
-	}
-	if dst.R != a.R || dst.C != b.R {
-		panic("tensor: MulTransBInto dst shape mismatch")
-	}
-	if dst == a || dst == b {
+	if dst == b {
 		panic("tensor: MulTransBInto dst aliases input")
 	}
-	mulRowsPacked(dst, a, b)
+	bt := New(b.C, b.R)
+	TransposeInto(bt, b)
+	MulInto(dst, a, bt)
 }
 
 // AddBias adds the bias row vector to every row of m in place.
@@ -448,7 +259,7 @@ func (m *Mat) Axpy(alpha float64, other *Mat) {
 		panic("tensor: Axpy shape mismatch")
 	}
 	for i := range m.Data {
-		m.Data[i] += alpha * other.Data[i]
+		m.Data[i] += float64(alpha * other.Data[i])
 	}
 }
 
@@ -459,7 +270,7 @@ func Dot(a, b []float64) float64 {
 	}
 	s := 0.0
 	for i := range a {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s
 }
@@ -468,7 +279,7 @@ func Dot(a, b []float64) float64 {
 func Norm2(v []float64) float64 {
 	s := 0.0
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	return math.Sqrt(s)
 }

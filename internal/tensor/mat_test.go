@@ -44,7 +44,7 @@ func naiveMul(a, b *Mat) *Mat {
 		for j := 0; j < b.C; j++ {
 			s := 0.0
 			for k := 0; k < a.C; k++ {
-				s += a.At(i, k) * b.At(k, j)
+				s += float64(a.At(i, k) * b.At(k, j))
 			}
 			out.Set(i, j, s)
 		}

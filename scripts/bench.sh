@@ -2,13 +2,13 @@
 # bench.sh — benchmark regression harness (see docs/perf.md).
 #
 # Full mode (the default) runs every benchmark with fixed -benchtime/-count
-# and records the folded results into BENCH_17.json via cmd/benchgate:
+# and records the folded results into BENCH_18.json via cmd/benchgate:
 #
 #   ./scripts/bench.sh                 # re-record the "current" block
 #   ./scripts/bench.sh --baseline pre.txt   # also record pre.txt as baseline
 #
 # Smoke mode runs a fast subset (skipping the multi-second campaign
-# benchmarks) and gates it against the committed BENCH_17.json. Time gates
+# benchmarks) and gates it against the committed BENCH_18.json. Time gates
 # are loose (tolerance factor, absorbs CI machine variance); allocs/op
 # gates are exact, because allocation counts are deterministic:
 #
@@ -19,7 +19,7 @@ cd "$(dirname "$0")/.."
 BENCHTIME="${BENCHTIME:-200ms}"
 COUNT="${COUNT:-3}"
 TOLERANCE="${TOLERANCE:-2.5}"
-OUT="${OUT:-BENCH_17.json}"
+OUT="${OUT:-BENCH_18.json}"
 
 # Fast subset for CI smoke: steady-state kernels and harness overhead, no
 # full-campaign benchmarks (those take tens of seconds per iteration).
