@@ -77,8 +77,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	core := daemon.Core{Name: "router"}
-	core.StartDebug(*debugAddr, rt.Registry())
+	daemon.StartDebug(*debugAddr, rt.Registry())
 
 	ctx, stop := daemon.SignalContext()
 	defer stop()

@@ -119,8 +119,7 @@ func main() {
 	}
 	d.Start()
 
-	core := daemon.Core{Name: *name}
-	core.StartDebug(*debugAddr, d.Registry())
+	daemon.StartDebug(*debugAddr, d.Registry())
 
 	ctx, stop := daemon.SignalContext()
 	defer stop()

@@ -83,8 +83,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	core := daemon.Core{Name: *name}
-	core.StartDebug(*debugAddr)
+	daemon.StartDebug(*debugAddr)
 
 	ws := &executor.Server{Name: *name, Eval: studyd.EvaluateRequest, Token: *token, Logf: log.Printf}
 	ctx, stop := daemon.SignalContext()

@@ -16,8 +16,9 @@ import (
 // posture as trial journals: each episode is one write of one whole line,
 // so a crash tears at most the final line, which ReadEpisodes tolerates.
 // Safe for concurrent use by parallel trials. The file opens lazily on
-// the first Record (append mode, so resumed studies extend their
-// journal), and a writer that never records creates nothing.
+// the first Record (append mode, after cutting off a torn tail, so
+// resumed studies extend their journal), and a writer that never records
+// creates nothing.
 type EpisodeWriter struct {
 	path string
 
@@ -48,6 +49,13 @@ func (w *EpisodeWriter) Record(ep rl.Episode) {
 		return
 	}
 	if w.w == nil {
+		// A crash can have torn the journal's last line. It is cut off
+		// before the first append, as the trace stream's is; otherwise
+		// the next episode fuses into it and every later read fails.
+		if _, err := journal.RepairLines(w.path, journal.ValidJSON); err != nil {
+			w.err = err
+			return
+		}
 		if w.w, err = journal.OpenSegmented(w.path, 0); err != nil {
 			w.err = err
 			return

@@ -87,6 +87,19 @@ func TestEpisodeWriterRoundTrip(t *testing.T) {
 	if len(got) != len(eps) {
 		t.Fatalf("torn tail: got %d episodes, want %d", len(got), len(eps))
 	}
+	// A writer resumed after the crash cuts the torn line off before it
+	// appends, so the journal reads whole again.
+	more := recordFleet(t, 4, 2)[len(eps):]
+	resumed := NewEpisodeWriter(path)
+	for _, ep := range more {
+		resumed.Record(ep)
+	}
+	if err := resumed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = ReadEpisodes(path); err != nil || len(got) != len(eps)+len(more) {
+		t.Fatalf("resumed journal: got %d episodes (err=%v), want %d", len(got), err, len(eps)+len(more))
+	}
 
 	// The bytes are encoding/json's: one Encoder.Encode per episode.
 	seq := filepath.Join(t.TempDir(), "seq.jsonl")

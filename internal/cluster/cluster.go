@@ -22,18 +22,6 @@ type Config struct {
 	LinkBandwidth float64 // bytes/second (1 Gbps Ethernet ≈ 125e6)
 	LinkLatency   float64 // seconds one-way
 	CPU           power.Curve
-
-	// Hetero, when non-empty, overrides Nodes/CoresPerNode/CPU with
-	// per-node hardware — the heterogeneous-resource direction the paper
-	// cites from the design-space-exploration literature. Nodes becomes
-	// len(Hetero).
-	Hetero []NodeSpec
-}
-
-// NodeSpec is one machine of a heterogeneous cluster.
-type NodeSpec struct {
-	Cores int
-	CPU   power.Curve
 }
 
 // Paper returns the paper's testbed: 2 nodes × 4 cores, 1 Gbps switch.
@@ -49,7 +37,6 @@ func Paper() Config {
 
 // node tracks one machine's virtual clock and energy ledger.
 type node struct {
-	cores    int
 	clock    float64
 	meter    *power.Meter
 	busyCore float64 // busy core-seconds, for utilization reporting
@@ -69,42 +56,17 @@ func New(cfg Config) *Sim {
 		cfg.LinkBandwidth = 125e6
 	}
 	s := &Sim{cfg: cfg}
-	if len(cfg.Hetero) > 0 {
-		s.cfg.Nodes = len(cfg.Hetero)
-		for _, spec := range cfg.Hetero {
-			if spec.Cores <= 0 {
-				panic(fmt.Sprintf("cluster: bad node spec %+v", spec))
-			}
-			s.nodes = append(s.nodes, &node{cores: spec.Cores, meter: power.NewMeter(spec.CPU)})
-		}
-		return s
-	}
 	if cfg.Nodes <= 0 || cfg.CoresPerNode <= 0 {
 		panic(fmt.Sprintf("cluster: bad config %+v", cfg))
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		s.nodes = append(s.nodes, &node{cores: cfg.CoresPerNode, meter: power.NewMeter(cfg.CPU)})
+		s.nodes = append(s.nodes, &node{meter: power.NewMeter(cfg.CPU)})
 	}
 	return s
 }
 
 // Nodes returns the node count.
 func (s *Sim) Nodes() int { return len(s.nodes) }
-
-// Cores returns the per-node core count of a homogeneous cluster (the
-// largest node's count for a heterogeneous one).
-func (s *Sim) Cores() int {
-	c := 0
-	for _, nd := range s.nodes {
-		if nd.cores > c {
-			c = nd.cores
-		}
-	}
-	return c
-}
-
-// NodeCores returns node n's core count.
-func (s *Sim) NodeCores(n int) int { return s.node(n).cores }
 
 // Config returns the simulated cluster configuration.
 func (s *Sim) Config() Config { return s.cfg }
@@ -127,28 +89,13 @@ func (s *Sim) Run(n, cores int, seconds float64) {
 	if cores < 1 {
 		cores = 1
 	}
-	if cores > nd.cores {
-		cores = nd.cores
+	if cores > s.cfg.CoresPerNode {
+		cores = s.cfg.CoresPerNode
 	}
-	u := float64(cores) / float64(nd.cores)
+	u := float64(cores) / float64(s.cfg.CoresPerNode)
 	nd.meter.Add(u, seconds)
 	nd.busyCore += float64(cores) * seconds
 	nd.clock += seconds
-}
-
-// RunParallel executes a pool of totalWork CPU-seconds spread over cores
-// parallel cores of node n (wall time = totalWork/cores) and returns the
-// wall time.
-func (s *Sim) RunParallel(n, cores int, totalWork float64) float64 {
-	if cores < 1 {
-		cores = 1
-	}
-	if max := s.node(n).cores; cores > max {
-		cores = max
-	}
-	wall := totalWork / float64(cores)
-	s.Run(n, cores, wall)
-	return wall
 }
 
 // Idle advances node n's clock by seconds at idle power.
@@ -174,8 +121,8 @@ func (s *Sim) Transfer(src, dst int, bytes int64) float64 {
 	s.syncTo(src, start)
 	s.syncTo(dst, start)
 	d := s.cfg.LinkLatency + float64(bytes)/s.cfg.LinkBandwidth
-	a.meter.Add(1/float64(a.cores), d)
-	b.meter.Add(1/float64(b.cores), d)
+	a.meter.Add(1/float64(s.cfg.CoresPerNode), d)
+	b.meter.Add(1/float64(s.cfg.CoresPerNode), d)
 	a.busyCore += d
 	b.busyCore += d
 	a.clock = start + d
@@ -253,5 +200,5 @@ func (s *Sim) Utilization(n int) float64 {
 	if nd.clock == 0 {
 		return 0
 	}
-	return nd.busyCore / (nd.clock * float64(nd.cores))
+	return nd.busyCore / (nd.clock * float64(s.cfg.CoresPerNode))
 }

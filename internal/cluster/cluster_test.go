@@ -42,17 +42,14 @@ func TestPartialUtilization(t *testing.T) {
 	}
 }
 
-func TestRunParallelWallTime(t *testing.T) {
-	s := newSim(1, 4)
-	wall := s.RunParallel(0, 4, 400) // 400 core-seconds over 4 cores
-	if wall != 100 || s.Time() != 100 {
-		t.Fatalf("wall=%v time=%v want 100", wall, s.Time())
+func TestRunCapsCoresAtNodeSize(t *testing.T) {
+	s := newSim(1, 2)
+	s.Run(0, 8, 50) // over-subscription is capped at node size
+	if u := s.Utilization(0); u != 1 {
+		t.Fatalf("util %v want 1", u)
 	}
-	// Over-subscription is capped at node size.
-	s2 := newSim(1, 2)
-	wall2 := s2.RunParallel(0, 8, 100)
-	if wall2 != 50 {
-		t.Fatalf("capped wall=%v want 50", wall2)
+	if e := s.Energy(); math.Abs(e-2100) > 1e-9 {
+		t.Fatalf("Energy=%v want 2100 (42W x 50s)", e)
 	}
 }
 
@@ -137,9 +134,9 @@ func TestMoreCoresFasterButMorePower(t *testing.T) {
 	// cores also helped energy.
 	work := 1000.0
 	two := newSim(1, 4)
-	two.RunParallel(0, 2, work)
+	two.Run(0, 2, work/2)
 	four := newSim(1, 4)
-	four.RunParallel(0, 4, work)
+	four.Run(0, 4, work/4)
 	if !(four.Time() < two.Time()) {
 		t.Fatal("4 cores should be faster")
 	}
@@ -205,51 +202,10 @@ func TestPaperConfig(t *testing.T) {
 		t.Fatal("1 Gbps expected")
 	}
 	s := New(cfg)
-	if s.Nodes() != 2 || s.Cores() != 4 {
+	if s.Nodes() != 2 || s.Config().CoresPerNode != 4 {
 		t.Fatal("accessors wrong")
 	}
 	if s.Config().Nodes != 2 {
 		t.Fatal("Config accessor wrong")
 	}
-}
-
-func TestHeterogeneousCluster(t *testing.T) {
-	big := power.MustCurve([]power.Point{{Util: 0, Watts: 20}, {Util: 1, Watts: 90}})
-	small := power.MustCurve([]power.Point{{Util: 0, Watts: 5}, {Util: 1, Watts: 15}})
-	s := New(Config{
-		LinkBandwidth: 125e6,
-		Hetero: []NodeSpec{
-			{Cores: 8, CPU: big},
-			{Cores: 2, CPU: small},
-		},
-	})
-	if s.Nodes() != 2 || s.NodeCores(0) != 8 || s.NodeCores(1) != 2 {
-		t.Fatalf("hetero dims wrong: %d nodes, %d/%d cores", s.Nodes(), s.NodeCores(0), s.NodeCores(1))
-	}
-	if s.Cores() != 8 {
-		t.Fatalf("Cores()=%d want max 8", s.Cores())
-	}
-	// Same parallel work: the big node is 4x faster.
-	w0 := s.RunParallel(0, 8, 80)
-	w1 := s.RunParallel(1, 8, 80) // capped to 2 cores
-	if w0 != 10 || w1 != 40 {
-		t.Fatalf("walls %v/%v want 10/40", w0, w1)
-	}
-	// Energy uses per-node curves: node0 90W*10s=900J busy so far;
-	// node1 15W*40s=600J; Energy() barriers node0 +30s idle at 20W.
-	if e := s.Energy(); math.Abs(e-(900+600+600)) > 1e-9 {
-		t.Fatalf("hetero energy %v want 2100", e)
-	}
-	if u := s.Utilization(1); math.Abs(u-1) > 1e-12 {
-		t.Fatalf("node1 util %v", u)
-	}
-}
-
-func TestHeteroBadSpecPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad spec should panic")
-		}
-	}()
-	New(Config{Hetero: []NodeSpec{{Cores: 0}}})
 }

@@ -1,4 +1,4 @@
-// Package daemon is the shared kernel every rldecide daemon embeds:
+// Package daemon is the shared kernel every rldecide daemon builds on:
 // bearer-token authentication (single-token or per-tenant with slot
 // quotas), the JSON error/response helpers of the HTTP APIs, the debug
 // listener (pprof + metrics) wiring, and the serve-then-gracefully-drain
@@ -9,7 +9,7 @@
 //
 // The kernel deliberately knows nothing about studies, trials or
 // dispatch: it depends only on internal/obs (debug mux, registries), so
-// every tier of the stack — serving daemons, workers, routers — can embed
+// every tier of the stack — serving daemons, workers, routers — can import
 // it without import cycles.
 package daemon
 
@@ -24,29 +24,6 @@ import (
 	"rldecide/internal/obs"
 )
 
-// Core is the embeddable daemon kernel: identity, logging and auth. The
-// zero value is usable (anonymous daemon, no auth, log.Printf).
-type Core struct {
-	// Name identifies the daemon instance. Sharded deployments set it
-	// (it namespaces metric series with a `daemon` label and signs
-	// journal-ownership manifests); single-daemon deployments may leave
-	// it empty for backward-compatible unlabeled series.
-	Name string
-	// Auth guards mutating endpoints. Nil or disabled means open.
-	Auth *Auth
-	// Logf receives operational log lines (default log.Printf).
-	Logf func(format string, args ...any)
-}
-
-// Printf logs through the configured sink (default log.Printf).
-func (c *Core) Printf(format string, args ...any) {
-	if c == nil || c.Logf == nil {
-		log.Printf(format, args...)
-		return
-	}
-	c.Logf(format, args...)
-}
-
 // SignalContext returns a context cancelled on SIGINT/SIGTERM — the
 // shared shutdown trigger of every daemon main.
 func SignalContext() (context.Context, context.CancelFunc) {
@@ -57,17 +34,17 @@ func SignalContext() (context.Context, context.CancelFunc) {
 // addr from a background goroutine — the -debug-addr listener both
 // daemons used to wire by hand. A listener failure is logged, never
 // fatal: profiling must not take the daemon down. No-op when addr is "".
-func (c *Core) StartDebug(addr string, regs ...*obs.Registry) {
+func StartDebug(addr string, regs ...*obs.Registry) {
 	if addr == "" {
 		return
 	}
 	srv := &http.Server{Addr: addr, Handler: obs.DebugMux(regs...)}
 	go func() {
 		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-			c.Printf("daemon: debug listener %s: %v", addr, err)
+			log.Printf("daemon: debug listener %s: %v", addr, err)
 		}
 	}()
-	c.Printf("daemon: pprof + metrics on %s", addr)
+	log.Printf("daemon: pprof + metrics on %s", addr)
 }
 
 // Run serves handler on addr until ctx is cancelled, then drains: drain

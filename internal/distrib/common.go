@@ -2,7 +2,6 @@ package distrib
 
 import (
 	"fmt"
-	"math"
 
 	"rldecide/internal/gym"
 	"rldecide/internal/mathx"
@@ -22,43 +21,8 @@ func actionCountOf(s gym.Space) (int, error) {
 // trainers evaluate the *stochastic* policy — the object the algorithms
 // actually optimize (and RLlib's default evaluation behaviour) — so the
 // sharpness of the final policy shows up in the reported reward.
-//
-// When cfg.EpisodeSink is set, every evaluation episode is additionally
-// recorded as an rl.Episode — the trajectory journal the decision
-// analyzers consume. The recorded path runs the same episodes off the
-// same seeds (recording copies data, never draws randomness), so the
-// EvalResult is bit-identical with the sink attached or nil.
 func evaluatePolicy(cfg *TrainConfig, seeder *mathx.Seeder, policy rl.Policy) rl.EvalResult {
-	env := cfg.EnvMaker(seeder.Next())
-	if cfg.EpisodeSink == nil {
-		return rl.Evaluate(env, policy, cfg.EvalEpisodes)
-	}
-	returns := make([]float64, cfg.EvalEpisodes)
-	totalLen := 0
-	for i := range returns {
-		ep := rl.RecordEpisode(env, policy)
-		ep.Index = i
-		cfg.EpisodeSink.Record(ep)
-		returns[i] = ep.Return
-		totalLen += ep.Len()
-	}
-	// Statistics computed exactly as rl.Evaluate computes them (same
-	// accumulation order), so the two paths report the same bits.
-	mean := mathx.Mean(returns)
-	varsum := 0.0
-	for _, r := range returns {
-		varsum += (r - mean) * (r - mean)
-	}
-	std := 0.0
-	if len(returns) > 1 {
-		std = math.Sqrt(varsum / float64(len(returns)))
-	}
-	return rl.EvalResult{
-		MeanReturn: mean,
-		StdReturn:  std,
-		MeanLength: float64(totalLen) / float64(cfg.EvalEpisodes),
-		Episodes:   cfg.EvalEpisodes,
-	}
+	return rl.Evaluate(cfg.EnvMaker(seeder.Next()), policy, cfg.EvalEpisodes)
 }
 
 // lrDecay returns the linear-to-zero learning-rate factor at the given

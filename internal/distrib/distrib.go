@@ -27,7 +27,6 @@ import (
 
 	"rldecide/internal/cluster"
 	"rldecide/internal/gym"
-	"rldecide/internal/rl"
 	"rldecide/internal/rl/ppo"
 	"rldecide/internal/rl/sac"
 )
@@ -88,16 +87,6 @@ type TrainConfig struct {
 	// when non-nil.
 	PPOConfig *ppo.Config
 	SACConfig *sac.Config
-
-	// Cluster overrides the simulated hardware (defaults to the paper's
-	// testbed dimensions with the requested Nodes/Cores).
-	Cluster *cluster.Config
-
-	// EpisodeSink, when non-nil, receives every final-evaluation episode
-	// as a recorded trajectory (rl.Episode) for offline decision
-	// analysis. Recording is passive: the run's results are identical
-	// with the sink attached or nil.
-	EpisodeSink rl.EpisodeSink
 }
 
 func (c *TrainConfig) withDefaults() (TrainConfig, error) {
@@ -135,9 +124,6 @@ func (c *TrainConfig) withDefaults() (TrainConfig, error) {
 // utilization, it does not shrink the chip.
 func (c *TrainConfig) clusterConfig() cluster.Config {
 	cc := cluster.Paper()
-	if c.Cluster != nil {
-		cc = *c.Cluster
-	}
 	cc.Nodes = c.Nodes
 	if c.Cores > cc.CoresPerNode {
 		cc.CoresPerNode = c.Cores

@@ -3,6 +3,7 @@ package journal
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -93,6 +94,15 @@ func RepairLines[T any](path string, decode func(line []byte, v *T) error) ([]T,
 	default:
 		return out, err
 	}
+}
+
+// ValidJSON is a RepairLines decoder that keeps nothing: it only checks
+// that a line is one JSON value, so a repair need not hold the stream.
+func ValidJSON(line []byte, _ *struct{}) error {
+	if !json.Valid(line) {
+		return errors.New("not a JSON value")
+	}
+	return nil
 }
 
 // terminate appends the newline a whole but unterminated final line lacks.

@@ -18,7 +18,7 @@ import (
 // (methods on a *rand.Rand are tainted only if the Rand itself is, e.g.
 // seeded from the clock). internal/power is exempt — it IS the sanctioned
 // clock seam, and values produced by its API are considered clean. Live
-// metric reads (Value() on internal/obs Counter/Gauge) are also sources:
+// metric reads (Value() on an internal/obs Counter) are also sources:
 // the instruments are process-wide, shared by every trial running side by
 // side, so what a read returns depends on how those trials interleave and
 // a journaled metric read differs run to run even when the arithmetic is

@@ -15,7 +15,8 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value reads the live count — the taint source outside this package.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge mirrors the real obs.Gauge shape.
+// Gauge is a second instrument with a Value method: the rule taints a
+// Value read on any internal/obs type, not on Counter alone.
 type Gauge struct{ bits atomic.Uint64 }
 
 // Set stores the latest value.

@@ -13,60 +13,23 @@ import (
 	"rldecide/internal/tensor"
 )
 
-// Activation is an elementwise nonlinearity with derivative expressed in
-// terms of input z and output y (whichever is cheaper).
-type Activation interface {
-	Name() string
-	Apply(z float64) float64
-	// Deriv returns dy/dz given the pre-activation z and post-activation y.
-	Deriv(z, y float64) float64
-}
+// Activation is an elementwise nonlinearity: Tanh, ReLU or Identity. The
+// interface is sealed; a layer applies the kind it holds once per batch
+// (applyActivation, activationDeriv).
+type Activation interface{ activation() }
 
 // Tanh activation.
 type Tanh struct{}
 
-// Name implements Activation.
-func (Tanh) Name() string { return "tanh" }
-
-// Apply implements Activation.
-func (Tanh) Apply(z float64) float64 { return math.Tanh(z) }
-
-// Deriv implements Activation.
-func (Tanh) Deriv(_, y float64) float64 { return 1 - y*y }
-
 // ReLU activation.
 type ReLU struct{}
-
-// Name implements Activation.
-func (ReLU) Name() string { return "relu" }
-
-// Apply implements Activation.
-func (ReLU) Apply(z float64) float64 {
-	if z > 0 {
-		return z
-	}
-	return 0
-}
-
-// Deriv implements Activation.
-func (ReLU) Deriv(z, _ float64) float64 {
-	if z > 0 {
-		return 1
-	}
-	return 0
-}
 
 // Identity activation (linear output layers).
 type Identity struct{}
 
-// Name implements Activation.
-func (Identity) Name() string { return "identity" }
-
-// Apply implements Activation.
-func (Identity) Apply(z float64) float64 { return z }
-
-// Deriv implements Activation.
-func (Identity) Deriv(_, _ float64) float64 { return 1 }
+func (Tanh) activation()     {}
+func (ReLU) activation()     {}
+func (Identity) activation() {}
 
 // Dense is a fully connected layer y = act(x @ W + b) with gradient
 // accumulation. It caches the last forward batch for the backward pass; it
@@ -121,10 +84,9 @@ func (d *Dense) Forward(x *tensor.Mat) *tensor.Mat {
 	return d.y
 }
 
-// applyActivation computes y[i] = act(z[i]). The concrete activations are
-// dispatched once per batch instead of once per element: the per-element
-// interface call was a top-ten sample site in campaign profiles. Each arm
-// applies the identical scalar function, so the output bits are unchanged.
+// applyActivation computes y[i] = act(z[i]), dispatching on the kind once
+// per batch instead of once per element: a per-element interface call was
+// a top-ten sample site in campaign profiles.
 func applyActivation(act Activation, y, z []float64) {
 	y = y[:len(z)]
 	switch act.(type) {
@@ -142,10 +104,6 @@ func applyActivation(act Activation, y, z []float64) {
 		}
 	case Identity:
 		copy(y, z)
-	default:
-		for i, v := range z {
-			y[i] = act.Apply(v)
-		}
 	}
 }
 
@@ -161,8 +119,8 @@ func activationDeriv(act Activation, dz, dy, z, y []float64) {
 			if z[i] > 0 {
 				dz[i] = g
 			} else {
-				// g·0, not the constant 0: the sign of -0·0 and NaN
-				// propagation must match the generic arm bit-for-bit.
+				// g·0, not the constant 0: a negative g gives -0 and a
+				// NaN g stays NaN, as g·act'(z) would.
 				dz[i] = g * 0
 			}
 		}
@@ -172,10 +130,6 @@ func activationDeriv(act Activation, dz, dy, z, y []float64) {
 		}
 	case Identity:
 		copy(dz, dy)
-	default:
-		for i, g := range dy {
-			dz[i] = g * act.Deriv(z[i], y[i])
-		}
 	}
 }
 

@@ -6,12 +6,11 @@ import (
 
 // TestInstrumentAllocsZero pins the zero-allocation contract for every
 // instrument update that sits on (or near) a training hot path: counters
-// on env steps and journal appends, gauges on pool state, histogram
-// observations on trial latency, and bus publishes on trial boundaries.
+// on env steps and journal appends, histogram observations on trial
+// latency, and bus publishes on trial boundaries.
 func TestInstrumentAllocsZero(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("alloc_c_total", "x")
-	g := r.NewGauge("alloc_g", "x")
 	h := r.NewHistogram("alloc_h_seconds", "x", DurationBuckets)
 
 	if n := testing.AllocsPerRun(1000, func() { c.Inc() }); n != 0 {
@@ -19,12 +18,6 @@ func TestInstrumentAllocsZero(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, func() { c.Add(3) }); n != 0 {
 		t.Errorf("Counter.Add: %.1f allocs, want 0", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() { g.Set(1.5) }); n != 0 {
-		t.Errorf("Gauge.Set: %.1f allocs, want 0", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() { g.Add(0.25) }); n != 0 {
-		t.Errorf("Gauge.Add: %.1f allocs, want 0", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() { h.Observe(0.003) }); n != 0 {
 		t.Errorf("Histogram.Observe: %.1f allocs, want 0", n)

@@ -20,13 +20,9 @@ const (
 	KindWorkerUp   = "worker_up"
 	KindWorkerDown = "worker_down"
 
-	// Control-plane kinds (router + sharded daemons): study placement
-	// onto a backend, ownership handoff after a backend death, and the
-	// router's view of backend liveness.
-	KindStudyPlaced  = "study_placed"
+	// KindStudyAdopted is a sharded daemon taking ownership of a study
+	// after its backend died.
 	KindStudyAdopted = "study_adopted"
-	KindBackendUp    = "backend_up"
-	KindBackendDown  = "backend_down"
 
 	// KindSpan carries one finished causal span (internal/obs/span) on the
 	// trace stream: Name/Trace/Span/Parent/DurMs describe the span, the

@@ -62,29 +62,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a settable value. Set and Add are allocation-free atomic
-// updates (float bits stored in a uint64).
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the gauge by delta (CAS loop; lock-free).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // Histogram is a fixed-bucket cumulative histogram. Observe is a linear
 // scan over the (small, fixed) bucket bounds plus two atomic updates —
 // no allocation, no lock.
@@ -123,7 +100,6 @@ type metricKind int
 
 const (
 	kindCounter metricKind = iota
-	kindGauge
 	kindHistogram
 	kindGaugeFunc
 	kindCounterFunc
@@ -135,7 +111,6 @@ type instrument struct {
 	help    string
 	kind    metricKind
 	counter *Counter
-	gauge   *Gauge
 	hist    *Histogram
 	collect func() []Sample
 }
@@ -172,13 +147,6 @@ func (r *Registry) NewCounter(name, help string) *Counter {
 	c := &Counter{}
 	r.add(&instrument{name: name, help: help, kind: kindCounter, counter: c})
 	return c
-}
-
-// NewGauge registers and returns a gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.add(&instrument{name: name, help: help, kind: kindGauge, gauge: g})
-	return g
 }
 
 // NewHistogram registers and returns a histogram with the given ascending
@@ -269,7 +237,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 	for _, in := range r.snapshot() {
 		typ := "counter"
 		switch in.kind {
-		case kindGauge, kindGaugeFunc:
+		case kindGaugeFunc:
 			typ = "gauge"
 		case kindHistogram:
 			typ = "histogram"
@@ -282,8 +250,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 		switch in.kind {
 		case kindCounter:
 			err = writeSample(w, in.name, nil, strconv.FormatUint(in.counter.Value(), 10))
-		case kindGauge:
-			err = writeSample(w, in.name, nil, formatFloat(in.gauge.Value()))
 		case kindGaugeFunc, kindCounterFunc:
 			for _, s := range in.collect() {
 				if err = writeSample(w, in.name, s.Labels, formatFloat(s.Value)); err != nil {

@@ -13,7 +13,7 @@ import (
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("test_events_total", "Events seen.")
-	g := r.NewGauge("test_queue_depth", "Queue depth.")
+	r.NewGaugeFunc("test_queue_depth", "Queue depth.", func() []Sample { return []Sample{{Value: 3}} })
 	h := r.NewHistogram("test_latency_seconds", "Latency.", []float64{0.1, 1})
 	r.NewGaugeFunc("test_worker_slots", "Worker slots.", func() []Sample {
 		return []Sample{
@@ -24,8 +24,6 @@ func TestExpositionGolden(t *testing.T) {
 
 	c.Add(3)
 	c.Inc()
-	g.Set(7)
-	g.Add(-4)
 	h.Observe(0.0625)
 	h.Observe(0.5)
 	h.Observe(5)
@@ -61,7 +59,7 @@ func TestHandler(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("test_a_total", "A.").Inc()
 	r2 := NewRegistry()
-	r2.NewGauge("test_b", "B.").Set(2)
+	r2.NewGaugeFunc("test_b", "B.", func() []Sample { return []Sample{{Value: 2}} })
 
 	srv := httptest.NewServer(Handler(r, nil, r2))
 	defer srv.Close()

@@ -16,7 +16,7 @@
 //
 // Hot-path instrumentation (environment steps, nn passes, tensor kernel
 // dispatch, journal appends) must stay allocation-free: Counter.Add,
-// Gauge.Set, Histogram.Observe and Bus.Publish perform zero heap
+// Histogram.Observe and Bus.Publish perform zero heap
 // allocations (gated by alloc_test.go), so the steady-state
 // zero-allocation training loop keeps its AllocsPerRun == 0 contract with
 // observability enabled.

@@ -88,7 +88,6 @@ type Router struct {
 	byName  map[string]Backend
 	proxies map[string]*httputil.ReverseProxy
 	client  *http.Client
-	bus     *obs.Bus
 	reg     *obs.Registry
 	clock   *power.Stopwatch
 
@@ -142,7 +141,6 @@ func New(cfg Config) (*Router, error) {
 		byName:     map[string]Backend{},
 		proxies:    map[string]*httputil.ReverseProxy{},
 		client:     &http.Client{},
-		bus:        obs.NewBus(),
 		reg:        obs.NewRegistry(),
 		clock:      power.StartStopwatch(),
 		placements: map[string]string{},
@@ -194,9 +192,6 @@ func New(cfg Config) (*Router, error) {
 				{Labels: [][2]string{{"state", "down"}}, Value: float64(downCount)},
 			}
 		})
-	rt.reg.NewCounterFunc("rldecide_bus_dropped_total",
-		"Event-bus events dropped per subscriber because its buffer was full.",
-		func() []obs.Sample { return rt.bus.DropSamples() })
 	rt.reg.NewGaugeFunc("rldecide_router_placements",
 		"Directory entries (studies with a known owner) per backend.", func() []obs.Sample {
 			loads := rt.loads(rt.ring.Backends())
@@ -210,25 +205,18 @@ func New(cfg Config) (*Router, error) {
 	return rt, nil
 }
 
-// Bus exposes the router's event bus (backend up/down, placements,
-// re-homes) for tests and embedders.
-func (rt *Router) Bus() *obs.Bus { return rt.bus }
-
 // Registry exposes the router's own metric registry.
 func (rt *Router) Registry() *obs.Registry { return rt.reg }
 
-// Shutdown closes the router's event bus; the kernel lifecycle calls it
-// as the drain step.
-func (rt *Router) Shutdown(context.Context) error {
-	_ = rt.bus.Close() // always nil
-	return nil
-}
+// Shutdown is a no-op: the router holds no work or stream to drain. It
+// lets callers stop a router as they stop a daemon.
+func (rt *Router) Shutdown(context.Context) error { return nil }
 
 // ListenAndServe serves the router's HTTP API on addr until ctx is
 // cancelled — the kernel's serve-then-drain lifecycle.
 func (rt *Router) ListenAndServe(ctx context.Context, addr string, grace time.Duration) error {
 	rt.cfg.Logf("router: serving on %s (%d backends)", addr, len(rt.byName))
-	return daemon.Run(ctx, addr, rt.Handler(), grace, rt.Shutdown)
+	return daemon.Run(ctx, addr, rt.Handler(), grace, nil)
 }
 
 // Handler returns the router's HTTP API:
@@ -586,7 +574,6 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			rt.place(p.ID, b.Name)
 			rt.mu.Unlock()
 			rt.recordPlaceSpan(p.ID, b.Name, placeStart)
-			rt.bus.Publish(obs.Event{Kind: obs.KindStudyPlaced, Study: p.ID, Daemon: b.Name})
 			rt.cfg.Logf("router: placed study %s on %s", p.ID, b.Name)
 		}
 	}
@@ -675,13 +662,11 @@ func (rt *Router) Reconcile(ctx context.Context) ReconcileReport {
 		if up {
 			report.Live = append(report.Live, b.Name)
 			if was {
-				rt.bus.Publish(obs.Event{Kind: obs.KindBackendUp, Daemon: b.Name})
 				rt.cfg.Logf("router: backend %s is back up", b.Name)
 			}
 		} else {
 			report.Down = append(report.Down, b.Name)
 			if !was {
-				rt.bus.Publish(obs.Event{Kind: obs.KindBackendDown, Daemon: b.Name})
 				rt.cfg.Logf("router: backend %s is down", b.Name)
 			}
 		}
@@ -730,7 +715,6 @@ func (rt *Router) Reconcile(ctx context.Context) ReconcileReport {
 		rt.place(id, target)
 		rt.mu.Unlock()
 		rt.metricRehomes.Inc()
-		rt.bus.Publish(obs.Event{Kind: obs.KindStudyAdopted, Study: id, Daemon: target})
 		rt.cfg.Logf("router: re-homed study %s onto %s", id, target)
 		report.Rehomed[id] = target
 	}

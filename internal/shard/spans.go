@@ -8,7 +8,6 @@ import (
 	"net/url"
 
 	"rldecide/internal/daemon"
-	"rldecide/internal/obs"
 	"rldecide/internal/obs/span"
 )
 
@@ -19,7 +18,7 @@ import (
 // splice into the daemon's tree with zero coordination — and serves the
 // merged tree at GET /studies/{id}/spans.
 
-// recordPlaceSpan stores (and publishes) the placement span for a newly
+// recordPlaceSpan stores the placement span for a newly
 // created study. startMs is the router clock offset captured before the
 // forwarded submission.
 func (rt *Router) recordPlaceSpan(study, backend string, startMs float64) {
@@ -47,7 +46,6 @@ func (rt *Router) recordPlaceSpan(study, backend string, startMs float64) {
 	}
 	rt.placeSpans[study] = append(rt.placeSpans[study], sp)
 	rt.spanMu.Unlock()
-	rt.bus.Publish(obs.SpanEvent(sp))
 }
 
 // placeSpansOf returns a copy of the router's recorded spans for a study.

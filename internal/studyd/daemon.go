@@ -2,7 +2,6 @@ package studyd
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -186,7 +185,7 @@ func New(cfg Config) (*Daemon, error) {
 		// the trace's last line; it is cut off first, as a trial journal's
 		// is, or it would become mid-file corruption that fails every later
 		// read. A trace that cannot be mended costs diagnostics only.
-		if _, err := journal.RepairLines(d.tracePath, validJSON); err != nil {
+		if _, err := journal.RepairLines(d.tracePath, journal.ValidJSON); err != nil {
 			cfg.Logf("studyd: repairing trace stream: %v", err)
 		}
 		stream, err := journal.OpenSegmented(d.tracePath, cfg.TraceMaxBytes)
@@ -201,24 +200,8 @@ func New(cfg Config) (*Daemon, error) {
 	return d, nil
 }
 
-// validJSON is a line decoder that keeps nothing: it only checks that a
-// trace line is one JSON value, so a repair need not hold the trace.
-func validJSON(line []byte, _ *struct{}) error {
-	if !json.Valid(line) {
-		return errors.New("not a JSON value")
-	}
-	return nil
-}
-
 // Name returns the daemon's fleet identity ("" for single-daemon mode).
 func (d *Daemon) Name() string { return d.cfg.Name }
-
-// Auth exposes the kernel authenticator.
-func (d *Daemon) Auth() *daemon.Auth { return d.cfg.Auth }
-
-// Bus exposes the daemon's event bus (tests, embedders wiring their own
-// consumers).
-func (d *Daemon) Bus() *obs.Bus { return d.bus }
 
 // Registry exposes the daemon's metric registry (queue depth, study
 // status gauges, fleet collectors) for serving on an extra endpoint such
