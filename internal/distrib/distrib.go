@@ -178,36 +178,26 @@ func (r Result) TimeMinutes() float64 { return r.TimeSeconds / 60 }
 // EnergyKJ returns the virtual energy in kilojoules.
 func (r Result) EnergyKJ() float64 { return r.EnergyJoules / 1000 }
 
-// Trainer runs training jobs for one framework.
-type Trainer interface {
-	// Name returns the framework identifier.
-	Name() Framework
-	// Train executes the run described by cfg.
-	Train(cfg TrainConfig) (Result, error)
-}
-
-// New returns the trainer for framework f.
-func New(f Framework) (Trainer, error) {
-	switch f {
-	case RLlib:
-		return &rayxTrainer{}, nil
-	case StableBaselines:
-		return &sbxTrainer{}, nil
-	case TFAgents:
-		return &tfaxTrainer{}, nil
-	default:
-		return nil, fmt.Errorf("distrib: unknown framework %q", f)
-	}
-}
-
-// Run is a convenience wrapper: build the trainer for cfg.Framework and
-// train.
+// Run trains cfg on the backend cfg.Framework names.
 func Run(cfg TrainConfig) (Result, error) {
-	t, err := New(cfg.Framework)
-	if err != nil {
-		return Result{}, err
+	switch cfg.Framework {
+	case RLlib:
+		return trainRay(cfg)
+	case StableBaselines:
+		return singleNodeProfile{
+			framework:  StableBaselines,
+			busyFactor: 1.0,
+			idleFactor: sbSyncOverhead - 1,
+		}.train(cfg)
+	case TFAgents:
+		return singleNodeProfile{
+			framework:  TFAgents,
+			busyFactor: tfaDriverOverhead,
+			idleFactor: 0,
+		}.train(cfg)
+	default:
+		return Result{}, fmt.Errorf("distrib: unknown framework %q", cfg.Framework)
 	}
-	return t.Train(cfg)
 }
 
 // finishResult fills the cluster-derived fields of a result.

@@ -28,17 +28,10 @@ func toyCfg(f Framework, a Algo, nodes, cores int) TrainConfig {
 	return cfg
 }
 
+// TestFactory: Run refuses a framework it has no backend for
+// (TestAllBackendsCompletePPO checks each backend reports its own).
 func TestFactory(t *testing.T) {
-	for _, f := range Frameworks() {
-		tr, err := New(f)
-		if err != nil {
-			t.Fatalf("%s: %v", f, err)
-		}
-		if tr.Name() != f {
-			t.Fatalf("%s: name mismatch %s", f, tr.Name())
-		}
-	}
-	if _, err := New(Framework("torchbeast")); err == nil {
+	if _, err := Run(toyCfg("torchbeast", PPO, 1, 2)); err == nil {
 		t.Fatal("unknown framework should error")
 	}
 }

@@ -13,20 +13,13 @@ import (
 	"rldecide/internal/rl/sac"
 )
 
-// rayxTrainer is the RLlib-style backend: a driver/learner on node 0 and
+// trainRay is the RLlib-style backend: a driver/learner on node 0 and
 // one rollout worker per core on every node. Remote workers pay
 // serialization overhead per sample, ship their batches over the link, and
 // receive weights one sync round late — so multi-node runs are faster in
 // wall time but train on slightly stale policies, reproducing the paper's
 // reward gap between 1-node and 2-node RLlib configurations.
-type rayxTrainer struct{}
-
-// Name implements Trainer.
-func (rayxTrainer) Name() Framework { return RLlib }
-
-// Train implements Trainer.
-func (rayxTrainer) Train(cfg TrainConfig) (Result, error) {
-	cfg.Framework = RLlib
+func trainRay(cfg TrainConfig) (Result, error) {
 	full, err := cfg.withDefaults()
 	if err != nil {
 		return Result{}, err

@@ -181,35 +181,3 @@ func (p singleNodeProfile) trainSAC(cfg TrainConfig, sim *cluster.Sim, seeder *m
 	finishResult(&res, sim)
 	return res, nil
 }
-
-// sbxTrainer is the Stable-Baselines-style backend.
-type sbxTrainer struct{}
-
-// Name implements Trainer.
-func (sbxTrainer) Name() Framework { return StableBaselines }
-
-// Train implements Trainer.
-func (sbxTrainer) Train(cfg TrainConfig) (Result, error) {
-	cfg.Framework = StableBaselines
-	return singleNodeProfile{
-		framework:  StableBaselines,
-		busyFactor: 1.0,
-		idleFactor: sbSyncOverhead - 1,
-	}.train(cfg)
-}
-
-// tfaxTrainer is the TF-Agents-style backend.
-type tfaxTrainer struct{}
-
-// Name implements Trainer.
-func (tfaxTrainer) Name() Framework { return TFAgents }
-
-// Train implements Trainer.
-func (tfaxTrainer) Train(cfg TrainConfig) (Result, error) {
-	cfg.Framework = TFAgents
-	return singleNodeProfile{
-		framework:  TFAgents,
-		busyFactor: tfaDriverOverhead,
-		idleFactor: 0,
-	}.train(cfg)
-}

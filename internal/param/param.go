@@ -478,32 +478,3 @@ func (s *Space) Contains(a Assignment) bool {
 	}
 	return true
 }
-
-// GridSize returns the number of grid points (product of the
-// parameters' counts).
-func (s *Space) GridSize() int {
-	n := 1
-	for _, p := range s.params {
-		n *= p.Count()
-	}
-	return n
-}
-
-// Grid enumerates the full cartesian product of all parameters' grids, in
-// a deterministic order.
-func (s *Space) Grid() []Assignment {
-	out := []Assignment{nil}
-	for _, p := range s.params {
-		vals := p.Enumerate()
-		next := make([]Assignment, 0, len(out)*len(vals))
-		for _, base := range out {
-			for _, v := range vals {
-				a := base.Clone()
-				a.Set(p.Name(), v)
-				next = append(next, a)
-			}
-		}
-		out = next
-	}
-	return out
-}

@@ -45,7 +45,7 @@ func TestSampleContainsProperty(t *testing.T) {
 }
 
 // TestCountMatchesEnumerate: Count is len(Enumerate()) for every kind,
-// which is what lets density and GridSize skip the enumeration.
+// which is what lets density skip the enumeration.
 func TestCountMatchesEnumerate(t *testing.T) {
 	one := NewFloatRange("one", 0, 1)
 	one.GridPoints = 1
@@ -56,28 +56,6 @@ func TestCountMatchesEnumerate(t *testing.T) {
 		if p.Count() != len(p.Enumerate()) {
 			t.Errorf("%s: Count() = %d, len(Enumerate()) = %d", p.Name(), p.Count(), len(p.Enumerate()))
 		}
-	}
-}
-
-func TestGridMatchesSize(t *testing.T) {
-	s := space(t)
-	if s.GridSize() != 3*3*2*2*2 {
-		t.Fatalf("GridSize=%d want 72", s.GridSize())
-	}
-	grid := s.Grid()
-	if len(grid) != 72 {
-		t.Fatalf("grid length %d", len(grid))
-	}
-	seen := map[string]bool{}
-	for _, a := range grid {
-		if !s.Contains(a) {
-			t.Fatalf("grid point outside space: %s", a)
-		}
-		k := a.Key()
-		if seen[k] {
-			t.Fatalf("duplicate grid point %s", k)
-		}
-		seen[k] = true
 	}
 }
 

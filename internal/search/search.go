@@ -113,10 +113,17 @@ func (r RandomSearch) NextInto(rng *rand.Rand, space *param.Space, history []Obs
 	return nil, false
 }
 
-// GridSearch enumerates the space's full grid in order.
+// GridSearch walks the space's full grid: the cartesian product of every
+// parameter's values, the first parameter varying slowest. It keeps one
+// index per parameter, not the grid, so a proposal costs the same however
+// large the grid is.
 type GridSearch struct {
-	grid []param.Assignment
-	next int
+	// vals holds each parameter's values, enumerated once; an IntRange's
+	// is nil, its i-th value being Lo+i.
+	vals [][]param.Value
+	// idx is the next point's index into each parameter's values.
+	idx  []int
+	done bool
 }
 
 // Name implements Explorer.
@@ -128,14 +135,45 @@ func (*GridSearch) IgnoresHistory() bool { return true }
 
 // Next implements Explorer.
 func (g *GridSearch) Next(rng *rand.Rand, space *param.Space, history []Observation) (param.Assignment, bool) {
-	if g.grid == nil {
-		g.grid = space.Grid()
+	return g.NextInto(rng, space, history, nil)
+}
+
+// NextInto implements InPlace.
+func (g *GridSearch) NextInto(rng *rand.Rand, space *param.Space, history []Observation, dst param.Assignment) (param.Assignment, bool) {
+	params := space.Params()
+	if g.idx == nil {
+		g.idx = make([]int, len(params))
+		g.vals = make([][]param.Value, len(params))
+		for i, p := range params {
+			if _, ok := p.(param.IntRange); !ok {
+				g.vals[i] = p.Enumerate()
+			}
+		}
 	}
-	if g.next >= len(g.grid) {
+	if g.done {
 		return nil, false
 	}
-	a := g.grid[g.next]
-	g.next++
+	a := dst[:0]
+	for i, p := range params {
+		if r, ok := p.(param.IntRange); ok {
+			a.Set(p.Name(), param.Int(r.Lo+g.idx[i]))
+		} else {
+			a.Set(p.Name(), g.vals[i][g.idx[i]])
+		}
+	}
+	// Advance the odometer, the last parameter fastest.
+	for i := len(params) - 1; i >= 0; i-- {
+		last := len(g.vals[i]) - 1
+		if r, ok := params[i].(param.IntRange); ok {
+			last = r.Hi - r.Lo
+		}
+		if g.idx[i] < last {
+			g.idx[i]++
+			return a, true
+		}
+		g.idx[i] = 0
+	}
+	g.done = true
 	return a, true
 }
 
@@ -185,10 +223,9 @@ func (t TPE) Next(rng *rand.Rand, space *param.Space, history []Observation) (pa
 		}
 		return usable[i].Objective < usable[j].Objective
 	})
-	nGood := int(math.Ceil(t.Gamma * float64(len(usable))))
-	if nGood < 1 {
-		nGood = 1
-	}
+	// A Gamma above 1 asks for more good trials than there are: all of
+	// them are good, none bad, and the proposal is random.
+	nGood := min(max(int(math.Ceil(t.Gamma*float64(len(usable)))), 1), len(usable))
 	good := usable[:nGood]
 	bad := usable[nGood:]
 	if len(bad) == 0 {

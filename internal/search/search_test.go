@@ -71,6 +71,45 @@ func TestGridSearchEnumeratesAll(t *testing.T) {
 	}
 }
 
+// TestGridSearchMatchesProduct checks the walk over a space of every
+// parameter kind against the cartesian product built here, the first
+// parameter varying slowest.
+func TestGridSearchMatchesProduct(t *testing.T) {
+	s := param.MustSpace(
+		param.NewIntSet("rk_order", 3, 5, 8),
+		param.NewCategorical("framework", "rllib", "stablebaselines", "tfagents"),
+		param.NewCategorical("algo", "ppo", "sac"),
+		param.NewIntRange("nodes", 1, 2),
+		param.NewFloatRange("lr", 0, 1),
+	)
+	want := []param.Assignment{nil}
+	for _, p := range s.Params() {
+		var next []param.Assignment
+		for _, base := range want {
+			for _, v := range p.Enumerate() {
+				a := base.Clone()
+				a.Set(p.Name(), v)
+				next = append(next, a)
+			}
+		}
+		want = next
+	}
+	if len(want) != 3*3*2*2*5 {
+		t.Fatalf("product has %d points, want 180", len(want))
+	}
+	g := &GridSearch{}
+	rng := mathx.NewRand(0)
+	for i, w := range want {
+		a, ok := g.Next(rng, s, nil)
+		if !ok || a.Key() != w.Key() {
+			t.Fatalf("point %d: got %v (ok=%v), want %v", i, a, ok, w)
+		}
+	}
+	if a, ok := g.Next(rng, s, nil); ok {
+		t.Fatalf("grid should be exhausted after %d points, proposed %v", len(want), a)
+	}
+}
+
 // quadratic objective over a float space: minimum at x = 0.3.
 func quadObs(x float64) Observation {
 	a := param.Assign(param.Bind("x", param.Float(x)))
@@ -181,6 +220,22 @@ func TestTPEIntRangeAllocCeiling(t *testing.T) {
 	}
 	if b := after.TotalAlloc - before.TotalAlloc; b > ceiling {
 		t.Fatalf("one TPE.Next allocated %d bytes, ceiling %d", b, ceiling)
+	}
+}
+
+// TestTPEGammaAboveOne: a Gamma above 1 asks for more good trials than
+// there are usable ones; Next must still propose instead of slicing past
+// the history.
+func TestTPEGammaAboveOne(t *testing.T) {
+	space := param.MustSpace(param.NewFloatRange("x", 0, 1))
+	rng := mathx.NewRand(8)
+	var hist []Observation
+	for i := 0; i < 4; i++ {
+		hist = append(hist, quadObs(float64(i)/3))
+	}
+	a, ok := TPE{Gamma: 2, MinTrials: 2}.Next(rng, space, hist)
+	if !ok || !space.Contains(a) {
+		t.Fatalf("TPE with gamma 2 proposed %v (ok=%v)", a, ok)
 	}
 }
 

@@ -2,6 +2,7 @@ package studyd
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -85,6 +86,41 @@ func TestAnalysisOffResultPath(t *testing.T) {
 	}
 	if _, err := os.Stat(dOff.trajPath(mOff.ID)); !os.IsNotExist(err) {
 		t.Fatalf("analysis off: unexpected trajectory journal (err=%v)", err)
+	}
+}
+
+// TestTrajectoryJournalClosedWhenDone: a study's trajectory journal is
+// open while the study runs, not until the daemon shuts down.
+func TestTrajectoryJournalClosedWhenDone(t *testing.T) {
+	if _, err := os.Stat("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd to list this process's descriptors")
+	}
+	d, m := runSteer(t, t.TempDir(), true)
+	// Shutdown closes whatever is still open, so it must come after the
+	// check; deferring it also keeps the daemon, and so any file it holds,
+	// from being collected and finalized while the test polls.
+	defer d.Shutdown(context.Background())
+	path, err := filepath.EvalSymlinks(d.trajPath(m.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	isOpen := func() bool {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fd := range fds {
+			if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && target == path {
+				return true
+			}
+		}
+		return false
+	}
+	// The run ends (StatusDone) just before its goroutine closes the file.
+	for deadline := time.Now().Add(5 * time.Second); isOpen(); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s is still open 5 s after its study finished", path)
+		}
 	}
 }
 

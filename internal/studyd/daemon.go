@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,7 +17,6 @@ import (
 	"rldecide/internal/obs"
 	"rldecide/internal/obs/span"
 	"rldecide/internal/power"
-	"rldecide/internal/rl"
 )
 
 // Config configures a daemon.
@@ -96,15 +94,6 @@ type Daemon struct {
 	// spanClock times spans when Config.Trace is on (nil otherwise —
 	// span scopes tolerate it, recording zero durations).
 	spanClock *power.Stopwatch
-	spanMu    sync.Mutex
-	// spanCols holds each study's bounded span buffer, the store behind
-	// GET /studies/{id}/spans.
-	// guarded-by: spanMu
-	spanCols map[string]*span.Collector
-
-	epMu sync.Mutex
-	// guarded-by: epMu
-	epWriters map[string]*analysis.EpisodeWriter
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -166,9 +155,7 @@ func New(cfg Config) (*Daemon, error) {
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	d := &Daemon{cfg: cfg, store: store, exec: exec, fleet: fleet, bus: bus, ctx: ctx, cancel: cancel,
-		epWriters: map[string]*analysis.EpisodeWriter{},
-		spanCols:  map[string]*span.Collector{}}
+	d := &Daemon{cfg: cfg, store: store, exec: exec, fleet: fleet, bus: bus, ctx: ctx, cancel: cancel}
 	d.reg = d.newRegistry()
 	name := "trace.jsonl"
 	if cfg.Name != "" {
@@ -293,38 +280,32 @@ func (d *Daemon) trajPath(id string) string {
 	return filepath.Join(d.cfg.Dir, id+".trajectories.jsonl")
 }
 
-// episodeSinkFor returns the study's trajectory journal writer, creating
-// it on first use, or nil when analysis recording is off. Writers live
-// for the daemon's lifetime (a resumed study appends to its journal) and
-// are flushed and closed by Shutdown.
-func (d *Daemon) episodeSinkFor(id string) rl.EpisodeSink {
-	if !d.cfg.Analysis {
-		return nil
-	}
-	d.epMu.Lock()
-	defer d.epMu.Unlock()
-	w, ok := d.epWriters[id]
-	if !ok {
-		w = analysis.NewEpisodeWriter(d.trajPath(id))
-		d.epWriters[id] = w
-	}
-	return w
-}
-
 func (d *Daemon) launch(m *ManagedStudy) {
 	// Traced, the whole run gets a study root span, and journal appends
 	// are timed under per-trial journal spans (the hook must be set before
 	// run starts consuming it).
 	var root *span.Active
 	if d.cfg.Trace {
-		root = d.studyScope(m.ID).Start(span.NameStudy, 0)
-		m.journalTimer = d.journalTimerFor(m.ID)
+		root = d.studyScope(m).Start(span.NameStudy, 0)
+		m.journalTimer = d.journalTimerFor(m)
 	}
 	d.wg.Add(1)
 	go func() {
 		defer d.wg.Done()
+		// A study runs at most once per daemon lifetime, so its trajectory
+		// journal is open exactly while it runs (a resumed study appends
+		// to it).
+		var episodes *analysis.EpisodeWriter
+		if d.cfg.Analysis {
+			episodes = analysis.NewEpisodeWriter(d.trajPath(m.ID))
+		}
 		d.bus.Publish(obs.Event{Kind: obs.KindStudyStart, Study: m.ID, Status: string(StatusRunning)})
-		m.run(d.ctx, d.wrapFor(m))
+		m.run(d.ctx, d.objectiveFor(m, episodes))
+		if episodes != nil {
+			if err := episodes.Close(); err != nil {
+				d.cfg.Logf("studyd: closing trajectory journal for %s: %v", m.ID, err)
+			}
+		}
 		sum := m.Summary()
 		root.Finish(string(sum.Status), sum.Error)
 		d.bus.Publish(obs.Event{Kind: obs.KindStudyDone, Study: m.ID, Status: string(sum.Status)})
@@ -361,18 +342,6 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 				d.cfg.Logf("studyd: closing trace stream: %v", err)
 			}
 		}
-		d.epMu.Lock()
-		ids := make([]string, 0, len(d.epWriters))
-		for id := range d.epWriters {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			if err := d.epWriters[id].Close(); err != nil {
-				d.cfg.Logf("studyd: closing trajectory journal for %s: %v", id, err)
-			}
-		}
-		d.epMu.Unlock()
 	}()
 	select {
 	case <-drained:

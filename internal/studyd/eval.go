@@ -75,33 +75,25 @@ func EvaluateRequest(ctx context.Context, req executor.TrialRequest) (executor.T
 	return res, nil
 }
 
-// prepared is everything EvaluateRequest needs that depends on the spec
-// alone. All of it is read-only once built: concurrent trials share it.
-type prepared struct {
-	metrics   []core.Metric
-	objective core.Objective
-	resolver  *journal.Resolver
+// evalSpec is a dispatched spec as EvaluateRequest keeps it: prepared, and
+// with the resolver its trials' parameters go through. All of it is
+// read-only once built: concurrent trials share it.
+type evalSpec struct {
+	*prepared
+	resolver *journal.Resolver
 }
 
-// prepare decodes a dispatched spec and builds what a trial of it needs.
-func prepare(raw []byte) (*prepared, error) {
+// prepareWire decodes a dispatched spec and prepares it for evaluation.
+func prepareWire(raw []byte) (*evalSpec, error) {
 	var spec Spec
 	if err := json.Unmarshal(raw, &spec); err != nil {
 		return nil, fmt.Errorf("studyd: decoding dispatched spec: %w", err)
 	}
-	space, err := spec.Space()
+	p, err := spec.prepare()
 	if err != nil {
 		return nil, err
 	}
-	metrics, err := spec.metrics()
-	if err != nil {
-		return nil, err
-	}
-	objective, err := buildObjective(spec, metrics)
-	if err != nil {
-		return nil, err
-	}
-	return &prepared{metrics: metrics, objective: objective, resolver: journal.NewResolver(space)}, nil
+	return &evalSpec{prepared: p, resolver: journal.NewResolver(p.space)}, nil
 }
 
 // preparedFor returns the prepared form of req's spec: the cached one when
@@ -110,9 +102,9 @@ func prepare(raw []byte) (*prepared, error) {
 // executor.ErrSpecNotCached. A hash is checked against the bytes before
 // anything is filed under it (executor.ErrSpecHashMismatch), so a sender
 // cannot make later trials of another spec run this one.
-func preparedFor(req executor.TrialRequest) (*prepared, error) {
+func preparedFor(req executor.TrialRequest) (*evalSpec, error) {
 	if req.SpecHash == "" {
-		return prepare(req.Spec)
+		return prepareWire(req.Spec)
 	}
 	objMu.RLock()
 	p, ok := preparedSpecs[req.SpecHash]
@@ -127,7 +119,7 @@ func preparedFor(req executor.TrialRequest) (*prepared, error) {
 	if got := executor.SpecHashOf(req.Spec); got != req.SpecHash {
 		return nil, fmt.Errorf("studyd: dispatched spec hashes to %s, not to %s: %w", got, req.SpecHash, executor.ErrSpecHashMismatch)
 	}
-	p, err := prepare(req.Spec)
+	p, err := prepareWire(req.Spec)
 	if err != nil {
 		return nil, err
 	}

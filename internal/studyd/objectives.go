@@ -38,7 +38,7 @@ var (
 	// spec-hash cache and answers two questions: which CPU the evaluator
 	// may skip, and, on a worker, which bytes the dispatcher may omit (a
 	// hash-only request it holds nothing for is a 428).
-	preparedSpecs = map[string]*prepared{}
+	preparedSpecs = map[string]*evalSpec{}
 	preparedOrder []string
 	// objGen counts registrations, so that a spec prepared against a
 	// registry that changed meanwhile is not filed.

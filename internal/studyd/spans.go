@@ -17,45 +17,23 @@ import (
 // study/trial/attempt keys (see internal/obs/span), so the router, the
 // daemon, and the workers agree on one tree without coordination.
 
-// spanCollector returns (creating on first use) the study's span buffer.
-func (d *Daemon) spanCollector(study string) *span.Collector {
-	d.spanMu.Lock()
-	defer d.spanMu.Unlock()
-	col, ok := d.spanCols[study]
-	if !ok {
-		col = span.NewCollector(0)
-		d.spanCols[study] = col
-	}
-	return col
-}
-
-// spansOf returns the study's collected spans without creating a buffer
-// for studies that never recorded any (tracing off, or pre-span journals).
-func (d *Daemon) spansOf(study string) []span.Span {
-	d.spanMu.Lock()
-	col := d.spanCols[study]
-	d.spanMu.Unlock()
-	return col.Spans()
-}
-
-// spanSink builds the study's Sink: collector plus bus.
-func (d *Daemon) spanSink(study string) span.Sink {
-	col := d.spanCollector(study)
+// spanSink builds the study's Sink: its collector plus the bus.
+func (d *Daemon) spanSink(m *ManagedStudy) span.Sink {
 	return func(sp span.Span) {
-		col.Record(sp)
+		m.spans.Record(sp)
 		d.bus.Publish(obs.SpanEvent(sp))
 	}
 }
 
 // studyScope is the root tracing scope for a study: spans started on it
 // (the study root span) sit at the top of the tree.
-func (d *Daemon) studyScope(study string) *span.Scope {
+func (d *Daemon) studyScope(m *ManagedStudy) *span.Scope {
 	return &span.Scope{
-		Trace:  span.DeriveTrace(study),
-		Study:  study,
+		Trace:  span.DeriveTrace(m.ID),
+		Study:  m.ID,
 		Daemon: d.cfg.Name,
 		Clock:  d.spanClock,
-		Sink:   d.spanSink(study),
+		Sink:   d.spanSink(m),
 	}
 }
 
@@ -63,15 +41,15 @@ func (d *Daemon) studyScope(study string) *span.Scope {
 // journal append runs under a "journal" span parented to its trial span.
 // The trial span ID is re-derived from the keys — never read back from a
 // live span — so this path stays clean under the determinism-taint rule.
-func (d *Daemon) journalTimerFor(study string) func(trial int, do func()) {
-	trace := span.DeriveTrace(study)
+func (d *Daemon) journalTimerFor(m *ManagedStudy) func(trial int, do func()) {
+	trace := span.DeriveTrace(m.ID)
 	rootID := span.DeriveID(trace, "", span.NameStudy, 0, 0)
-	sink := d.spanSink(study)
+	sink := d.spanSink(m)
 	return func(trial int, do func()) {
 		scope := &span.Scope{
 			Trace:  trace,
 			Parent: span.DeriveID(trace, rootID, span.NameTrial, trial, 0),
-			Study:  study,
+			Study:  m.ID,
 			Trial:  trial,
 			Daemon: d.cfg.Name,
 			Clock:  d.spanClock,
@@ -99,7 +77,7 @@ type SpanTree struct {
 // spans (tracing off, or finished before -trace was enabled) answers an
 // empty tree, not an error — the endpoint shape is stable either way.
 func (d *Daemon) serveSpans(w http.ResponseWriter, r *http.Request, m *ManagedStudy) {
-	spans := d.spansOf(m.ID)
+	spans := m.spans.Spans()
 	tree := SpanTree{Study: m.ID, Count: len(spans), Spans: span.Tree(spans)}
 	if tree.Spans == nil {
 		tree.Spans = []*span.Node{}
@@ -109,9 +87,6 @@ func (d *Daemon) serveSpans(w http.ResponseWriter, r *http.Request, m *ManagedSt
 	} else if d.cfg.Trace {
 		tree.Trace = span.DeriveTrace(m.ID)
 	}
-	d.spanMu.Lock()
-	col := d.spanCols[m.ID]
-	d.spanMu.Unlock()
-	tree.Dropped = col.Dropped()
+	tree.Dropped = m.spans.Dropped()
 	daemon.WriteJSON(w, http.StatusOK, tree)
 }

@@ -76,9 +76,9 @@ type Spec struct {
 	Eps float64 `json:"eps,omitempty"`
 }
 
-// Validate checks the spec without building it.
+// Validate checks the spec as submission and loading do.
 func (sp Spec) Validate() error {
-	_, err := sp.build(nil)
+	_, err := sp.prepare()
 	return err
 }
 
@@ -171,11 +171,18 @@ func (sp Spec) explorer() (search.Explorer, error) {
 	}
 }
 
-// build assembles a fresh core.Study from the spec. The objective is
-// wrapped by wrap when non-nil (the scheduler uses this to gate trials on
-// the shared pool). Each call returns an independent Study (explorers are
-// stateful), which is what makes replay-based resume possible.
-func (sp Spec) build(wrap func(core.Objective) core.Objective) (*core.Study, error) {
+// prepared is a checked spec built: its space, metrics and objective. All
+// of it is read-only once built, so concurrent trials share it.
+type prepared struct {
+	space     *param.Space
+	metrics   []core.Metric
+	objective core.Objective
+}
+
+// prepare is the one place a spec is checked and built: Validate,
+// submission, loading and the evaluator all go through it. The explorer is
+// checked here but built per run, because explorers are stateful.
+func (sp Spec) prepare() (*prepared, error) {
 	if sp.Name == "" {
 		return nil, fmt.Errorf("studyd: spec needs a name")
 	}
@@ -193,25 +200,12 @@ func (sp Spec) build(wrap func(core.Objective) core.Objective) (*core.Study, err
 	if err != nil {
 		return nil, err
 	}
-	explorer, err := sp.explorer()
-	if err != nil {
+	if _, err := sp.explorer(); err != nil {
 		return nil, err
 	}
 	objective, err := buildObjective(sp, metrics)
 	if err != nil {
 		return nil, err
 	}
-	if wrap != nil {
-		objective = wrap(objective)
-	}
-	return &core.Study{
-		CaseStudy:   core.CaseStudy{Name: sp.Name, Description: sp.Description},
-		Space:       space,
-		Explorer:    explorer,
-		Metrics:     metrics,
-		Ranker:      core.ParetoRanker{Eps: sp.Eps},
-		Objective:   objective,
-		Parallelism: sp.Parallelism,
-		Seed:        sp.Seed,
-	}, nil
+	return &prepared{space: space, metrics: metrics, objective: objective}, nil
 }

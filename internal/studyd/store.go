@@ -16,6 +16,8 @@ import (
 	"rldecide/internal/core"
 	"rldecide/internal/daemon"
 	"rldecide/internal/journal"
+	"rldecide/internal/obs/span"
+	"rldecide/internal/param"
 )
 
 // Status is the lifecycle state of a managed study.
@@ -58,6 +60,13 @@ type ManagedStudy struct {
 	// carries it (see wireForm), so every worker rebuilds the identical
 	// objective.
 	wireSpec []byte
+	// space and metrics are the spec's, built once by Spec.prepare: every
+	// run and every ranking of the study reads them.
+	space   *param.Space
+	metrics []core.Metric
+	// spans is the study's bounded span buffer, the store behind
+	// GET /studies/{id}/spans; a study that is not traced records none.
+	spans *span.Collector
 	// journalTimer, when set (by a tracing daemon before run),
 	// wraps each trial's journal append so its latency can be recorded as
 	// a causal span. Purely observational: do() runs exactly once either
@@ -225,17 +234,13 @@ type Front struct {
 // Pareto ranker. It is safe to call while the study runs — that is the
 // live-inspection feature.
 func (m *ManagedStudy) Front() (Front, error) {
-	fr, _, err := m.front()
-	return fr, err
+	fr, _ := m.front()
+	return fr, nil
 }
 
 // front is Front, and whether the study was done when its trials were
 // filtered — read under the same lock, so a done ranking is final.
-func (m *ManagedStudy) front() (Front, bool, error) {
-	metrics, err := m.Spec.metrics()
-	if err != nil {
-		return Front{}, false, err
-	}
+func (m *ManagedStudy) front() (Front, bool) {
 	// The partition does not depend on input order and each front's IDs
 	// are sorted below, so the completed subset is filtered straight out of
 	// m.trials (completion order), with no per-request sort, and is m.trials
@@ -243,12 +248,12 @@ func (m *ManagedStudy) front() (Front, bool, error) {
 	// appended to, never modified, so the first len of them stay as they
 	// are after the lock is released.
 	m.mu.Lock()
-	completed := (&core.Report{Metrics: metrics, Trials: m.trials}).Completed()
+	completed := (&core.Report{Metrics: m.metrics, Trials: m.trials}).Completed()
 	done := m.status == StatusDone
 	m.mu.Unlock()
 	// The ranking's fronts are windows into one n-int index array (the
 	// ε-front aside), so each index is turned into its trial's ID in place.
-	fronts := core.ParetoRanker{Eps: m.Spec.Eps}.Rank(completed, metrics).Fronts
+	fronts := core.ParetoRanker{Eps: m.Spec.Eps}.Rank(completed, m.metrics).Fronts
 	for _, front := range fronts {
 		for j, idx := range front {
 			front[j] = completed[idx].ID
@@ -258,7 +263,7 @@ func (m *ManagedStudy) front() (Front, bool, error) {
 	if fronts == nil {
 		fronts = [][]int{} // "fronts": [], not null
 	}
-	return Front{Metrics: m.Spec.Metrics, Completed: len(completed), Fronts: fronts}, done, nil
+	return Front{Metrics: m.Spec.Metrics, Completed: len(completed), Fronts: fronts}, done
 }
 
 // frontJSON returns the GET /front body, daemon.EncodeJSON of Front: the
@@ -272,11 +277,8 @@ func (m *ManagedStudy) frontJSON() ([]byte, error) {
 	if body != nil {
 		return body, nil
 	}
-	fr, done, err := m.front()
-	if err != nil {
-		return nil, err
-	}
-	body, err = daemon.EncodeJSON(fr)
+	fr, done := m.front()
+	body, err := daemon.EncodeJSON(fr)
 	if err == nil && done {
 		m.mu.Lock()
 		m.frontBody = body
@@ -320,11 +322,11 @@ func (m *ManagedStudy) trialsJSON() ([]byte, error) {
 	return body, nil
 }
 
-// run executes (or resumes) the study's campaign under ctx, routing every
-// trial through the daemon's executor via wrap (see wrapFor) and
-// journaling each finished trial. It must be called at most once per
-// daemon lifetime per study.
-func (m *ManagedStudy) run(ctx context.Context, wrap func(core.Objective) core.Objective) {
+// run executes (or resumes) the study's campaign under ctx, evaluating
+// every trial with objective (see objectiveFor) and journaling each
+// finished trial. It must be called at most once per daemon lifetime per
+// study.
+func (m *ManagedStudy) run(ctx context.Context, objective core.Objective) {
 	defer close(m.done)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -345,10 +347,21 @@ func (m *ManagedStudy) run(ctx context.Context, wrap func(core.Objective) core.O
 		m.mu.Unlock()
 	}
 
-	study, err := m.Spec.build(wrap)
+	// Each run gets a fresh explorer (explorers are stateful), which is
+	// what makes replay-based resume possible.
+	explorer, err := m.Spec.explorer()
 	if err != nil {
 		fail(err)
 		return
+	}
+	study := &core.Study{
+		Space:       m.space,
+		Explorer:    explorer,
+		Metrics:     m.metrics,
+		Ranker:      core.ParetoRanker{Eps: m.Spec.Eps},
+		Objective:   objective,
+		Parallelism: m.Spec.Parallelism,
+		Seed:        m.Spec.Seed,
 	}
 	if err := study.Resume(resumed); err != nil {
 		fail(err)
@@ -539,6 +552,38 @@ func wireForm(persisted []byte) ([]byte, error) {
 	return json.Marshal(json.RawMessage(persisted))
 }
 
+// newStudy is the one constructor of a ManagedStudy: a prepared spec, its
+// persisted wire form, its manifest (zero for a single-daemon study
+// submitted anonymously) and the trials its journal already holds. It is
+// pending, or done when those trials fill the budget.
+func (st *Store) newStudy(id string, spec Spec, p *prepared, wire []byte, mf journal.Manifest, trials []core.Trial) *ManagedStudy {
+	status := StatusPending
+	if len(trials) >= spec.Budget {
+		status = StatusDone
+	}
+	m := &ManagedStudy{
+		ID:          id,
+		Spec:        spec,
+		Tenant:      mf.Tenant,
+		Daemon:      mf.Daemon,
+		Generation:  mf.Generation,
+		journalPath: st.journalPath(id),
+		journalMax:  st.journalMax,
+		wireSpec:    wire,
+		space:       p.space,
+		metrics:     p.metrics,
+		spans:       span.NewCollector(0),
+		status:      status,
+		trials:      trials,
+		resumed:     len(trials),
+		done:        make(chan struct{}),
+	}
+	if status == StatusDone {
+		close(m.done)
+	}
+	return m
+}
+
 // load reads a study back from its spec and its journal, whose manifest
 // (zero if there is none) and sealed segments the caller has read.
 func (st *Store) load(id string, mf journal.Manifest, segs []string) (*ManagedStudy, error) {
@@ -550,43 +595,22 @@ func (st *Store) load(id string, mf journal.Manifest, segs []string) (*ManagedSt
 	if err := json.Unmarshal(raw, &spec); err != nil {
 		return nil, err
 	}
-	if err := spec.Validate(); err != nil {
+	p, err := spec.prepare()
+	if err != nil {
 		return nil, err
 	}
 	wire, err := wireForm(raw)
 	if err != nil {
 		return nil, err
 	}
-	m := &ManagedStudy{
-		ID:          id,
-		Spec:        spec,
-		wireSpec:    wire,
-		journalPath: st.journalPath(id),
-		journalMax:  st.journalMax,
-		status:      StatusPending,
-		done:        make(chan struct{}),
-		Tenant:      mf.Tenant,
-		Daemon:      mf.Daemon,
-		Generation:  mf.Generation,
-	}
 	// Crash safety: a torn final record (append cut short by the crash)
 	// is truncated away so the journal is clean for both replay and the
 	// appends of the resumed run. Sealed rotation segments replay first.
-	space, err := spec.Space()
+	trials, err := journal.RecoverSegments(st.journalPath(id), segs, p.space)
 	if err != nil {
 		return nil, err
 	}
-	trials, err := journal.RecoverSegments(m.journalPath, segs, space)
-	if err != nil {
-		return nil, err
-	}
-	m.trials = trials
-	m.resumed = len(trials)
-	if len(trials) >= spec.Budget {
-		m.status = StatusDone
-		close(m.done)
-	}
-	return m, nil
+	return st.newStudy(id, spec, p, wire, mf, trials), nil
 }
 
 // Submit validates and persists a new study spec and registers it as
@@ -595,7 +619,8 @@ func (st *Store) load(id string, mf journal.Manifest, segs []string) (*ManagedSt
 // fleet sharing one state directory, and persist an ownership manifest
 // next to the journal.
 func (st *Store) Submit(spec Spec, tenant string) (*ManagedStudy, error) {
-	if err := spec.Validate(); err != nil {
+	p, err := spec.prepare()
+	if err != nil {
 		return nil, err
 	}
 	st.mu.Lock()
@@ -617,24 +642,14 @@ func (st *Store) Submit(spec Spec, tenant string) (*ManagedStudy, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &ManagedStudy{
-		ID:          id,
-		Spec:        spec,
-		Tenant:      tenant,
-		Daemon:      st.owner,
-		wireSpec:    wire,
-		journalPath: st.journalPath(id),
-		journalMax:  st.journalMax,
-		status:      StatusPending,
-		done:        make(chan struct{}),
-	}
+	mf := journal.Manifest{Study: id, Daemon: st.owner, Tenant: tenant}
 	if st.owner != "" || tenant != "" {
-		m.Generation = 1
-		mf := journal.Manifest{Study: id, Daemon: st.owner, Generation: 1, Tenant: tenant}
-		if err := journal.SaveManifest(m.journalPath, mf); err != nil {
+		mf.Generation = 1
+		if err := journal.SaveManifest(st.journalPath(id), mf); err != nil {
 			return nil, err
 		}
 	}
+	m := st.newStudy(id, spec, p, wire, mf, nil)
 	st.mu.Lock()
 	st.studies[id] = m
 	st.order = append(st.order, m)

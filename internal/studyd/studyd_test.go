@@ -776,3 +776,40 @@ func TestCancelEndpointLeavesStudyResumable(t *testing.T) {
 		t.Fatalf("unexpected id %s", m.ID)
 	}
 }
+
+// TestExplorerEdgeSpecsRunToDone: explorer settings a spec may carry must
+// not panic on the run goroutine, which has no recover: the panic would end
+// the daemon, and a restart would resume the study into it again.
+func TestExplorerEdgeSpecsRunToDone(t *testing.T) {
+	d, err := New(Config{Dir: t.TempDir(), Workers: 2, Logf: testLogf(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown(context.Background())
+
+	// A gamma above 1 asks TPE for more good trials than there are.
+	tpe := baseSpec("sphere")
+	tpe.Explorer = ExplorerSpec{Type: "tpe", Gamma: 2, MinTrials: 2}
+	// A grid over 2^60+1 integers, of which the budget takes three.
+	grid := baseSpec("sphere")
+	grid.Params = []ParamSpec{{Name: "n", Type: "intrange", Lo: 0, Hi: 1 << 60}}
+	grid.Explorer = ExplorerSpec{Type: "grid"}
+	grid.Budget = 3
+
+	var studies []*ManagedStudy
+	for _, sp := range []Spec{tpe, grid} {
+		m, err := d.Submit(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		studies = append(studies, m)
+	}
+	for _, m := range studies {
+		waitStatus(t, m, StatusDone)
+	}
+	for i, tr := range studies[1].Trials() {
+		if n := tr.Params.Value("n").Int(); n != i {
+			t.Fatalf("grid trial %d proposed n = %d, want %d", tr.ID, n, i)
+		}
+	}
+}
