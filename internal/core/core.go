@@ -202,8 +202,14 @@ func (s *Study) validate() error {
 	if !hasMetric(s.Metrics, s.PrimaryMetric) {
 		return fmt.Errorf("core: primary metric %q is not in the metric list", s.PrimaryMetric)
 	}
+	return CheckMetricNames(s.Metrics)
+}
+
+// CheckMetricNames returns an error if a metric is unnamed or two share a
+// name, the rule a Study is validated by.
+func CheckMetricNames(metrics []Metric) error {
 	seen := map[string]bool{}
-	for _, m := range s.Metrics {
+	for _, m := range metrics {
 		if m.Name == "" {
 			return fmt.Errorf("core: unnamed metric")
 		}

@@ -1,10 +1,14 @@
 package distrib
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"rldecide/internal/gym"
 	"rldecide/internal/mathx"
+	"rldecide/internal/nn"
 	"rldecide/internal/rl"
 )
 
@@ -23,6 +27,27 @@ func actionCountOf(s gym.Space) (int, error) {
 // sharpness of the final policy shows up in the reported reward.
 func evaluatePolicy(cfg *TrainConfig, seeder *mathx.Seeder, policy rl.Policy) rl.EvalResult {
 	return rl.Evaluate(cfg.EnvMaker(seeder.Next()), policy, cfg.EvalEpisodes)
+}
+
+// paramDigest is SHA-256 over the parameters of nets, in the order given
+// and each net's Params order, every value as its Float64bits in
+// little-endian byte order. PPO passes actor, critic; SAC passes actor,
+// both critics, then both targets.
+func paramDigest(nets ...*nn.MLP) [sha256.Size]byte {
+	h := sha256.New()
+	var buf []byte
+	for _, n := range nets {
+		for _, p := range n.Params() {
+			buf = buf[:0]
+			for _, v := range p.Data {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+			}
+			h.Write(buf)
+		}
+	}
+	var d [sha256.Size]byte
+	h.Sum(d[:0])
+	return d
 }
 
 // lrDecay returns the linear-to-zero learning-rate factor at the given

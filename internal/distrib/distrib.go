@@ -22,6 +22,7 @@
 package distrib
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math"
 
@@ -170,6 +171,11 @@ type Result struct {
 
 	// MeanUtilization is the average core utilization across nodes.
 	MeanUtilization float64
+
+	// ParamDigest is SHA-256 over the final parameters of every trained
+	// network (paramDigest): it sees a last-ulp change in training that
+	// the rewards and the virtual cluster's figures need not.
+	ParamDigest [sha256.Size]byte
 }
 
 // TimeMinutes returns the virtual computation time in minutes.

@@ -126,6 +126,7 @@ func trainRayPPO(cfg TrainConfig, sim *cluster.Sim, seeder *mathx.Seeder) (Resul
 		Framework: RLlib, Algo: PPO, Nodes: cfg.Nodes, Cores: cfg.Cores,
 		MeanReward: eval.MeanReturn, StdReward: eval.StdReturn,
 		Steps: steps, Episodes: curve.episodes, Curve: curve.points,
+		ParamDigest: paramDigest(learner.Actor, learner.Critic),
 	}
 	finishResult(&res, sim)
 	return res, nil
@@ -275,6 +276,7 @@ func trainRaySAC(cfg TrainConfig, sim *cluster.Sim, seeder *mathx.Seeder) (Resul
 		Framework: RLlib, Algo: SAC, Nodes: cfg.Nodes, Cores: cfg.Cores,
 		MeanReward: eval.MeanReturn, StdReward: eval.StdReturn,
 		Steps: steps, Episodes: curve.episodes, Curve: curve.points,
+		ParamDigest: paramDigest(learner.Actor, learner.Q1, learner.Q2, learner.Q1T, learner.Q2T),
 	}
 	finishResult(&res, sim)
 	return res, nil

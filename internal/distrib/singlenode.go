@@ -92,6 +92,7 @@ func (p singleNodeProfile) trainPPO(cfg TrainConfig, sim *cluster.Sim, seeder *m
 		Framework: p.framework, Algo: PPO, Nodes: 1, Cores: cfg.Cores,
 		MeanReward: eval.MeanReturn, StdReward: eval.StdReturn,
 		Steps: steps, Episodes: curve.episodes, Curve: curve.points,
+		ParamDigest: paramDigest(learner.Actor, learner.Critic),
 	}
 	finishResult(&res, sim)
 	return res, nil
@@ -177,6 +178,7 @@ func (p singleNodeProfile) trainSAC(cfg TrainConfig, sim *cluster.Sim, seeder *m
 		Framework: p.framework, Algo: SAC, Nodes: 1, Cores: cfg.Cores,
 		MeanReward: eval.MeanReturn, StdReward: eval.StdReturn,
 		Steps: steps, Episodes: curve.episodes, Curve: curve.points,
+		ParamDigest: paramDigest(learner.Actor, learner.Q1, learner.Q2, learner.Q1T, learner.Q2T),
 	}
 	finishResult(&res, sim)
 	return res, nil

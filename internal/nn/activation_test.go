@@ -5,9 +5,11 @@ import (
 	"testing"
 )
 
-// activationInputs covers the values whose bits a vectorized arm is most
-// likely to get wrong: signed zeros, infinities, NaNs of both signs with
-// two payloads, subnormals and ordinary values.
+// activationInputs covers the values whose bits a vectorized or
+// bit-select arm is most likely to get wrong: signed zeros, infinities,
+// NaNs of both signs with two payloads, subnormals, the smallest normal
+// and the largest finite value of both signs (the edges an integer
+// compare on the bits would misorder) and ordinary values.
 func activationInputs() []float64 {
 	return []float64{
 		0, math.Copysign(0, -1),
@@ -16,6 +18,8 @@ func activationInputs() []float64 {
 		math.Float64frombits(0x7ff800000000beef), math.Float64frombits(0xfff800000000beef),
 		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
 		math.Float64frombits(0x000fffffffffffff), -math.Float64frombits(0x000fffffffffffff),
+		math.Float64frombits(0x0010000000000000), -math.Float64frombits(0x0010000000000000),
+		math.MaxFloat64, -math.MaxFloat64,
 		1, -1, 0.5, -2.75, 1e-300, -1e300, 19.5, -0.03125,
 	}
 }
@@ -38,7 +42,7 @@ func TestActivationArmsBits(t *testing.T) {
 		fwd   func(z float64) float64
 		deriv func(z, y, g float64) float64
 	}{
-		{"tanh", Tanh{}, math.Tanh, func(_, y, g float64) float64 { return g * (1 - y*y) }},
+		{"tanh", Tanh{}, math.Tanh, func(_, y, g float64) float64 { return g * (1 - float64(y*y)) }},
 		{"relu", ReLU{},
 			func(v float64) float64 {
 				if v > 0 {

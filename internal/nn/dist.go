@@ -96,7 +96,7 @@ func CategoricalEntropy(logits []float64) float64 {
 	h := 0.0
 	for _, v := range logits {
 		l := v - lse
-		h -= math.Exp(l) * l
+		h -= float64(math.Exp(l) * l)
 	}
 	return h
 }

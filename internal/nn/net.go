@@ -91,12 +91,12 @@ func applyActivation(act Activation, y, z []float64) {
 	y = y[:len(z)]
 	switch act.(type) {
 	case ReLU:
+		// v > 0 ? v : +0 as a select on the bits, so the compiler emits a
+		// conditional move: a branch on inputs positive about half the
+		// time mispredicts. −0 and NaN both come out +0, as the branch
+		// gives.
 		for i, v := range z {
-			if v > 0 {
-				y[i] = v
-			} else {
-				y[i] = 0
-			}
+			y[i] = math.Float64frombits(math.Float64bits(v) & positive(v))
 		}
 	case Tanh:
 		for i, v := range z {
@@ -115,22 +115,31 @@ func activationDeriv(act Activation, dz, dy, z, y []float64) {
 	y = y[:len(dy)]
 	switch act.(type) {
 	case ReLU:
+		// z > 0 ? g : g·0, selected on the bits as in applyActivation.
+		// g·0, not the constant 0: a negative g gives −0 and a NaN g
+		// stays NaN, as g·act'(z) would. The two-mask form is what
+		// compiles to a conditional move; assigning g·0 and then g under
+		// an if compiles to a branch.
 		for i, g := range dy {
-			if z[i] > 0 {
-				dz[i] = g
-			} else {
-				// g·0, not the constant 0: a negative g gives -0 and a
-				// NaN g stays NaN, as g·act'(z) would.
-				dz[i] = g * 0
-			}
+			m := positive(z[i])
+			dz[i] = math.Float64frombits(math.Float64bits(g)&m | math.Float64bits(g*0)&^m)
 		}
 	case Tanh:
 		for i, g := range dy {
-			dz[i] = g * (1 - y[i]*y[i])
+			dz[i] = g * (1 - float64(y[i]*y[i]))
 		}
 	case Identity:
 		copy(dz, dy)
 	}
+}
+
+// positive returns all ones if v > 0 and zero otherwise, for NaN too.
+func positive(v float64) uint64 {
+	var m uint64
+	if v > 0 {
+		m = ^uint64(0)
+	}
+	return m
 }
 
 // Backward takes dL/dy for the cached batch, accumulates dL/dW and dL/db
@@ -335,7 +344,7 @@ func (m *MLP) Polyak(src *MLP, tau float64) {
 	}
 	for i := range mp {
 		for j := range mp[i].Data {
-			mp[i].Data[j] = (1-tau)*mp[i].Data[j] + tau*sp[i].Data[j]
+			mp[i].Data[j] = float64((1-tau)*mp[i].Data[j]) + float64(tau*sp[i].Data[j])
 		}
 	}
 }

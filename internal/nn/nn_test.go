@@ -17,7 +17,7 @@ func scalarLoss(out *tensor.Mat) (float64, *tensor.Mat) {
 	l := 0.0
 	g := tensor.New(out.R, out.C)
 	for i, v := range out.Data {
-		l += 0.5 * v * v
+		l += float64(0.5 * v * v)
 		g.Data[i] = v
 	}
 	return l, g
@@ -140,7 +140,7 @@ func TestMLPTrainsXOR(t *testing.T) {
 		loss = 0
 		for i := range ys {
 			d := out.At(i, 0) - ys[i]
-			loss += 0.5 * d * d
+			loss += float64(0.5 * d * d)
 			dout.Set(i, 0, d)
 		}
 		m.Backward(dout)
@@ -199,7 +199,7 @@ func TestPolyak(t *testing.T) {
 	rng := newRng(11, 12)
 	a := NewMLP(rng, []int{2, 3, 1}, Tanh{}, 1)
 	b := NewMLP(rng, []int{2, 3, 1}, Tanh{}, 1)
-	wantMix := 0.25*b.Weights()[0] + 0.75*a.Weights()[0]
+	wantMix := float64(0.25*b.Weights()[0]) + float64(0.75*a.Weights()[0])
 	a.Polyak(b, 0.25)
 	if math.Abs(a.Weights()[0]-wantMix) > 1e-12 {
 		t.Fatalf("Polyak mix wrong: %v want %v", a.Weights()[0], wantMix)
@@ -332,6 +332,24 @@ func BenchmarkMLPForwardBackward(b *testing.B) {
 	x.Randomize(rng, 1)
 	dout := tensor.New(64, 3)
 	dout.Fill(0.1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.ZeroGrad()
+		m.Forward(x)
+		m.Backward(dout)
+	}
+}
+
+// BenchmarkReLUForwardBackward times a forward and backward pass of a
+// ReLU network at SAC's campaign shape (batch 128, 7 -> 64 -> 64 -> 3),
+// where the ReLU arms are a large share of the element-wise work.
+func BenchmarkReLUForwardBackward(b *testing.B) {
+	rng := newRng(1, 1)
+	m := NewMLP(rng, []int{7, 64, 64, 3}, ReLU{}, 1)
+	x := tensor.New(128, 7)
+	x.Randomize(rng, 1)
+	dout := tensor.New(128, 3)
+	dout.Randomize(rng, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.ZeroGrad()

@@ -204,12 +204,25 @@ type IntRange struct {
 	Lo, Hi int
 }
 
-// NewIntRange builds an integer-range parameter over [lo, hi].
+// NewIntRange builds an integer-range parameter over [lo, hi]. It panics
+// if the range is empty or holds more values than an int counts.
 func NewIntRange(name string, lo, hi int) IntRange {
 	if hi < lo {
 		panic("param: empty int range")
 	}
+	if !IntRangeFits(lo, hi) {
+		panic("param: int range holds more values than an int counts")
+	}
 	return IntRange{name: name, Lo: lo, Hi: hi}
+}
+
+// IntRangeFits reports whether the non-empty range [lo, hi] holds at most
+// math.MaxInt values, so that its Count and its sampler's hi − lo + 1 do
+// not overflow. The difference is exact in uint64 and wraps to zero only
+// at 2^64 values.
+func IntRangeFits(lo, hi int) bool {
+	n := uint64(hi) - uint64(lo) + 1
+	return n != 0 && n <= math.MaxInt
 }
 
 // Name implements Param.

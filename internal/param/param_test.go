@@ -173,11 +173,34 @@ func TestIntRange(t *testing.T) {
 	}
 }
 
+// TestIntRangeWidest: the widest ranges an int counts build, count and
+// sample inside their bounds.
+func TestIntRangeWidest(t *testing.T) {
+	rng := mathx.NewRand(1)
+	for _, p := range []IntRange{
+		NewIntRange("lo", math.MinInt, -2),
+		NewIntRange("hi", 0, math.MaxInt-1),
+		NewIntRange("mid", -(1 << 62), 1<<62-2),
+	} {
+		if p.Count() != math.MaxInt {
+			t.Errorf("%s: Count %d, want %d", p.Name(), p.Count(), math.MaxInt)
+		}
+		for range 100 {
+			if v := p.Sample(rng); !p.Contains(v) {
+				t.Fatalf("%s: sampled %d outside [%d, %d]", p.Name(), v.Int(), p.Lo, p.Hi)
+			}
+		}
+	}
+}
+
 func TestConstructorPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"empty-cat":  func() { NewCategorical("x") },
 		"empty-ints": func() { NewIntSet("x") },
 		"bad-range":  func() { NewIntRange("x", 3, 1) },
+		"wide-range": func() { NewIntRange("x", -(1 << 62), 1<<62) },
+		"all-ints":   func() { NewIntRange("x", math.MinInt, math.MaxInt) },
+		"2^63-ints":  func() { NewIntRange("x", math.MinInt, -1) },
 		"bad-float":  func() { NewFloatRange("x", 2, 1) },
 		"bad-log":    func() { NewLogFloatRange("x", 0, 1) },
 	} {

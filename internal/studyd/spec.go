@@ -10,6 +10,7 @@ package studyd
 
 import (
 	"fmt"
+	"math"
 
 	"rldecide/internal/core"
 	"rldecide/internal/param"
@@ -76,10 +77,13 @@ type Spec struct {
 	Eps float64 `json:"eps,omitempty"`
 }
 
-// Validate checks the spec as submission and loading do.
+// Validate checks the spec as submission does.
 func (sp Spec) Validate() error {
-	_, err := sp.prepare()
-	return err
+	p, err := sp.prepare()
+	if err != nil {
+		return err
+	}
+	return sp.admit(p)
 }
 
 // Space materializes the parameter space.
@@ -116,6 +120,11 @@ func (ps ParamSpec) build() (param.Param, error) {
 	case "intrange":
 		if ps.Hi < ps.Lo {
 			return nil, fmt.Errorf("studyd: intrange %q is empty", ps.Name)
+		}
+		// A fractional bound truncates toward zero here; admit refuses one
+		// at submission. The int conversions are exact only in range.
+		if !(ps.Lo >= math.MinInt && ps.Hi < -math.MinInt) || !param.IntRangeFits(int(ps.Lo), int(ps.Hi)) {
+			return nil, fmt.Errorf("studyd: intrange %q spans more than %d values", ps.Name, math.MaxInt)
 		}
 		return param.NewIntRange(ps.Name, int(ps.Lo), int(ps.Hi)), nil
 	case "floatrange":
@@ -171,6 +180,21 @@ func (sp Spec) explorer() (search.Explorer, error) {
 	}
 }
 
+// admit is what submission checks beyond prepare: refusals added after
+// specs had been persisted without them, which a restarted daemon must
+// still load and serve as it did before. Such a study's intrange bound
+// was truncated to an int and the study ran; its unnamed or duplicate
+// metric names failed its run in core, which marked it failed.
+func (sp Spec) admit(p *prepared) error {
+	for _, ps := range sp.Params {
+		//lint:ignore float-eq an intrange bound must be exactly integral; Trunc is exact
+		if ps.Type == "intrange" && (ps.Lo != math.Trunc(ps.Lo) || ps.Hi != math.Trunc(ps.Hi)) {
+			return fmt.Errorf("studyd: intrange %q needs integer bounds", ps.Name)
+		}
+	}
+	return core.CheckMetricNames(p.metrics)
+}
+
 // prepared is a checked spec built: its space, metrics and objective. All
 // of it is read-only once built, so concurrent trials share it.
 type prepared struct {
@@ -180,8 +204,9 @@ type prepared struct {
 }
 
 // prepare is the one place a spec is checked and built: Validate,
-// submission, loading and the evaluator all go through it. The explorer is
-// checked here but built per run, because explorers are stateful.
+// submission, loading and the evaluator all go through it, and only
+// Validate and submission add admit. The explorer is checked here but
+// built per run, because explorers are stateful.
 func (sp Spec) prepare() (*prepared, error) {
 	if sp.Name == "" {
 		return nil, fmt.Errorf("studyd: spec needs a name")

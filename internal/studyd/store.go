@@ -623,6 +623,9 @@ func (st *Store) Submit(spec Spec, tenant string) (*ManagedStudy, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := spec.admit(p); err != nil {
+		return nil, err
+	}
 	st.mu.Lock()
 	id := fmt.Sprintf("s%04d", st.nextID)
 	if st.owner != "" {

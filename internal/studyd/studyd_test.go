@@ -85,6 +85,121 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitRefusesUnrunnableSpecs: a spec that decodes but cannot run is
+// refused at submission with 422, the daemon's answer to any invalid spec,
+// and the daemon keeps serving. An intrange too wide for an int once
+// passed and then panicked in its sampler on the run goroutine, which
+// killed the daemon; unnamed or duplicate metric names were answered 201
+// and the study then failed at once in core.
+func TestSubmitRefusesUnrunnableSpecs(t *testing.T) {
+	d, err := New(Config{Dir: t.TempDir(), Workers: 2, Logf: testLogf(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Start()
+	ts := httptest.NewServer(d.Handler())
+	defer ts.Close()
+	defer d.Shutdown(context.Background())
+
+	intrange := func(lo, hi float64) func(*Spec) {
+		return func(s *Spec) {
+			s.Params = append(s.Params, ParamSpec{Name: "n", Type: "intrange", Lo: lo, Hi: hi})
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Spec)
+	}{
+		{"wide-intrange", intrange(-(1 << 62), 1<<62)},
+		{"int-overflowing-intrange", intrange(0, 1<<63)},
+		{"fractional-intrange", intrange(0.5, 3)},
+		{"unnamed-metric", func(s *Spec) { s.Metrics[1].Name = "" }},
+		{"duplicate-metric", func(s *Spec) { s.Metrics[1].Name = s.Metrics[0].Name }},
+	} {
+		sp := baseSpec("sphere")
+		tc.mutate(&sp)
+		resp := postJSON(t, ts.URL+"/studies", sp)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("%s: submit answered %d, want 422", tc.name, resp.StatusCode)
+		}
+	}
+
+	// Still serving: the widest intrange a float64 bound can state that
+	// an int counts runs to done.
+	sp := baseSpec("sphere")
+	intrange(-(1 << 62), 1<<62-1024)(&sp)
+	resp := postJSON(t, ts.URL+"/studies", sp)
+	var sum Summary
+	if err := json.NewDecoder(resp.Body).Decode(&sum); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("good spec: submit answered %d", resp.StatusCode)
+	}
+	m, ok := d.Store().Get(sum.ID)
+	if !ok {
+		t.Fatal("submitted study not in store")
+	}
+	waitStatus(t, m, StatusDone)
+}
+
+// TestLoadKeepsSpecsPersistedBeforeRefusals: the refusals submission
+// adds beyond loading do not stop a daemon from starting on a state
+// directory that holds specs persisted without them. A fractional intrange
+// bound truncates and the study runs to done; duplicate metric names load
+// and the study's run fails in core. An intrange too wide for an int
+// cannot be built at all: starting on it is an error naming the study, not
+// a panic in its sampler once it runs.
+func TestLoadKeepsSpecsPersistedBeforeRefusals(t *testing.T) {
+	persist := func(dir, id string, sp Spec) {
+		t.Helper()
+		raw, err := json.MarshalIndent(sp, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, id+".spec.json"), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := t.TempDir()
+	fractional := baseSpec("sphere")
+	fractional.Params = append(fractional.Params, ParamSpec{Name: "n", Type: "intrange", Lo: 0.5, Hi: 3})
+	persist(dir, "s0001", fractional)
+	duplicate := baseSpec("sphere")
+	duplicate.Metrics[1].Name = duplicate.Metrics[0].Name
+	persist(dir, "s0002", duplicate)
+
+	d, err := New(Config{Dir: dir, Workers: 2, Logf: testLogf(t)})
+	if err != nil {
+		t.Fatalf("starting on persisted specs: %v", err)
+	}
+	d.Start()
+	defer d.Shutdown(context.Background())
+	for id, want := range map[string]Status{"s0001": StatusDone, "s0002": StatusFailed} {
+		m, ok := d.Store().Get(id)
+		if !ok {
+			t.Fatalf("study %s not loaded", id)
+		}
+		waitStatus(t, m, want)
+	}
+	m, _ := d.Store().Get("s0001")
+	for _, tr := range m.Trials() {
+		if n := tr.Params.Value("n").Int(); n < 0 || n > 3 {
+			t.Fatalf("trial %d: n = %d outside the truncated range [0, 3]", tr.ID, n)
+		}
+	}
+
+	wide := t.TempDir()
+	tooWide := baseSpec("sphere")
+	tooWide.Params = append(tooWide.Params, ParamSpec{Name: "n", Type: "intrange", Lo: -(1 << 62), Hi: 1 << 62})
+	persist(wide, "s0001", tooWide)
+	if _, err := New(Config{Dir: wide, Workers: 2, Logf: testLogf(t)}); err == nil || !strings.Contains(err.Error(), "s0001") {
+		t.Fatalf("starting on a too-wide intrange: err = %v, want one naming s0001", err)
+	}
+}
+
 func postJSON(t *testing.T, url string, v any) *http.Response {
 	t.Helper()
 	body, err := json.Marshal(v)
